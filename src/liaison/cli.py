@@ -30,6 +30,7 @@ from .lifting import (
 from .linkage import (
     GlicciCertificate,
     LinkageError,
+    check_horizon,
     glicci_certificate_artinian,
     glicci_certificate_borel,
     verify_certificate,
@@ -45,7 +46,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, graded_dim, hilbert_oracle
+from .oracle import DEFAULT_PRIME, check_prime, graded_dim, hilbert_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,9 +61,11 @@ class VerifyError(Exception):
     pass
 
 
-def _default_prime() -> int:
-    env = os.environ.get("LIAISON_PRIME")
-    return int(env) if env else DEFAULT_PRIME
+def _prime(text: str) -> int:
+    try:
+        return check_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_hvector(text: str) -> HVector:
@@ -307,6 +310,10 @@ def cmd_glicci(args) -> int:
     J = _load_ideal(args.ideal)
     prime = args.prime
     try:
+        check_horizon(J, args.dmax)
+    except LinkageError as exc:
+        raise InputError(str(exc))
+    try:
         if args.mode == "artinian":
             ncols = max(J.max_gen_degree, 1)
             A = default_matrix(J.n, "t-lift", seed=args.seed, ncols=ncols, t=1)
@@ -444,15 +451,24 @@ def cmd_worked_example(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one line with exit code 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liaison",
         description="Monomial ideals, liftings, and replayable linkage certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, dmax=True):
-        p.add_argument("--prime", type=int, default=_default_prime())
+        # A string default goes through type=_prime when parsed.
+        p.add_argument("--prime", type=_prime,
+                       default=os.environ.get("LIAISON_PRIME") or str(DEFAULT_PRIME))
         p.add_argument("--seed", type=int, default=0)
         if dmax:
             p.add_argument("--dmax", type=int, default=None)
@@ -503,9 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

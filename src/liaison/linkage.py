@@ -1,10 +1,16 @@
-"""Basic double G-links, hypersurface-section chains, and the two
-certificate builders.
+"""Basic double G-links, hypersurface-section chains, the certificate
+builders, and the verifier.
 
 A certificate never constructs the intermediate arithmetically Gorenstein
 ideals; its meaning is that every arithmetic precondition and identity
 attached to each step has been verified modulo the working prime through
 the degree horizon.
+
+``verify_certificate`` replays a certificate through the same step
+builders: each step is rebuilt once from its stored source (chain steps
+after the first use the previous matrix minus its first row), and the
+stored step must equal the rebuild, so nothing stored is trusted.  The
+prime must pass ``check_prime`` and the horizon ``check_horizon``.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from .layers import decompose
 from .lifting import (
     LiftedIdeal,
     LiftingMatrix,
+    MatrixError,
     default_matrix,
     lift_ideal,
 )
@@ -28,6 +35,7 @@ from .monomials import (
 )
 from .oracle import (
     DEFAULT_PRIME,
+    check_prime,
     colon_stability_failure,
     containment_failure,
     expand,
@@ -85,10 +93,6 @@ class PolyIdeal:
     codim: int
     gorenstein_tag: str = "unknown"
     label: str = ""
-
-    @classmethod
-    def from_polys(cls, polys, N, codim, gorenstein_tag="unknown", label=""):
-        return cls(N, tuple(polys), codim, gorenstein_tag, label)
 
     @classmethod
     def from_monomial(cls, J: MonomialIdeal, N: int | None = None,
@@ -165,8 +169,16 @@ class BasicDoubleLink:
         )
 
 
-def _link_checks(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
-                 result: PolyIdeal, dmax: int, prime: int) -> list[Check]:
+def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
+                      dmax: int, prime: int = DEFAULT_PRIME) -> BasicDoubleLink:
+    """Build I + A*J and verify every recorded side condition; raises
+    LinkageError naming the first failure."""
+    result_gens = tuple(base.gens) + tuple(
+        poly_mul(multiplier, g, prime) for g in divisor.gens
+    )
+    result = PolyIdeal(
+        base.N, result_gens, base.codim + 1, base.gorenstein_tag, "bdl-result"
+    )
     checks: list[Check] = []
     N = base.N
     d = poly_degree(multiplier)
@@ -221,20 +233,6 @@ def _link_checks(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
             ok, witness = False, f"horizon too small: {exc}"
         checks.append(Check("degree-identity", ok, witness))
 
-    return checks
-
-
-def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
-                      dmax: int, prime: int = DEFAULT_PRIME) -> BasicDoubleLink:
-    """Build I + A*J and verify every recorded side condition; raises
-    LinkageError naming the first failure."""
-    result_gens = tuple(base.gens) + tuple(
-        poly_mul(multiplier, g, prime) for g in divisor.gens
-    )
-    result = PolyIdeal(
-        base.N, result_gens, base.codim + 1, base.gorenstein_tag, "bdl-result"
-    )
-    checks = _link_checks(base, divisor, multiplier, result, dmax, prime)
     _require(checks)
     return BasicDoubleLink(base, divisor, multiplier, result, tuple(checks))
 
@@ -510,6 +508,21 @@ class GlicciCertificate:
         )
 
 
+def check_horizon(J: MonomialIdeal, dmax: int | None) -> int:
+    """The degree horizon of a certificate for J: ``dmax``, or the floor
+    max generator degree + number of variables when ``dmax`` is None.
+    Raises LinkageError for a horizon below that floor."""
+    floor = J.max_gen_degree + J.n
+    if dmax is None:
+        return floor
+    if not isinstance(dmax, int) or dmax < floor:
+        raise LinkageError(
+            f"horizon dmax {dmax!r} is below the floor {floor} "
+            "(max generator degree + number of variables)"
+        )
+    return dmax
+
+
 # --- Artinian certificate ---------------------------------------------------
 
 
@@ -555,8 +568,8 @@ def glicci_certificate_artinian(J: MonomialIdeal, A: LiftingMatrix,
     terminating at a codimension-2 licci leaf."""
     if not is_artinian(J) or J.is_unit:
         raise LinkageError("root ideal must be Artinian and proper")
-    if dmax is None:
-        dmax = J.max_gen_degree + J.n
+    check_prime(prime)
+    dmax = check_horizon(J, dmax)
     steps: list = []
     cur, curA = J, A
     while cur.n > 2:
@@ -657,37 +670,39 @@ def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
     return BilinkStep(J, i0, iprime, B, link, tuple(checks))
 
 
-def _build_descents(J: MonomialIdeal, dmax: int, prime: int):
-    """J has initial degree 1: J = I_0 + (x_1).  Returns the
-    hyperplane-section and cone descents down to J_0 = I_0 in T."""
+def _build_hyperplane_step(J: MonomialIdeal) -> DescentStep:
+    """J has initial degree 1: J = I_0 + (x_1).  The hyperplane section
+    x_1 = 0 continues with I_0, still in n variables."""
     n = J.n
     D = decompose(J)
-    i0 = D.layers[0]
-    i0_ext = i0.extend_front(1)
-    x1 = variable(n, 0)
-    expected = i0_ext.plus(MonomialIdeal.from_gens(n, [x1]))
-    checks_h = [Check(
+    i0_ext = D.layers[0].extend_front(1)
+    expected = i0_ext.plus(MonomialIdeal.from_gens(n, [variable(n, 0)]))
+    checks = [Check(
         "hyperplane-section-identity",
         expected == J and D.alpha == 1 and D.layers[1].is_unit,
         f"I_0 + (x1) = {expected}",
     )]
-    _require(checks_h)
-    hyper = DescentStep("hyperplane-descent", J, i0_ext, tuple(checks_h))
+    _require(checks)
+    return DescentStep("hyperplane-descent", J, i0_ext, tuple(checks))
 
-    j0 = i0  # I_0 cap T, re-indexed to n-1 variables
+
+def _build_cone_step(source: MonomialIdeal) -> DescentStep:
+    """A source none of whose generators involves x_1 is a cone over its
+    restriction J_0 to x_2..x_n, which must be CM Borel-fixed."""
+    j0 = source.restrict(range(1, source.n))
     ok0, _ = is_cm_borel(j0) if not (j0.is_zero or j0.is_unit) else (True, None)
-    checks_c = [Check(
+    bad = [g for g in source.gens if g.exps[0] > 0]
+    checks = [Check(
         "cone-restriction",
-        i0_ext.restrict(range(1, n)) == j0,
-        None,
+        not bad,
+        None if not bad else f"generators involving x1: {bad[0]}",
     ), Check(
         "cone-base-cm-borel",
         ok0,
         None if ok0 else "J_0 not CM Borel-fixed",
     )]
-    _require(checks_c)
-    cone_step = DescentStep("cone-descent", i0_ext, j0, tuple(checks_c))
-    return hyper, cone_step
+    _require(checks)
+    return DescentStep("cone-descent", source, j0, tuple(checks))
 
 
 def glicci_certificate_borel(J: MonomialIdeal, dmax: int | None = None,
@@ -701,8 +716,8 @@ def glicci_certificate_borel(J: MonomialIdeal, dmax: int | None = None,
     ok, _ = is_cm_borel(J)
     if not ok:
         raise LinkageError("not Cohen-Macaulay (Borel equivalence test)")
-    if dmax is None:
-        dmax = J.max_gen_degree + J.n
+    check_prime(prime)
+    dmax = check_horizon(J, dmax)
 
     steps: list = []
     cur = J
@@ -714,7 +729,8 @@ def glicci_certificate_borel(J: MonomialIdeal, dmax: int | None = None,
             leaf = "codim<=2-licci"
             break
         if cur.initial_degree() == 1:
-            hyper, cone_step = _build_descents(cur, dmax, prime)
+            hyper = _build_hyperplane_step(cur)
+            cone_step = _build_cone_step(hyper.continuation)
             steps.extend([hyper, cone_step])
             cur = cone_step.continuation
             continue
@@ -751,53 +767,59 @@ class VerificationReport:
         }
 
 
-def _verify_link(link: BasicDoubleLink, dmax: int, prime: int) -> list[Check]:
-    # Recompute the result from the stored base/divisor/multiplier, make
-    # sure the stored result matches, then replay all side conditions.
-    recomputed = tuple(link.base.gens) + tuple(
-        poly_mul(link.multiplier, g, prime) for g in link.divisor.gens
-    )
-    checks = [Check(
-        "result-integrity",
-        ideals_equal_up_to(recomputed, link.result.gens, dmax, link.base.N, prime),
-        None,
-    )]
-    checks.extend(_link_checks(
-        link.base, link.divisor, link.multiplier, link.result, dmax, prime
-    ))
-    return checks
+def _rebuild(step, A: LiftingMatrix | None, dmax: int, prime: int):
+    """The builder of the step's kind, run on the step's stored source."""
+    if isinstance(step, ChainStep):
+        return _build_chain_step(step.source, A, dmax, prime)
+    if isinstance(step, BilinkStep):
+        return _build_bilink_step(step.source, dmax, prime)
+    if step.kind == "hyperplane-descent":
+        return _build_hyperplane_step(step.source)
+    return _build_cone_step(step.source)
 
 
-def _verify_chain(chain: HypersurfaceChain, dmax: int, prime: int) -> list[Check]:
+def _all_checks(step):
+    """The checks a step records, those of its links included."""
+    if isinstance(step, ChainStep):
+        yield from step.chain.checks
+        for link in step.chain.links:
+            yield from link.checks
+    elif isinstance(step, BilinkStep):
+        yield from step.link.checks
+    yield from step.checks
+
+
+def _contract(name: str, check, *args) -> tuple:
+    """Report entry for a certificate-wide precondition: the accepted
+    value, or the error raised by ``check``."""
     try:
-        rebuilt = hypersurface_chain(chain.vees, chain.forms, dmax, prime)
-    except LinkageError as exc:
-        return [Check("chain-replay", False, str(exc))]
-    checks = [Check(
-        "chain-replay-result",
-        ideals_equal_up_to(
-            rebuilt.result.gens, chain.result.gens, dmax, chain.result.N, prime
-        ),
-        None,
-    )]
-    for link in chain.links:
-        checks.extend(_verify_link(link, dmax, prime))
-    return checks
+        return (0, name, True, str(check(*args)))
+    except ValueError as exc:
+        return (0, name, False, str(exc))
 
 
 def verify_certificate(cert: GlicciCertificate,
                        dmax: int | None = None) -> VerificationReport:
-    """Replay every recorded check from scratch; failures become report
-    entries, never exceptions."""
-    dmax = dmax if dmax is not None else cert.dmax
+    """Rebuild every step once with its builder, report the rebuilt
+    checks, and require the stored step to equal the rebuild; failures
+    become report entries, never exceptions.
+
+    ``dmax`` overrides the stored horizon.  An invalid prime or a horizon
+    below the floor fails the report before any step is replayed.
+    """
+    dmax = cert.dmax if dmax is None else dmax
     prime = cert.prime
-    entries: list = []
+    entries: list = [
+        _contract("prime", check_prime, prime),
+        _contract("horizon", check_horizon, cert.root, dmax),
+    ]
+    if not all(e[2] for e in entries):
+        return VerificationReport(entries)
 
-    def add(idx, checks):
-        for c in checks:
-            entries.append((idx, c.name, c.passed, c.witness))
-
-    cur = cert.root
+    # Loop state of the builders: the current ideal and, along a chain of
+    # Artinian steps, the matrix (step 0 stores it; each later step drops
+    # the first row of the previous one).
+    cur, A = cert.root, None
     for idx, step in enumerate(cert.steps):
         entries.append((
             idx, "step-continuity", step.source == cur,
@@ -805,45 +827,17 @@ def verify_certificate(cert: GlicciCertificate,
         ))
         try:
             if isinstance(step, ChainStep):
-                try:
-                    rebuilt = _build_chain_step(step.source, step.matrix, dmax, prime)
-                    same = ideals_equal_up_to(
-                        rebuilt.chain.result.gens, step.chain.result.gens,
-                        dmax, step.matrix.N, prime,
-                    ) and rebuilt.continuation == step.continuation
-                    entries.append((idx, "chain-rebuild", same, None))
-                except LinkageError as exc:
-                    entries.append((idx, "chain-rebuild", False, str(exc)))
-                add(idx, _verify_chain(step.chain, dmax, prime))
-                add(idx, step.checks)
-            elif isinstance(step, BilinkStep):
-                try:
-                    rebuilt = _build_bilink_step(step.source, dmax, prime)
-                    same = (
-                        rebuilt.i0 == step.i0 and rebuilt.iprime == step.iprime
-                    )
-                    entries.append((idx, "bilink-rebuild", same, None))
-                except LinkageError as exc:
-                    entries.append((idx, "bilink-rebuild", False, str(exc)))
-                add(idx, _verify_link(step.link, dmax, prime))
-                add(idx, step.checks)
-            elif isinstance(step, DescentStep):
-                if step.kind_tag == "hyperplane-descent":
-                    D = decompose(step.source)
-                    expected = D.layers[0].extend_front(1)
-                    entries.append((
-                        idx, "hyperplane-replay",
-                        expected == step.continuation and D.alpha == 1,
-                        None,
-                    ))
-                else:
-                    expected = step.source.restrict(range(1, step.source.n))
-                    entries.append((
-                        idx, "cone-replay", expected == step.continuation, None,
-                    ))
-                add(idx, step.checks)
+                A = step.matrix if A is None else A.drop_first_row()
+            rebuilt = _rebuild(step, A, dmax, prime)
+        except (LinkageError, MatrixError) as exc:
+            entries.append((idx, "rebuild", False, str(exc)))
         except Exception as exc:  # replay must never crash the report
             entries.append((idx, "replay-error", False, repr(exc)))
+        else:
+            entries.extend(
+                (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
+            )
+            entries.append((idx, "stored-equals-rebuilt", rebuilt == step, None))
         cur = step.continuation
 
     if cert.leaf == "principal":
@@ -854,16 +848,4 @@ def verify_certificate(cert: GlicciCertificate,
     else:
         leaf_ok = False
     entries.append((len(cert.steps), "leaf-validity", leaf_ok, f"leaf ideal {cur}"))
-
-    # Each bilink must lower the initial degree by exactly one.
-    if cert.mode == "borel":
-        drops = [
-            (step.source.initial_degree(), step.continuation.initial_degree())
-            for step in cert.steps
-            if isinstance(step, BilinkStep)
-        ]
-        monotone = all(a - b == 1 for a, b in drops)
-        entries.append((
-            len(cert.steps), "initial-degree-drop-per-bilink", monotone, str(drops)
-        ))
     return VerificationReport(entries)

@@ -235,11 +235,6 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
-def minimalize(n: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-    """The ideal with divisibility-minimal generators for the given set."""
-    return MonomialIdeal.from_gens(n, gens)
-
-
 def standard_monomials(J: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     """Degree-d monomials outside J, descending degree-lex."""
     return tuple(m for m in monomials_of_degree(J.n, d) if not J.contains(m))

@@ -8,7 +8,7 @@ be too small, so agreement at two primes is decisive at desk scale.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 from functools import lru_cache
 
 import numpy as np
@@ -18,10 +18,22 @@ from .monomials import monomials_of_degree
 
 DEFAULT_PRIME = 32003
 FALLBACK_PRIME = 65537
+# Largest modulus whose square fits int64: rank_mod_p multiplies two
+# residues before reducing.
+MAX_PRIME = 3_037_000_499
 
 # A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 # Coefficients are ints; reduced mod p by the routines that consume them.
 Poly = dict
+
+
+def check_prime(p) -> int:
+    """Return ``p`` if it is a prime the rank kernel can work modulo,
+    2 <= p <= MAX_PRIME; raise ValueError otherwise."""
+    if (not isinstance(p, int) or not 2 <= p <= MAX_PRIME
+            or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        raise ValueError(f"modulus {p!r} is not a prime in [2, {MAX_PRIME}]")
+    return p
 
 
 def poly_degree(f: Poly) -> int:
@@ -236,11 +248,3 @@ def poly_from_json(data: list, N: int | None = None) -> Poly:
         out[tuple(term[:-1])] = term[-1]
     return out
 
-
-def degree_matrix_csv(gens, d: int, N: int, p: int = DEFAULT_PRIME) -> str:
-    """Debug dump: degree-d coefficient matrix, columns in degree-lex order."""
-    header = ",".join(str(m) for m in monomials_of_degree(N, d))
-    M = _degree_rows(gens, d, N, p)
-    lines = [header]
-    lines.extend(",".join(str(int(v)) for v in row) for row in M)
-    return "\n".join(lines)

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, exact tolerances, explicit
 time budgets.  Each test prints a single PASS line on success."""
+import dataclasses
 import json
 import random
 import time
@@ -22,6 +23,7 @@ from liaison.linkage import (
     BilinkStep,
     GlicciCertificate,
     LinkageError,
+    _build_chain_step,
     glicci_certificate_artinian,
     glicci_certificate_borel,
     verify_certificate,
@@ -281,7 +283,58 @@ def test_criterion_8_differentiable_o_sequence_pipeline():
            time.time() - t0, 120)
 
 
+# Forged certificates that a verifier trusting any stored object would
+# accept.  Each returns the forgery and the (step, check) of its first
+# failing report entry.
+
+
+def _link_swapped(certs):
+    data = certs[2].to_json()
+    data["steps"][0]["link"] = certs[1].to_json()["steps"][0]["link"]
+    return GlicciCertificate.from_json(data), (0, "stored-equals-rebuilt")
+
+
+def _extra_check(certs):
+    data = certs[2].to_json()
+    data["steps"][1]["checks"].append(
+        {"name": "forged", "passed": True, "witness": None})
+    return GlicciCertificate.from_json(data), (1, "stored-equals-rebuilt")
+
+
+def _zero_horizon(certs):
+    return dataclasses.replace(certs[2], dmax=0), (0, "horizon")
+
+
+def _foreign_matrix(certs):
+    # Step 1 rebuilt consistently with a matrix that is not step 0's
+    # matrix with its first row dropped.
+    J = lex_ideal_from_hvector(HVector.artinian((1, 4, 3)), 4)
+    A = default_matrix(4, "t-lift", seed=3, ncols=J.max_gen_degree, t=1)
+    cert = glicci_certificate_artinian(J, A, prime=P)
+    B = default_matrix(4, "t-lift", seed=4, ncols=J.max_gen_degree, t=1)
+    step = _build_chain_step(cert.steps[1].source, B.drop_first_row(),
+                             cert.dmax, P)
+    forged = dataclasses.replace(cert, steps=(cert.steps[0], step))
+    return forged, (1, "stored-equals-rebuilt")
+
+
+def _prime_four(certs):
+    return dataclasses.replace(certs[1], prime=4), (0, "prime")
+
+
 class TestCriterion9NegativeControls:
+    @pytest.mark.parametrize("forge", [
+        _link_swapped, _extra_check, _zero_horizon, _foreign_matrix, _prime_four,
+    ], ids=lambda f: f.__name__.strip("_"))
+    def test_forged_certificate_rejected_at_step(self, generated_certificates,
+                                                 forge):
+        forged, failing = forge(generated_certificates)
+        stored = GlicciCertificate.from_json(json.loads(json.dumps(forged.to_json())))
+        rep = verify_certificate(stored)
+        assert not rep.ok
+        assert rep.first_failure()[:2] == failing, rep.first_failure()
+        print(f"PASS criterion 9d: {forge.__name__} rejected at {failing}")
+
     def test_tampered_certificate_fails_at_step(self, generated_certificates):
         cert = generated_certificates[2]  # borel cert with several steps
         data = json.loads(json.dumps(cert.to_json()))

@@ -149,6 +149,27 @@ class TestGlicciAndVerify:
         assert code == 3
         assert "Cohen-Macaulay" in err
 
+    @pytest.mark.parametrize("argv,env", [
+        (["--prime", "4"], None),
+        (["--prime", "1"], None),
+        (["--dmax", "0"], None),
+        ([], "abc"),
+    ])
+    def test_bad_prime_or_horizon_is_input_error(self, tmp_path, capsys,
+                                                 monkeypatch, argv, env):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(
+            {"schema": "ideal/1", "n": 3,
+             "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                      [0, 2, 0], [0, 1, 1], [0, 0, 2]]}
+        ))
+        if env is not None:
+            monkeypatch.setenv("LIAISON_PRIME", env)
+        code, out, err = run(capsys, "glicci", str(path), "--mode", "borel", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_tampered_certificate_rejected(self, tmp_path, capsys):
         path = tmp_path / "sq.json"
         path.write_text(json.dumps(
