@@ -79,9 +79,12 @@ def _parse_hvector(text: str) -> HVector:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_ideal(path: str) -> MonomialIdeal:

@@ -84,8 +84,13 @@ class LiftingMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LiftingMatrix":
-        kind = "bf" if data["kind"] == "bf" else "t-lift"
-        seed = None if kind == "bf" else data["kind"].get("seed")
+        spec = data["kind"]
+        if spec == "bf":
+            kind, seed = "bf", None
+        elif isinstance(spec, dict):
+            kind, seed = "t-lift", spec.get("seed")
+        else:
+            raise MatrixError(f"unknown matrix kind {spec!r}")
         return cls(
             tuple(
                 tuple(LinearForm(tuple(c)) for c in row) for row in data["rows"]

@@ -10,13 +10,17 @@ the degree horizon.
 builders: each step is rebuilt once from its stored source (chain steps
 after the first use the previous matrix minus its first row), and the
 stored step must equal the rebuild, so nothing stored is trusted.  The
-prime must pass ``check_prime`` and the horizon ``check_horizon``.
+mode must be known, the root acceptable to the mode's builder, each
+step's kind and the leaf what that builder makes next; the prime must
+pass ``check_prime`` and the horizon ``check_horizon``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
-from .hilbert import HVector
+from .hilbert import HVector, difference
 from .layers import decompose
 from .lifting import (
     LiftedIdeal,
@@ -47,7 +51,6 @@ from .oracle import (
     poly_mul,
     poly_normalize,
     poly_to_json,
-    scheme_degree,
     stable_value,
 )
 
@@ -56,18 +59,74 @@ class LinkageError(ValueError):
     """A certificate precondition or identity failed."""
 
 
+# --- JSON codec -------------------------------------------------------------
+
+
+class _FieldCodec:
+    """JSON codec driven by the dataclass fields: one key per field, plus
+    the class's ``schema`` or ``kind`` tag.  A polynomial (dict) goes
+    through ``poly_to_json``, a tuple becomes a list, and a value with its
+    own ``to_json`` uses it.  Decoding follows the field types; every
+    field's key is required."""
+
+    def to_json(self) -> dict:
+        out = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        for tag in ("schema", "kind"):
+            if hasattr(self, tag):
+                out[tag] = getattr(self, tag)
+        return out
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(**{name: decode(data[name])
+                      for name, decode in _field_decoders(cls)})
+
+
+def _encode(value):
+    if isinstance(value, dict):
+        return poly_to_json(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value
+
+
+@cache
+def _field_decoders(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _decoder(hints[f.name])) for f in fields(cls))
+
+
+@cache
+def _decoder(tp):
+    """The function that decodes the JSON of a value of type ``tp``."""
+    if tp is dict:
+        return poly_from_json
+    if tp == Step:
+        return _decode_step
+    if get_origin(tp) is tuple:
+        item = _decoder(get_args(tp)[0])
+        return lambda data: tuple(map(item, data))
+    return getattr(tp, "from_json", _identity)
+
+
+def _identity(value):
+    return value
+
+
+def _decode_step(data: dict):
+    kind = data["kind"]
+    if kind not in _STEP_KINDS:
+        raise ValueError(f"unknown step kind {kind!r}")
+    return _STEP_KINDS[kind].from_json(data)
+
+
 @dataclass(frozen=True)
-class Check:
+class Check(_FieldCodec):
     name: str
     passed: bool
     witness: str | None = None
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Check":
-        return cls(data["name"], data["passed"], data.get("witness"))
 
 
 def _require(checks: list[Check]) -> None:
@@ -79,7 +138,7 @@ def _require(checks: list[Check]) -> None:
 
 
 @dataclass(frozen=True)
-class PolyIdeal:
+class PolyIdeal(_FieldCodec):
     """Homogeneous polynomial generators with provenance tags.
 
     ``codim`` comes from the source monomial data (lifting preserves
@@ -89,7 +148,7 @@ class PolyIdeal:
     """
 
     N: int
-    gens: tuple
+    gens: tuple[dict, ...]
     codim: int
     gorenstein_tag: str = "unknown"
     label: str = ""
@@ -118,28 +177,9 @@ class PolyIdeal:
     def hilbert(self, dmax: int, prime: int) -> HVector:
         return hilbert_oracle(self.gens, dmax, self.N, prime)
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "codim": self.codim,
-            "gorenstein_tag": self.gorenstein_tag,
-            "label": self.label,
-            "gens": [poly_to_json(g) for g in self.gens],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PolyIdeal":
-        return cls(
-            data["N"],
-            tuple(poly_from_json(g) for g in data["gens"]),
-            data["codim"],
-            data["gorenstein_tag"],
-            data.get("label", ""),
-        )
-
 
 @dataclass(frozen=True)
-class BasicDoubleLink:
+class BasicDoubleLink(_FieldCodec):
     """Passage from a divisor J on a base I to I + A*J, with the verified
     side conditions recorded."""
 
@@ -148,25 +188,6 @@ class BasicDoubleLink:
     multiplier: dict
     result: PolyIdeal
     checks: tuple[Check, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "divisor": self.divisor.to_json(),
-            "multiplier": poly_to_json(self.multiplier),
-            "result": self.result.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BasicDoubleLink":
-        return cls(
-            PolyIdeal.from_json(data["base"]),
-            PolyIdeal.from_json(data["divisor"]),
-            poly_from_json(data["multiplier"]),
-            PolyIdeal.from_json(data["result"]),
-            tuple(Check.from_json(c) for c in data["checks"]),
-        )
 
 
 def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
@@ -224,7 +245,7 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
 
     if result.dim == 0:
         try:
-            deg_base = scheme_degree(base.gens, base.dim, dmax, N, prime)
+            deg_base = stable_value(difference(h_base, base.dim))
             deg_div = stable_value(h_div)
             deg_res = stable_value(h_res)
             ok = deg_res == d * deg_base + deg_div
@@ -238,34 +259,15 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
 
 
 @dataclass(frozen=True)
-class HypersurfaceChain:
+class HypersurfaceChain(_FieldCodec):
     """Successive hypersurface sections of a flag of schemes, realized as
     a first section followed by basic double links."""
 
     vees: tuple[PolyIdeal, ...]  # schemes descending: V_r, ..., V_1
-    forms: tuple  # F_1, ..., F_r
+    forms: tuple[dict, ...]  # F_1, ..., F_r
     links: tuple[BasicDoubleLink, ...]
     result: PolyIdeal
     checks: tuple[Check, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "vees": [v.to_json() for v in self.vees],
-            "forms": [poly_to_json(f) for f in self.forms],
-            "links": [l.to_json() for l in self.links],
-            "result": self.result.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HypersurfaceChain":
-        return cls(
-            tuple(PolyIdeal.from_json(v) for v in data["vees"]),
-            tuple(poly_from_json(f) for f in data["forms"]),
-            tuple(BasicDoubleLink.from_json(l) for l in data["links"]),
-            PolyIdeal.from_json(data["result"]),
-            tuple(Check.from_json(c) for c in data["checks"]),
-        )
 
 
 def hypersurface_chain(vees, forms, dmax: int,
@@ -350,7 +352,7 @@ def hypersurface_chain(vees, forms, dmax: int,
 
 
 @dataclass(frozen=True)
-class ChainStep:
+class ChainStep(_FieldCodec):
     """One level of the Artinian induction: decompose, lift the layers by
     the row-deleted matrix, and rebuild the lift as a hypersurface chain.
     Continues with the top proper layer in one fewer variable."""
@@ -366,35 +368,8 @@ class ChainStep:
 
     kind = "chain"
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "source": self.source.to_json(),
-            "matrix": self.matrix.to_json(),
-            "alpha": self.alpha,
-            "layers": [I.to_json() for I in self.layers],
-            "chain": self.chain.to_json(),
-            "direct_lift": self.direct_lift.to_json(),
-            "continuation": self.continuation.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChainStep":
-        return cls(
-            MonomialIdeal.from_json(data["source"]),
-            LiftingMatrix.from_json(data["matrix"]),
-            data["alpha"],
-            tuple(MonomialIdeal.from_json(x) for x in data["layers"]),
-            HypersurfaceChain.from_json(data["chain"]),
-            PolyIdeal.from_json(data["direct_lift"]),
-            MonomialIdeal.from_json(data["continuation"]),
-            tuple(Check.from_json(c) for c in data["checks"]),
-        )
-
-
 @dataclass(frozen=True)
-class BilinkStep:
+class BilinkStep(_FieldCodec):
     """One G-bilink of the Borel loop: J = bar I_0 + x_1 * I' with the
     four observations and the bar J = J identity verified."""
 
@@ -411,101 +386,44 @@ class BilinkStep:
     def continuation(self) -> MonomialIdeal:
         return self.iprime
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "source": self.source.to_json(),
-            "i0": self.i0.to_json(),
-            "iprime": self.iprime.to_json(),
-            "matrix": self.matrix.to_json(),
-            "link": self.link.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BilinkStep":
-        return cls(
-            MonomialIdeal.from_json(data["source"]),
-            MonomialIdeal.from_json(data["i0"]),
-            MonomialIdeal.from_json(data["iprime"]),
-            LiftingMatrix.from_json(data["matrix"]),
-            BasicDoubleLink.from_json(data["link"]),
-            tuple(Check.from_json(c) for c in data["checks"]),
-        )
-
-
 @dataclass(frozen=True)
-class DescentStep:
+class DescentStep(_FieldCodec):
     """Hyperplane-section or cone move connecting two certificate levels."""
 
-    kind_tag: str  # "hyperplane-descent" | "cone-descent"
+    kind: str  # "hyperplane-descent" | "cone-descent"
     source: MonomialIdeal
     continuation: MonomialIdeal
     checks: tuple[Check, ...]
 
-    @property
-    def kind(self) -> str:
-        return self.kind_tag
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind_tag,
-            "source": self.source.to_json(),
-            "continuation": self.continuation.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DescentStep":
-        return cls(
-            data["kind"],
-            MonomialIdeal.from_json(data["source"]),
-            MonomialIdeal.from_json(data["continuation"]),
-            tuple(Check.from_json(c) for c in data["checks"]),
-        )
-
-
-def _step_from_json(data: dict):
-    kind = data["kind"]
-    if kind == "chain":
-        return ChainStep.from_json(data)
-    if kind == "bilink":
-        return BilinkStep.from_json(data)
-    if kind in ("hyperplane-descent", "cone-descent"):
-        return DescentStep.from_json(data)
-    raise ValueError(f"unknown step kind {kind!r}")
+Step = ChainStep | BilinkStep | DescentStep
+_STEP_KINDS = {"chain": ChainStep, "bilink": BilinkStep,
+              "hyperplane-descent": DescentStep, "cone-descent": DescentStep}
 
 
 @dataclass(frozen=True)
-class GlicciCertificate:
+class GlicciCertificate(_FieldCodec):
     mode: str  # "artinian" | "borel"
     prime: int
     dmax: int
     root: MonomialIdeal
-    steps: tuple
+    steps: tuple[Step, ...]
     leaf: str  # "codim<=2-licci" | "principal"
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "glicci-cert/1",
-            "mode": self.mode,
-            "prime": self.prime,
-            "dmax": self.dmax,
-            "root": self.root.to_json(),
-            "steps": [s.to_json() for s in self.steps],
-            "leaf": self.leaf,
-        }
+    schema = "glicci-cert/1"
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GlicciCertificate":
-        return cls(
-            data["mode"],
-            data["prime"],
-            data["dmax"],
-            MonomialIdeal.from_json(data["root"]),
-            tuple(_step_from_json(s) for s in data["steps"]),
-            data["leaf"],
-        )
+
+def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
+    """The precondition of the ``mode`` builder on its root ideal; raises
+    LinkageError."""
+    if mode == "artinian":
+        if not is_artinian(J) or J.is_unit:
+            raise LinkageError("root ideal must be Artinian and proper")
+    elif J.is_zero or J.is_unit:
+        raise LinkageError("root ideal must be proper and nonzero")
+    elif not is_cm_borel(J)[0]:
+        raise LinkageError("not Cohen-Macaulay (Borel equivalence test)")
+    return J
 
 
 def check_horizon(J: MonomialIdeal, dmax: int | None) -> int:
@@ -566,18 +484,7 @@ def glicci_certificate_artinian(J: MonomialIdeal, A: LiftingMatrix,
     """Certificate for the lift of an Artinian monomial ideal: induction
     on the codimension via layer decomposition and hypersurface chains,
     terminating at a codimension-2 licci leaf."""
-    if not is_artinian(J) or J.is_unit:
-        raise LinkageError("root ideal must be Artinian and proper")
-    check_prime(prime)
-    dmax = check_horizon(J, dmax)
-    steps: list = []
-    cur, curA = J, A
-    while cur.n > 2:
-        step = _build_chain_step(cur, curA, dmax, prime)
-        steps.append(step)
-        cur, curA = step.continuation, curA.drop_first_row()
-    leaf = "principal" if cur.n == 1 else "codim<=2-licci"
-    return GlicciCertificate("artinian", prime, dmax, J, tuple(steps), leaf)
+    return _build_certificate("artinian", J, A, dmax, prime)
 
 
 # --- Borel certificate ------------------------------------------------------
@@ -711,33 +618,60 @@ def glicci_certificate_borel(J: MonomialIdeal, dmax: int | None = None,
     x_1 until the initial degree reaches one, then a hyperplane section
     and a cone descent drop to one fewer variable; leaves at height <= 2
     or a principal ideal."""
-    if J.is_zero or J.is_unit:
-        raise LinkageError("root ideal must be proper and nonzero")
-    ok, _ = is_cm_borel(J)
-    if not ok:
-        raise LinkageError("not Cohen-Macaulay (Borel equivalence test)")
+    return _build_certificate("borel", J, None, dmax, prime)
+
+
+# --- the induction ----------------------------------------------------------
+
+
+def _next_move(mode: str, cur: MonomialIdeal, prev: str | None) -> str:
+    """What the builder of ``mode`` does next at ``cur`` after a step of
+    kind ``prev``: the kind of its next step, or the leaf it stops at.
+    Raises ValueError for an ideal no induction reaches, such as zero."""
+    if mode == "artinian":
+        if cur.n > 2:
+            return "chain"
+        return "principal" if cur.n == 1 else "codim<=2-licci"
+    if prev == "hyperplane-descent":
+        return "cone-descent"
+    if len(cur.gens) == 1:
+        return "principal"
+    if height(cur) <= 2:
+        return "codim<=2-licci"
+    if cur.initial_degree() == 1:
+        return "hyperplane-descent"
+    return "bilink"
+
+
+def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None,
+                dmax: int, prime: int):
+    """The builder of a step of ``kind`` run on ``source``; ``A`` is the
+    lifting matrix of a chain step."""
+    if kind == "chain":
+        return _build_chain_step(source, A, dmax, prime)
+    if kind == "bilink":
+        return _build_bilink_step(source, dmax, prime)
+    if kind == "hyperplane-descent":
+        return _build_hyperplane_step(source)
+    return _build_cone_step(source)
+
+
+def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
+                       dmax: int | None, prime: int) -> GlicciCertificate:
+    """Build steps from J until ``_next_move`` names a leaf; each chain
+    step uses the previous one's matrix minus its first row."""
+    _check_root(mode, J)
     check_prime(prime)
     dmax = check_horizon(J, dmax)
-
     steps: list = []
-    cur = J
-    while True:
-        if len(cur.gens) == 1:
-            leaf = "principal"
-            break
-        if height(cur) <= 2:
-            leaf = "codim<=2-licci"
-            break
-        if cur.initial_degree() == 1:
-            hyper = _build_hyperplane_step(cur)
-            cone_step = _build_cone_step(hyper.continuation)
-            steps.extend([hyper, cone_step])
-            cur = cone_step.continuation
-            continue
-        step = _build_bilink_step(cur, dmax, prime)
+    cur, prev = J, None
+    while (move := _next_move(mode, cur, prev)) in _STEP_KINDS:
+        step = _build_step(move, cur, A, dmax, prime)
         steps.append(step)
-        cur = step.continuation
-    return GlicciCertificate("borel", prime, dmax, J, tuple(steps), leaf)
+        if move == "chain":
+            A = A.drop_first_row()
+        cur, prev = step.continuation, move
+    return GlicciCertificate(mode, prime, dmax, J, tuple(steps), move)
 
 
 # --- verification -----------------------------------------------------------
@@ -767,17 +701,6 @@ class VerificationReport:
         }
 
 
-def _rebuild(step, A: LiftingMatrix | None, dmax: int, prime: int):
-    """The builder of the step's kind, run on the step's stored source."""
-    if isinstance(step, ChainStep):
-        return _build_chain_step(step.source, A, dmax, prime)
-    if isinstance(step, BilinkStep):
-        return _build_bilink_step(step.source, dmax, prime)
-    if step.kind == "hyperplane-descent":
-        return _build_hyperplane_step(step.source)
-    return _build_cone_step(step.source)
-
-
 def _all_checks(step):
     """The checks a step records, those of its links included."""
     if isinstance(step, ChainStep):
@@ -787,6 +710,24 @@ def _all_checks(step):
     elif isinstance(step, BilinkStep):
         yield from step.link.checks
     yield from step.checks
+
+
+def _check_mode(mode) -> str:
+    if mode not in ("artinian", "borel"):
+        raise LinkageError(f"unknown certificate mode {mode!r}")
+    return mode
+
+
+def _move_entry(idx: int, name: str, mode: str, cur: MonomialIdeal,
+                prev: str | None, stored: str) -> tuple:
+    """Report entry comparing a stored step kind or leaf with what the
+    builder of ``mode`` does next at ``cur``."""
+    try:
+        move = _next_move(mode, cur, prev)
+    except ValueError as exc:
+        return (idx, name, False, f"no induction reaches {cur}: {exc}")
+    return (idx, name, stored == move,
+            f"at {cur}: expected {move}, certificate stores {stored}")
 
 
 def _contract(name: str, check, *args) -> tuple:
@@ -804,31 +745,38 @@ def verify_certificate(cert: GlicciCertificate,
     checks, and require the stored step to equal the rebuild; failures
     become report entries, never exceptions.
 
-    ``dmax`` overrides the stored horizon.  An invalid prime or a horizon
-    below the floor fails the report before any step is replayed.
+    ``dmax`` overrides the stored horizon.  An unknown mode, an invalid
+    prime, a horizon below the floor or a root the mode's builder refuses
+    fails the report before any step is replayed.  Each step's kind, and
+    the leaf, must be what the mode's builder makes next.
     """
     dmax = cert.dmax if dmax is None else dmax
     prime = cert.prime
     entries: list = [
+        _contract("mode", _check_mode, cert.mode),
         _contract("prime", check_prime, prime),
         _contract("horizon", check_horizon, cert.root, dmax),
     ]
+    if entries[0][2]:  # the root's precondition depends on the mode
+        entries.append(_contract("root", _check_root, cert.mode, cert.root))
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    # Loop state of the builders: the current ideal and, along a chain of
-    # Artinian steps, the matrix (step 0 stores it; each later step drops
-    # the first row of the previous one).
-    cur, A = cert.root, None
+    # Loop state of the builders: the current ideal, the previous step's
+    # kind and, along a chain of Artinian steps, the matrix (step 0 stores
+    # it; each later step drops the first row of the previous one).
+    cur, prev, A = cert.root, None, None
     for idx, step in enumerate(cert.steps):
         entries.append((
             idx, "step-continuity", step.source == cur,
             f"expected {cur}, step stores {step.source}",
         ))
+        entries.append(_move_entry(idx, "step-kind", cert.mode, cur, prev,
+                                   step.kind))
         try:
             if isinstance(step, ChainStep):
                 A = step.matrix if A is None else A.drop_first_row()
-            rebuilt = _rebuild(step, A, dmax, prime)
+            rebuilt = _build_step(step.kind, step.source, A, dmax, prime)
         except (LinkageError, MatrixError) as exc:
             entries.append((idx, "rebuild", False, str(exc)))
         except Exception as exc:  # replay must never crash the report
@@ -838,14 +786,8 @@ def verify_certificate(cert: GlicciCertificate,
                 (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
             )
             entries.append((idx, "stored-equals-rebuilt", rebuilt == step, None))
-        cur = step.continuation
+        cur, prev = step.continuation, step.kind
 
-    if cert.leaf == "principal":
-        leaf_ok = len(cur.gens) == 1 or cur.n == 1
-    elif cert.leaf == "codim<=2-licci":
-        leaf_ok = cur.n <= 2 or (not cur.is_zero and not cur.is_unit
-                                 and height(cur) <= 2)
-    else:
-        leaf_ok = False
-    entries.append((len(cert.steps), "leaf-validity", leaf_ok, f"leaf ideal {cur}"))
+    entries.append(_move_entry(len(cert.steps), "leaf-validity", cert.mode,
+                               cur, prev, cert.leaf))
     return VerificationReport(entries)

@@ -51,13 +51,6 @@ def poly_normalize(f: Poly, p: int | None) -> Poly:
     return {e: c % p for e, c in f.items() if c % p != 0}
 
 
-def poly_add(f: Poly, g: Poly, p: int | None) -> Poly:
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = out.get(e, 0) + c
-    return poly_normalize(out, p)
-
-
 def poly_mul(f: Poly, g: Poly, p: int | None) -> Poly:
     out: Poly = {}
     for e1, c1 in f.items():
@@ -163,11 +156,6 @@ def hilbert_oracle(gens, dmax: int, N: int, p: int = DEFAULT_PRIME) -> HVector:
     return HVector.truncated(values, dmax)
 
 
-def contains_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
-    """Every graded piece of (gensA) lies in (gensB), degrees <= dmax."""
-    return containment_failure(gensA, gensB, dmax, N, p) is None
-
-
 def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME):
     """First degree where (gensA)_d is not inside (gensB)_d, or None."""
     for d in range(dmax + 1):
@@ -189,11 +177,6 @@ def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) 
     )
 
 
-def colon_stable(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
-    """Certify I : f = I through degree dmax."""
-    return colon_stability_failure(gens, f, dmax, N, p) is None
-
-
 def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_PRIME):
     """First degree d where {g : f*g in I} is strictly bigger than I_d,
     or None if I : f = I holds through the horizon."""
@@ -203,15 +186,8 @@ def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_P
     for d in range(dmax + 1):
         big = _degree_rows(gens, d + df, N, p)
         rank_w = rank_mod_p(big, p)
-        index = _basis_index(N, d + df)
-        trows = []
-        for mu in monomials_of_degree(N, d):
-            row = np.zeros(len(index), dtype=np.int64)
-            for e, c in poly_shift(f, mu.exps).items():
-                row[index[e]] = c % p
-            trows.append(row)
-        combined = np.vstack([big, np.vstack(trows)]) if trows else big
-        rank_combined = rank_mod_p(combined, p)
+        multiples = _degree_rows([f], d + df, N, p)
+        rank_combined = rank_mod_p(np.vstack([big, multiples]), p)
         sol_dim = ring_dim(N, d) - (rank_combined - rank_w)
         if sol_dim != graded_dim(gens, d, N, p):
             return d
@@ -227,15 +203,6 @@ def stable_value(h: HVector) -> int:
             "increase dmax"
         )
     return h.values[-1]
-
-
-def scheme_degree(gens, dim: int, dmax: int, N: int, p: int = DEFAULT_PRIME) -> int:
-    """Degree of the projective scheme cut out by ``gens`` (dimension given):
-    stable value of the dim-th difference of the quotient Hilbert function."""
-    from .hilbert import difference
-
-    h = hilbert_oracle(gens, dmax, N, p)
-    return stable_value(difference(h, dim))
 
 
 def poly_to_json(f: Poly) -> list:

@@ -322,9 +322,29 @@ def _prime_four(certs):
     return dataclasses.replace(certs[1], prime=4), (0, "prime")
 
 
+def _mode_unknown(certs):
+    return dataclasses.replace(certs[1], mode="nonsense"), (0, "mode")
+
+
+def _mode_relabelled(certs):
+    # The square Borel certificate's bilink is not a step of the
+    # Artinian induction, whose every step is a chain.
+    return dataclasses.replace(certs[1], mode="artinian"), (0, "step-kind")
+
+
+def _non_cm_root(certs):
+    # (x1^2, x1*x2) is Borel-fixed of height 1 but not Cohen-Macaulay, so
+    # the Borel builder refuses it; this certificate claims it is a leaf.
+    root = ideal(3, (2, 0, 0), (1, 1, 0))
+    forged = GlicciCertificate("borel", P, root.max_gen_degree + root.n,
+                               root, (), "codim<=2-licci")
+    return forged, (0, "root")
+
+
 class TestCriterion9NegativeControls:
     @pytest.mark.parametrize("forge", [
         _link_swapped, _extra_check, _zero_horizon, _foreign_matrix, _prime_four,
+        _mode_unknown, _mode_relabelled, _non_cm_root,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_forged_certificate_rejected_at_step(self, generated_certificates,
                                                  forge):

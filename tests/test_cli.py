@@ -83,6 +83,18 @@ class TestAnalyze:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "lift", "verify-lift",
+                                     "glicci", "verify"])
+def test_non_object_json_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    extra = ["--mode", "borel"] if command == "glicci" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: expected a JSON object, got list\n"
+
+
 class TestLiftAndVerify:
     def test_lift_then_verify(self, worked_ideal, tmp_path, capsys):
         lifted = tmp_path / "L.json"

@@ -76,6 +76,12 @@ class TestMatrices:
         assert B == A
         assert B.content_hash() == A.content_hash()
 
+    def test_json_unknown_kind_is_matrix_error(self):
+        data = default_matrix(3, "bf", ncols=4).to_json()
+        data["kind"] = "bfx"
+        with pytest.raises(MatrixError, match="unknown matrix kind"):
+            LiftingMatrix.from_json(data)
+
 
 class TestValidation:
     def test_valid_t_lift(self):

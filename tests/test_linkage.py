@@ -1,9 +1,11 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liaison.hilbert import HVector, lex_ideal_from_hvector
-from liaison.lifting import default_matrix, lift_ideal
+from liaison.lifting import MatrixError, default_matrix, lift_ideal
 from liaison.linkage import (
     BasicDoubleLink,
     BilinkStep,
@@ -183,6 +185,7 @@ class TestCertificateSerialization:
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = GlicciCertificate.from_json(json.loads(blob))
         assert back.root == cert.root
+        assert back == cert
         assert json.dumps(back.to_json(), sort_keys=True) == blob
         assert verify_certificate(back).ok
 
@@ -191,6 +194,7 @@ class TestCertificateSerialization:
         cert = glicci_certificate_artinian(WORKED_J, A)
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = GlicciCertificate.from_json(json.loads(blob))
+        assert back == cert
         assert json.dumps(back.to_json(), sort_keys=True) == blob
 
 
@@ -217,3 +221,92 @@ class TestTamperDetection:
         failing = [e for e in rep.entries if not e[2]]
         assert failing
         assert min(e[0] for e in failing) == 1
+
+
+# One random leaf mutation of a certificate's JSON must never give a
+# VERIFIED certificate that differs from what the builder makes from the
+# certificate's own inputs.
+
+
+def _mutations(node, path=()):
+    """Every single-leaf mutation of a JSON document, as (path, op)."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _mutations(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield path, ("drop", i)
+            yield path, ("duplicate", i)
+            yield from _mutations(item, path + (i,))
+    elif isinstance(node, bool):
+        yield path, ("flip",)
+    elif isinstance(node, int):
+        yield path, ("add", 1)
+        yield path, ("add", -1)
+    elif isinstance(node, str):
+        yield path, ("edit",)
+
+
+@functools.cache
+def _fuzz_case(name):
+    """The certificate's JSON and its mutations, split into those of the
+    certificate-wide fields and those of everything nested below them."""
+    if name == "borel-square":
+        cert = glicci_certificate_borel(SQUARE)
+    else:
+        J = lex_ideal_from_hvector(HVector.artinian((1, 2, 1)), 3)
+        A = default_matrix(3, "t-lift", seed=7, ncols=J.max_gen_degree, t=1)
+        cert = glicci_certificate_artinian(J, A)
+    doc = cert.to_json()
+    muts = list(_mutations(doc))
+    return (doc, [m for m in muts if len(m[0]) == 1],
+            [m for m in muts if len(m[0]) > 1])
+
+
+def _mutate(doc, path, op, text):
+    """A copy of the JSON text of ``doc`` with one mutation applied."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if op[0] == "drop":
+        del node[op[1]]
+    elif op[0] == "duplicate":
+        node.insert(op[1], node[op[1]])
+    elif op[0] == "flip":
+        parent[path[-1]] = not node
+    elif op[0] == "add":
+        parent[path[-1]] = node + op[1]
+    else:
+        parent[path[-1]] = text
+    return doc
+
+
+class TestSoundnessFuzz:
+    @pytest.mark.parametrize("name", ["borel-square", "artinian-121"])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_mutation_is_rejected_or_harmless(self, name, data):
+        doc, top, nested = _fuzz_case(name)
+        # The few certificate-wide fields get half the examples.
+        path, op = data.draw(st.one_of(st.sampled_from(top),
+                                       st.sampled_from(nested)))
+        text = None
+        if op == ("edit",):
+            old = functools.reduce(lambda node, key: node[key], path, doc)
+            text = data.draw(st.text(max_size=4).filter(lambda t: t != old))
+        try:
+            back = GlicciCertificate.from_json(_mutate(doc, path, op, text))
+        except (KeyError, TypeError, ValueError, MatrixError):
+            return  # ``liaison verify`` rejects it as bad input, exit 2
+        if not verify_certificate(back).ok:
+            return
+        if name == "borel-square":
+            rebuilt = glicci_certificate_borel(
+                back.root, dmax=back.dmax, prime=back.prime)
+        else:
+            rebuilt = glicci_certificate_artinian(
+                back.root, back.steps[0].matrix, dmax=back.dmax,
+                prime=back.prime)
+        assert back == rebuilt, (path, op, text)
