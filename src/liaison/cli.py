@@ -46,7 +46,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_prime, graded_dim, hilbert_oracle
+from .oracle import DEFAULT_PRIME, check_prime, graded_dim, hilbert_oracle, scope
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -241,7 +241,13 @@ def cmd_verify_lift(args) -> int:
         raise InputError(f"malformed lifted ideal: {exc}")
     prime = args.prime
     J, A = L.source, L.matrix
-    dmax = args.dmax if args.dmax is not None else J.max_gen_degree + A.N
+    floor = J.max_gen_degree + A.N
+    if args.dmax is not None and args.dmax < floor:
+        raise InputError(
+            f"horizon dmax {args.dmax} is below the floor {floor} "
+            "(max generator degree + number of lifted variables)"
+        )
+    dmax = floor if args.dmax is None else args.dmax
 
     rows: list[tuple[str, bool, str]] = []
     report = validate_matrix(A, J, prime=prime)
@@ -521,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@scope()
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)

@@ -51,6 +51,7 @@ from .oracle import (
     poly_mul,
     poly_normalize,
     poly_to_json,
+    scope,
     stable_value,
 )
 
@@ -656,10 +657,12 @@ def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None,
     return _build_cone_step(source)
 
 
+@scope()
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        dmax: int | None, prime: int) -> GlicciCertificate:
     """Build steps from J until ``_next_move`` names a leaf; each chain
-    step uses the previous one's matrix minus its first row."""
+    step uses the previous one's matrix minus its first row.  The build
+    runs in one oracle scope."""
     _check_root(mode, J)
     check_prime(prime)
     dmax = check_horizon(J, dmax)
@@ -739,11 +742,14 @@ def _contract(name: str, check, *args) -> tuple:
         return (0, name, False, str(exc))
 
 
+@scope()
 def verify_certificate(cert: GlicciCertificate,
                        dmax: int | None = None) -> VerificationReport:
     """Rebuild every step once with its builder, report the rebuilt
     checks, and require the stored step to equal the rebuild; failures
-    become report entries, never exceptions.
+    become report entries, never exceptions.  The replay runs in one
+    oracle scope; opened outside any scope, it reuses nothing the build
+    computed.
 
     ``dmax`` overrides the stored horizon.  An unknown mode, an invalid
     prime, a horizon below the floor or a root the mode's builder refuses

@@ -1,15 +1,35 @@
-"""Brute-force verification engine over a prime field.
+"""Verification engine over a prime field.
 
-Expands lifted generators into honest polynomials, computes graded
-dimensions by row reduction mod p, and answers containment / equality /
-colon-stability questions degree by degree.  All certificates produced
-from these routines are "mod p" certificates: a wrong rank mod p can only
-be too small, so agreement at two primes is decisive at desk scale.
+Expands lifted generators into honest polynomials and answers graded
+questions degree by degree from Macaulay matrices, the coefficient rows
+of every monomial multiple of the generators in one degree:
+
+- a graded dimension is the pivot count of forward elimination;
+- containment reduces one ideal's rows against the other's reduced row
+  echelon basis, and a nonzero residual is a failure;
+- equality compares the two reduced bases, which are canonical;
+- colon stability ranks the residual of the multiples of f modulo I.
+
+Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
+can only be too small, so a dimension is a lower bound.  A comparison has
+no such direction: a containment or colon residual can vanish mod p when
+it does not over Q, so those checks can pass spuriously at one prime.
+Replay at a second prime is still to come (ROADMAP.md item 4,
+"Two-prime replay").
+
+Inside ``scope()`` each (generators, degree, variables, prime) is
+eliminated once and its basis kept until the outermost scope exits;
+outside any scope nothing is cached.  The certificate builders,
+``verify_certificate`` and ``cli.main`` each open a scope, so nothing
+carries from one call to the next, nor from a build to its replay.  (The
+CLI's ``worked-example`` builds and replays within its one command scope.)
 """
 from __future__ import annotations
 
-from math import comb, isqrt
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
+from math import comb, isqrt
 
 import numpy as np
 
@@ -18,9 +38,11 @@ from .monomials import monomials_of_degree
 
 DEFAULT_PRIME = 32003
 FALLBACK_PRIME = 65537
-# Largest modulus whose square fits int64: rank_mod_p multiplies two
-# residues before reducing.
+# Largest modulus whose square fits int64: elimination multiplies two
+# residues before reducing.  Cached bases are stored as uint32, which
+# every prime up to it fits.
 MAX_PRIME = 3_037_000_499
+_INT64_MAX = 2**63 - 1
 
 # A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 # Coefficients are ints; reduced mod p by the routines that consume them.
@@ -99,13 +121,16 @@ def ring_dim(N: int, d: int) -> int:
     return comb(N - 1 + d, d) if d >= 0 else 0
 
 
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank over F_p by Gaussian elimination with deterministic pivoting
-    (first nonzero column, lowest row index)."""
+def _row_echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward Gaussian elimination over F_p with deterministic pivoting
+    (first nonzero column, lowest row index).  Returns the pivot columns
+    and the pivot rows: row i has a 1 in column pivots[i] and zeros
+    before it."""
     M = np.array(M, dtype=np.int64) % p
     rows, cols = M.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.nonzero(M[r:, c])[0]
@@ -114,14 +139,104 @@ def rank_mod_p(M: np.ndarray, p: int) -> int:
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        col = M[r + 1 :, c]
-        mask = col != 0
+        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), p - 2, p)) % p
+        # Rows below are zero left of c: update the trailing block only.
+        below = M[r + 1 :, c:]
+        mask = below[:, 0] != 0
         if mask.any():
-            M[r + 1 :][mask] = (M[r + 1 :][mask] - np.outer(col[mask], M[r])) % p
-        r += 1
-    return r
+            below[mask] = (below[mask] - np.outer(below[mask, 0], M[r, c:])) % p
+        pivots.append(c)
+    return np.array(pivots, dtype=np.intp), M[: len(pivots)]
+
+
+def rank_mod_p(M: np.ndarray, p: int) -> int:
+    """Rank over F_p: the pivot count of ``_row_echelon``."""
+    return len(_row_echelon(M, p)[0])
+
+
+class _Basis:
+    """Echelon basis of one Macaulay matrix over F_p.
+
+    Forward elimination gives the pivot columns and pivot rows.  The first
+    call of ``reduced`` back-substitutes them into the reduced row echelon
+    form, whose pivot block is the identity, keeps only its block in the
+    free (non-pivot) columns and drops the pivot rows.  Entries are
+    uint32, which every prime ``check_prime`` accepts fits.
+    """
+
+    def __init__(self, M: np.ndarray, p: int):
+        pivots, rows = _row_echelon(M, p)
+        free = np.ones(M.shape[1], dtype=bool)
+        free[pivots] = False
+        self.p = p
+        self.pivots = pivots
+        self.free = np.flatnonzero(free)
+        self._rows = rows.astype(np.uint32)
+        self._reduced = None
+
+    def reduced(self) -> np.ndarray:
+        """The reduced basis restricted to the free columns."""
+        if self._reduced is None:
+            R, p = self._rows.astype(np.int64), self.p
+            # Clear above each pivot, last first: row i is already clear
+            # in the later pivot columns when it is used.
+            for i in range(len(self.pivots) - 1, 0, -1):
+                above = R[:i, self.pivots[i]:]
+                mask = above[:, 0] != 0
+                if mask.any():
+                    above[mask] = (above[mask]
+                                   - np.outer(above[mask, 0], R[i, self.pivots[i]:])) % p
+            self._reduced = R[:, self.free].astype(np.uint32)
+            self._rows = None
+        return self._reduced
+
+    def residual(self, A: np.ndarray) -> np.ndarray:
+        """Rows of A modulo this row space, in the free columns:
+        A_free - A_pivots @ X mod p.  The product is summed in chunks of
+        at most (2^63 - 1) // (p - 1)^2 terms, so int64 never overflows
+        and the residual is exact for every prime up to MAX_PRIME."""
+        p = self.p
+        A = np.asarray(A, dtype=np.int64) % p
+        X = self.reduced()
+        out = A[:, self.free]
+        A_piv = A[:, self.pivots]
+        step = _INT64_MAX // (p - 1) ** 2
+        for k in range(0, len(self.pivots), step):
+            out = (out - A_piv[:, k : k + step] @ X[k : k + step]) % p
+        return out
+
+
+# The open scope's bases by (generators, degree, variables, prime), or
+# None outside any scope.
+_SCOPE: ContextVar[dict | None] = ContextVar("liaison_oracle_scope", default=None)
+
+
+@contextmanager
+def scope():
+    """Keep every echelon basis the oracle computes until the outermost
+    scope exits.  Re-entrant: a nested scope shares the open cache.  Also
+    a decorator, opening a scope around each call."""
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _basis(gens, d: int, N: int, p: int) -> _Basis:
+    """Echelon basis of the degree-d piece of (gens), from the open scope
+    when it holds one."""
+    cache = _SCOPE.get()
+    if cache is None:
+        return _Basis(_degree_rows(gens, d, N, p), p)
+    key = (tuple(tuple(sorted(g.items())) for g in gens), d, N, p)
+    basis = cache.get(key)
+    if basis is None:
+        basis = cache[key] = _Basis(_degree_rows(gens, d, N, p), p)
+    return basis
 
 
 def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
@@ -146,7 +261,7 @@ def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
 
 def graded_dim(gens, d: int, N: int, p: int = DEFAULT_PRIME) -> int:
     """Dimension of the degree-d piece of the ideal generated by ``gens``."""
-    return rank_mod_p(_degree_rows(gens, d, N, p), p)
+    return len(_basis(gens, d, N, p).pivots)
 
 
 def hilbert_oracle(gens, dmax: int, N: int, p: int = DEFAULT_PRIME) -> HVector:
@@ -157,38 +272,38 @@ def hilbert_oracle(gens, dmax: int, N: int, p: int = DEFAULT_PRIME) -> HVector:
 
 
 def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME):
-    """First degree where (gensA)_d is not inside (gensB)_d, or None."""
+    """First degree where (gensA)_d is not inside (gensB)_d, or None: the
+    rows of A in that degree leave a nonzero residual modulo B's basis."""
     for d in range(dmax + 1):
-        B = _degree_rows(gensB, d, N, p)
-        A = _degree_rows(gensA, d, N, p)
-        if A.shape[0] == 0:
-            continue
-        rb = rank_mod_p(B, p)
-        rab = rank_mod_p(np.vstack([B, A]), p)
-        if rab != rb:
+        basis = _basis(gensB, d, N, p)
+        if basis.free.size and basis.residual(_degree_rows(gensA, d, N, p)).any():
             return d
     return None
 
 
 def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
-    return (
-        containment_failure(gensA, gensB, dmax, N, p) is None
-        and containment_failure(gensB, gensA, dmax, N, p) is None
-    )
+    """Whether (gensA)_d = (gensB)_d for every d <= dmax: a subspace has
+    one reduced row echelon basis, so the pivots and free blocks agree."""
+    for d in range(dmax + 1):
+        a, b = _basis(gensA, d, N, p), _basis(gensB, d, N, p)
+        if not (np.array_equal(a.pivots, b.pivots)
+                and np.array_equal(a.reduced(), b.reduced())):
+            return False
+    return True
 
 
 def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_PRIME):
     """First degree d where {g : f*g in I} is strictly bigger than I_d,
-    or None if I : f = I holds through the horizon."""
+    or None if I : f = I holds through the horizon.  The multiples f*mu
+    of the degree-d monomials mu map onto their residual modulo
+    I_{d+deg f}; the kernel, of dimension ring_dim minus the residual's
+    rank, is (I : f)_d."""
     df = poly_degree(f)
     if df < 0:
         raise ValueError("zero multiplier")
     for d in range(dmax + 1):
-        big = _degree_rows(gens, d + df, N, p)
-        rank_w = rank_mod_p(big, p)
-        multiples = _degree_rows([f], d + df, N, p)
-        rank_combined = rank_mod_p(np.vstack([big, multiples]), p)
-        sol_dim = ring_dim(N, d) - (rank_combined - rank_w)
+        residual = _basis(gens, d + df, N, p).residual(_degree_rows([f], d + df, N, p))
+        sol_dim = ring_dim(N, d) - rank_mod_p(residual, p)
         if sol_dim != graded_dim(gens, d, N, p):
             return d
     return None

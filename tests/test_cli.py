@@ -121,6 +121,19 @@ class TestLiftAndVerify:
         code, out, _ = run(capsys, "verify-lift", str(lifted))
         assert code == 0
 
+    # The default horizon of the worked lift is max generator degree 6 +
+    # 4 variables; below it the difference check passed vacuously.
+    @pytest.mark.parametrize("dmax", ["-1", "0", "9"])
+    def test_horizon_below_floor_is_input_error(self, worked_ideal, tmp_path,
+                                                 capsys, dmax):
+        lifted = tmp_path / "L.json"
+        run(capsys, "lift", worked_ideal, "--seed", "7", "--out", str(lifted))
+        code, out, err = run(capsys, "verify-lift", str(lifted), "--dmax", dmax)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "below the floor 10" in err
+
     def test_bad_matrix_spec(self, worked_ideal, capsys):
         code, _, err = run(capsys, "lift", worked_ideal, "--matrix", "q:9")
         assert code == 2

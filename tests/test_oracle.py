@@ -1,12 +1,18 @@
+import contextlib
 import random
 
 import numpy as np
 import pytest
 
+from liaison import oracle
 from liaison.hilbert import difference, hilbert_function
+from liaison.linkage import glicci_certificate_borel, verify_certificate
 from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
 from liaison.oracle import (
     DEFAULT_PRIME,
+    MAX_PRIME,
+    _degree_rows,
+    check_prime,
     colon_stability_failure,
     containment_failure,
     graded_dim,
@@ -19,6 +25,7 @@ from liaison.oracle import (
     poly_to_json,
     rank_mod_p,
     ring_dim,
+    scope,
     stable_value,
 )
 
@@ -143,3 +150,163 @@ class TestStableValues:
         # conic in P^2: dimension 1, degree 2
         f = {(2, 0, 0): 1, (0, 1, 1): -1}
         assert stable_value(difference(hilbert_oracle([f], 6, 3, P), 1)) == 2
+
+
+# --- agreement with ranks of stacked Macaulay matrices ----------------------
+
+# The largest prime check_prime accepts: (p - 1)^2 is so close to 2^63 that
+# the oracle's residual product is summed one term at a time.
+BIG_P = 3_037_000_493
+
+
+def ref_dim(gens, d, N, p):
+    return rank_mod_p(_degree_rows(gens, d, N, p), p)
+
+
+def ref_containment_failure(gensA, gensB, dmax, N, p):
+    for d in range(dmax + 1):
+        B = _degree_rows(gensB, d, N, p)
+        A = _degree_rows(gensA, d, N, p)
+        if A.shape[0] and rank_mod_p(np.vstack([B, A]), p) != rank_mod_p(B, p):
+            return d
+    return None
+
+
+def ref_colon_failure(gens, f, dmax, N, p):
+    df = poly_degree(f)
+    for d in range(dmax + 1):
+        big = _degree_rows(gens, d + df, N, p)
+        multiples = _degree_rows([f], d + df, N, p)
+        image = rank_mod_p(np.vstack([big, multiples]), p) - rank_mod_p(big, p)
+        if ring_dim(N, d) - image != ref_dim(gens, d, N, p):
+            return d
+    return None
+
+
+def random_form(rng, N, d, p):
+    """At least two terms, so residual sums add several products."""
+    monos = monomials_of_degree(N, d)
+    terms = rng.sample(monos, rng.randint(2, len(monos)))
+    return {m.exps: rng.randrange(1, p) for m in terms}
+
+
+def random_pair(rng, p):
+    """Generators of I and of an ideal inside I, equal to I, or unrelated."""
+    N = rng.choice([3, 4])
+    gens = [random_form(rng, N, rng.randint(1, 3), p) for _ in range(rng.randint(1, 3))]
+    multiples = [poly_mul(g, random_form(rng, N, 1, p), p) for g in gens]
+    other = rng.choice([
+        multiples,
+        gens[::-1] + multiples,
+        [random_form(rng, N, rng.randint(1, 3), p) for _ in range(rng.randint(1, 3))],
+    ])
+    return N, gens, other
+
+
+def test_largest_accepted_prime():
+    assert check_prime(BIG_P) == BIG_P
+    for q in range(BIG_P + 1, MAX_PRIME + 1):
+        with pytest.raises(ValueError):
+            check_prime(q)
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("p,cases", [(DEFAULT_PRIME, 25), (BIG_P, 12)])
+def test_oracle_agrees_with_stacked_ranks(p, cases, scoped):
+    rng = random.Random(p)
+    dmax = 4
+    outcomes, equalities = set(), set()
+    for _ in range(cases):
+        N, gens, other = random_pair(rng, p)
+        f = random_form(rng, N, rng.randint(1, 2), p)
+        with scope() if scoped else contextlib.nullcontext():
+            for _ in range(2):  # in a scope, the second round reads the cache
+                for d in range(dmax + 1):
+                    assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
+                for A, B in ((gens, other), (other, gens)):
+                    got = containment_failure(A, B, dmax, N, p)
+                    assert got == ref_containment_failure(A, B, dmax, N, p)
+                    outcomes.add(got is None)
+                equal = ideals_equal_up_to(gens, other, dmax, N, p)
+                assert equal == (
+                    ref_containment_failure(gens, other, dmax, N, p) is None
+                    and ref_containment_failure(other, gens, dmax, N, p) is None)
+                equalities.add(equal)
+                assert (colon_stability_failure(gens, f, dmax, N, p)
+                        == ref_colon_failure(gens, f, dmax, N, p))
+    assert outcomes == equalities == {True, False}  # both answers occur
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
+def test_failing_degrees_match_reference(p, scoped):
+    x, y, z = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
+    I = [poly_mul(x, x, p), poly_mul(x, y, p)]  # (x^2, xy)
+    with scope() if scoped else contextlib.nullcontext():
+        # (x^2, xy) : x = (x, y), bigger than I in degree 1
+        assert colon_stability_failure(I, x, 4, 3, p) == 1
+        assert ref_colon_failure(I, x, 4, 3, p) == 1
+        assert colon_stability_failure(I, z, 4, 3, p) is None
+        # (x) is not inside (x^2, xy) from degree 1; the other way holds
+        assert containment_failure([x], I, 4, 3, p) == 1
+        assert containment_failure(I, [x], 4, 3, p) is None
+        # (x^2, xy, y^3) differs from I first in degree 3
+        bigger = I + [poly_mul(y, poly_mul(y, y, p), p)]
+        assert containment_failure(bigger, I, 4, 3, p) == 3
+        assert ref_containment_failure(bigger, I, 4, 3, p) == 3
+        assert not ideals_equal_up_to(bigger, I, 4, 3, p)
+        assert ideals_equal_up_to(bigger, I, 2, 3, p)
+
+
+# --- scopes -----------------------------------------------------------------
+
+SQUARE = ideal(3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+
+@pytest.fixture
+def degree_row_calls(monkeypatch):
+    """Count the Macaulay matrices the oracle builds."""
+    calls = []
+    real = oracle._degree_rows
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_degree_rows", counting)
+    return calls
+
+
+class TestScope:
+    def test_nothing_cached_outside_a_scope(self, degree_row_calls):
+        gens = monomial_polys(SQUARE)
+        graded_dim(gens, 3, 3, P)
+        graded_dim(gens, 3, 3, P)
+        assert len(degree_row_calls) == 2
+
+    def test_nested_scopes_share_one_cache(self, degree_row_calls):
+        gens = monomial_polys(SQUARE)
+        with scope():
+            with scope():
+                graded_dim(gens, 3, 3, P)
+            assert oracle._SCOPE.get() is not None
+            with scope():
+                graded_dim(gens, 3, 3, P)
+                hilbert_oracle(gens, 3, 3, P)
+        assert len(degree_row_calls) == 4  # degrees 0..3, each built once
+        assert oracle._SCOPE.get() is None
+
+    def test_replay_recomputes_what_the_build_computed(self, degree_row_calls):
+        cert = glicci_certificate_borel(SQUARE)
+        assert oracle._SCOPE.get() is None
+        built = len(degree_row_calls)
+        report = verify_certificate(cert)
+        assert oracle._SCOPE.get() is None
+        assert report.ok
+        assert built > 0 and len(degree_row_calls) == 2 * built
+
+    def test_scope_closes_on_error(self):
+        with pytest.raises(ValueError):
+            with scope():
+                colon_stability_failure(monomial_polys(SQUARE), {}, 2, 3, P)
+        assert oracle._SCOPE.get() is None
