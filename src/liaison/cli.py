@@ -20,12 +20,14 @@ from .hilbert import (
 )
 from .layers import decompose, layer_hvectors
 from .lifting import (
-    LiftedIdeal,
+    LiftError,
     MatrixError,
     default_matrix,
     lift_ideal,
+    lift_record,
     point_model,
     validate_matrix,
+    verify_lift,
 )
 from .linkage import (
     GlicciCertificate,
@@ -46,7 +48,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_prime, graded_dim, hilbert_oracle, scope
+from .oracle import DEFAULT_PRIME, check_prime, hilbert_oracle, scope
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -210,107 +212,39 @@ def _matrix_for(args, J: MonomialIdeal):
 
 def cmd_lift(args) -> int:
     J = _load_ideal(args.ideal)
-    if J.is_zero or J.is_unit:
-        raise InputError("cannot lift a zero or unit ideal")
     A = _matrix_for(args, J)
-    prime = args.prime
-    report = validate_matrix(A, J, prime=prime, seed=args.seed)
+    report = validate_matrix(A, J, prime=args.prime, seed=args.seed)
     if not report.ok:
         print("matrix validation failed:")
         print(json.dumps(report.to_json(), indent=1, sort_keys=True))
         return EXIT_VERIFY
-    L = lift_ideal(J, A, prime=prime)
-    payload = L.to_json()
+    try:
+        record = lift_record(J, A, prime=args.prime)
+    except LiftError as exc:
+        raise InputError(str(exc))
+    except MatrixError as exc:
+        raise VerifyError(str(exc))
     lines = [
-        f"lifted {len(L.generators)} generators into {A.N} variables "
-        f"(matrix {A.kind}, hash {A.content_hash()})",
+        f"lifted {len(record['generators'])} generators into {A.N} variables "
+        f"(matrix {A.kind}, hash {record['matrix_hash']})",
     ]
-    if A.kind == "t-lift" and A.t == 1 and is_artinian(J):
-        pts = point_model(J, A, prime=prime)
-        payload["points"] = pts.to_json()
-        lines.append(f"point model: {len(pts.points)} distinct points mod {prime}")
-    _emit(args, lines, payload)
+    if "points" in record:
+        lines.append(f"point model: {len(record['points']['points'])} "
+                     f"distinct points mod {args.prime}")
+    _emit(args, lines, record)
     return EXIT_OK
 
 
 def cmd_verify_lift(args) -> int:
-    data = _load_json(args.lifted)
     try:
-        L = LiftedIdeal.from_json(data)
-    except (KeyError, TypeError, ValueError, MatrixError) as exc:
-        raise InputError(f"malformed lifted ideal: {exc}")
-    prime = args.prime
-    J, A = L.source, L.matrix
-    floor = J.max_gen_degree + A.N
-    if args.dmax is not None and args.dmax < floor:
-        raise InputError(
-            f"horizon dmax {args.dmax} is below the floor {floor} "
-            "(max generator degree + number of lifted variables)"
-        )
-    dmax = floor if args.dmax is None else args.dmax
-
-    rows: list[tuple[str, bool, str]] = []
-    report = validate_matrix(A, J, prime=prime)
-    rows.append(("matrix-validation", report.ok, f"prime {report.prime}"))
-
-    polys = L.polynomials(prime)
-    hf = hilbert_oracle(polys, dmax, A.N, prime)
-    try:
-        diff = difference(hf, A.t)
-        source_h = tuple(
-            hilbert_function_artinian(J).values
-        ) if is_artinian(J) else None
-        if source_h is not None:
-            want = source_h + (0,) * (len(diff.values) - len(source_h))
-            ok = diff.values == want[: len(diff.values)]
-            detail = f"difference {diff.values}"
-        else:
-            from .hilbert import hilbert_function
-
-            src = hilbert_function(J, dmax)
-            ok = diff.values[: len(src.values)] == src.values
-            detail = f"difference {diff.values}"
-    except ValueError as exc:
-        ok, detail = False, str(exc)
-    rows.append((f"hilbert-difference-t{A.t}", ok, detail))
-
-    stable = all(
-        hf.at(dmax) == hf.at(dmax - k) for k in range(1, min(2, dmax) + 1)
-    ) if is_artinian(J) and A.t == 1 else True
-    rows.append(("saturation-spot-check", stable,
-                 f"tail values {hf.values[-3:]}"))
-
-    if A.kind == "t-lift":
-        # A proper lifting of a nonzero ideal spans no linear forms: the
-        # lifted scheme is nondegenerate in its ambient space.
-        nondeg = graded_dim(polys, 1, A.N, prime) == 0
-        rows.append(("non-degeneracy-dim-I1", nondeg, ""))
-
-    if A.kind == "t-lift" and A.t == 1 and is_artinian(J):
-        try:
-            pts = point_model(J, A, prime=prime)
-            want = sum(hilbert_function_artinian(J).values)
-            rows.append((
-                "point-model", len(pts.points) == want,
-                f"{len(pts.points)} points, expected {want}",
-            ))
-        except (MatrixError, ValueError) as exc:
-            rows.append(("point-model", False, str(exc)))
-
-    ok_all = all(r[1] for r in rows)
-    lines = [
-        f"{'PASS' if p else 'FAIL'}  {name}" + (f"  [{d}]" if d else "")
-        for name, p, d in rows
-    ]
-    payload = {
-        "schema": "lift-report/1",
-        "ok": ok_all,
-        "prime": prime,
-        "dmax": dmax,
-        "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in rows],
-    }
-    _emit(args, lines, payload)
-    if not ok_all:
+        report = verify_lift(_load_json(args.lifted), prime=args.prime,
+                             dmax=args.dmax)
+    except LiftError as exc:
+        raise InputError(str(exc))
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
+             + (f"  [{c['detail']}]" if c["detail"] else "") for c in report["checks"]]
+    _emit(args, lines, report)
+    if not report["ok"]:
         raise VerifyError("lift verification failed")
     return EXIT_OK
 
@@ -474,11 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dmax=True):
-        # A string default goes through type=_prime when parsed.
-        p.add_argument("--prime", type=_prime,
-                       default=os.environ.get("LIAISON_PRIME") or str(DEFAULT_PRIME))
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, prime=False, seed=False, dmax=False):
+        # Each subcommand takes only the options it reads.
+        if prime:
+            # A string default goes through type=_prime when parsed.
+            p.add_argument("--prime", type=_prime,
+                           default=os.environ.get("LIAISON_PRIME") or str(DEFAULT_PRIME))
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if dmax:
             p.add_argument("--dmax", type=int, default=None)
         p.add_argument("--json", action="store_true")
@@ -487,41 +424,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lex-build", help="Artinian lex-segment ideal from an h-vector")
     p.add_argument("--h", required=True, help="comma-separated h-vector")
     p.add_argument("--n", type=int, required=True, help="number of variables")
-    common(p, dmax=False)
+    common(p)
     p.set_defaults(func=cmd_lex_build)
 
     p = sub.add_parser("analyze", help="structure report and layer decomposition")
     p.add_argument("ideal")
-    common(p, dmax=False)
+    common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lift", help="lift a monomial ideal by a matrix of linear forms")
     p.add_argument("ideal")
     p.add_argument("--matrix", default="t:1", help="bf or t:<t>")
-    common(p, dmax=False)
+    common(p, prime=True, seed=True)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("verify-lift", help="oracle suite on a lifted ideal")
     p.add_argument("lifted")
-    common(p)
+    common(p, prime=True, dmax=True)
     p.set_defaults(func=cmd_verify_lift)
 
     p = sub.add_parser("glicci", help="build a linkage certificate")
     p.add_argument("ideal")
     p.add_argument("--mode", choices=("artinian", "borel"), required=True)
-    common(p)
+    common(p, prime=True, seed=True, dmax=True)
     p.set_defaults(func=cmd_glicci)
 
     p = sub.add_parser("verify", help="replay a certificate")
     p.add_argument("cert")
-    common(p)
+    common(p, dmax=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "worked-example",
         help="end-to-end run of the standard example against golden values",
     )
-    common(p)
+    common(p, prime=True, seed=True, dmax=True)
     p.set_defaults(func=cmd_worked_example)
 
     return parser

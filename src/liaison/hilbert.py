@@ -75,18 +75,6 @@ class HVector:
     def top(self) -> int:
         return len(self.values) - 1
 
-    def matches(self, other: "HVector", up_to: int | None = None) -> bool:
-        """Entrywise equality; raises HorizonError if the comparison would
-        need values past either horizon."""
-        if up_to is None:
-            tops = [self.top, other.top]
-            if self.horizon is not None:
-                tops.append(self.horizon)
-            if other.horizon is not None:
-                tops.append(other.horizon)
-            up_to = max(tops)
-        return all(self.at(d) == other.at(d) for d in range(up_to + 1))
-
     def to_json(self) -> dict:
         kind = "artinian" if self.horizon is None else {"truncated": self.horizon}
         return {"h": list(self.values), "kind": kind}

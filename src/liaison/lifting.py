@@ -7,16 +7,24 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .hilbert import difference, hilbert_function
 from .monomials import Monomial, MonomialIdeal, is_artinian, standard_monomials
-from .oracle import DEFAULT_PRIME, FALLBACK_PRIME, expand, rank_mod_p
+from .oracle import (DEFAULT_PRIME, FALLBACK_PRIME, check_prime, expand,
+                     graded_dim, hilbert_oracle, rank_mod_p, scope)
 
 import numpy as np
 
 
 class MatrixError(ValueError):
     """Malformed or insufficient lifting matrix."""
+
+
+class LiftError(ValueError):
+    """A lift that is refused: a zero or unit source, a lifted-ideal record
+    that is malformed or not what ``lift_record`` makes from its own source
+    and matrix, or a horizon below the floor."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class LiftingMatrix:
             kind, seed = "t-lift", spec.get("seed")
         else:
             raise MatrixError(f"unknown matrix kind {spec!r}")
-        return cls(
+        matrix = cls(
             tuple(
                 tuple(LinearForm(tuple(c)) for c in row) for row in data["rows"]
             ),
@@ -100,16 +108,15 @@ class LiftingMatrix:
             kind,
             seed,
         )
+        if any(len(f.coeffs) != matrix.N for row in matrix.rows for f in row):
+            raise MatrixError(
+                f"every linear form needs ambient_n + t = {matrix.N} coefficients"
+            )
+        return matrix
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _unit_vec(N: int, i: int, scale: int = 1) -> list[int]:
-    v = [0] * N
-    v[i] = scale
-    return v
 
 
 def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
@@ -357,9 +364,6 @@ class PointConfiguration:
     points: tuple[tuple[int, ...], ...]
     labels: tuple[tuple[int, ...], ...]  # standard monomial exponents
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def to_json(self) -> dict:
         return {
             "schema": "points/1",
@@ -391,7 +395,7 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
         std.extend(layer)
         d += 1
 
-    lifted = lift_ideal(J, A, prime=prime)
+    generators = [bar(m, A) for m in J.gens]
     points = []
     for m in std:
         coords = []
@@ -408,7 +412,7 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     if len(set(points)) != len(points):
         raise MatrixError("point model produced coincident points")
 
-    for g in lifted.generators:
+    for g in generators:
         for pt in points:
             value = 1
             for r, c in g.factors:
@@ -421,6 +425,80 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
                     f"lifted generator of {g.source} does not vanish at {pt}"
                 )
     return PointConfiguration(prime, tuple(points), tuple(m.exps for m in std))
+
+
+def lift_record(J: MonomialIdeal, A: LiftingMatrix,
+                prime: int = DEFAULT_PRIME) -> dict:
+    """The record ``liaison lift`` writes: the lifted ideal's JSON, plus
+    its point model under ``"points"`` for a 1-lifting of an Artinian
+    source."""
+    if J.is_zero or J.is_unit:
+        raise LiftError("cannot lift a zero or unit ideal")
+    record = lift_ideal(J, A, prime=prime).to_json()
+    if A.kind == "t-lift" and A.t == 1 and is_artinian(J):
+        record["points"] = point_model(J, A, prime=prime).to_json()
+    return record
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+@scope()
+def verify_lift(data: dict, prime: int = DEFAULT_PRIME,
+                dmax: int | None = None) -> dict:
+    """The ``lift-report/1`` of a stored lift record: its checks, made
+    modulo ``prime`` through ``dmax`` (by default the floor, max generator
+    degree + number of lifted variables).
+
+    The record must be exactly what ``lift_record`` makes from its own
+    source and matrix, with the points rebuilt at the prime they record;
+    otherwise LiftError names the keys that differ.
+    """
+    try:
+        L = LiftedIdeal.from_json(data)
+        J, A = L.source, L.matrix
+        at = check_prime(data["points"]["prime"]) if "points" in data else prime
+        replay = lift_record(J, A, prime=at)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LiftError(f"malformed lifted ideal: {exc}")
+    differ = sorted(k for k in data.keys() | replay.keys()
+                    if _canonical(data.get(k)) != _canonical(replay.get(k)))
+    if differ:
+        raise LiftError("lifted ideal differs from the lift of its own source "
+                        f"and matrix in: {', '.join(differ)}")
+    floor = J.max_gen_degree + A.N
+    dmax = floor if dmax is None else dmax
+    if not isinstance(dmax, int) or dmax < floor:
+        raise LiftError(f"horizon dmax {dmax} is below the floor {floor} "
+                        "(max generator degree + number of lifted variables)")
+
+    report = validate_matrix(A, J, prime=prime)
+    checks = [("matrix-validation", report.ok, f"prime {report.prime}")]
+    polys = L.polynomials(prime)
+    hf = hilbert_oracle(polys, dmax, A.N, prime)
+    source_h = hilbert_function(J, dmax)
+    try:
+        diff = difference(hf, A.t)
+        checks.append((f"hilbert-difference-t{A.t}", diff.values == source_h.values,
+                       f"difference {diff.values}"))
+    except ValueError as exc:
+        checks.append((f"hilbert-difference-t{A.t}", False, str(exc)))
+    stable = (not (is_artinian(J) and A.t == 1)
+              or hf.at(dmax) == hf.at(dmax - 1) == hf.at(dmax - 2))
+    checks.append(("saturation-spot-check", stable,
+                   f"tail values {hf.values[-3:]}"))
+    if A.kind == "t-lift":
+        # A proper lifting of a nonzero ideal spans no linear forms: the
+        # lifted scheme is nondegenerate in its ambient space.
+        checks.append(("non-degeneracy-dim-I1",
+                       graded_dim(polys, 1, A.N, prime) == 0, ""))
+    if "points" in replay:
+        got, want = len(replay["points"]["points"]), sum(source_h.values)
+        checks.append(("point-model", got == want, f"{got} points, expected {want}"))
+    return {"schema": "lift-report/1", "prime": prime, "dmax": dmax,
+            "ok": all(passed for _, passed, _ in checks),
+            "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in checks]}
 
 
 @dataclass(frozen=True)

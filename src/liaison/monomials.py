@@ -160,10 +160,6 @@ class MonomialIdeal:
         return any(g.is_unit for g in self.gens)
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def max_gen_degree(self) -> int:
         return max((g.degree for g in self.gens), default=0)
 
@@ -309,11 +305,6 @@ class IrreducibleComponent:
         mine = dict(self.powers)
         return all(i in mine and c >= mine[i] for i, c in other.powers)
 
-    def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.from_gens(
-            self.n, (variable(self.n, i, b) for i, b in self.powers)
-        )
-
 
 def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """Irredundant irreducible decomposition by recursive splitting.
@@ -393,7 +384,6 @@ def height(J: MonomialIdeal) -> int:
 def saturate(J: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """J : m^infinity (stabilizes once the colon power dominates every
     generator exponent)."""
-    power = m
     big = J.max_gen_degree + 1
     power = Monomial(tuple(e * big for e in m.exps))
     return J.colon(power)

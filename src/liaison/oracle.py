@@ -324,7 +324,7 @@ def poly_to_json(f: Poly) -> list:
     return sorted([list(e) + [c] for e, c in f.items()], reverse=True)
 
 
-def poly_from_json(data: list, N: int | None = None) -> Poly:
+def poly_from_json(data: list) -> Poly:
     out = {}
     for term in data:
         out[tuple(term[:-1])] = term[-1]

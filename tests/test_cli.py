@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,119 @@ class TestLiftAndVerify:
     def test_bad_matrix_spec(self, worked_ideal, capsys):
         code, _, err = run(capsys, "lift", worked_ideal, "--matrix", "q:9")
         assert code == 2
+
+
+def _rehash(data):
+    """Give a lifted record the hash of its edited matrix, as if made so."""
+    blob = json.dumps(data["matrix"], sort_keys=True).encode()
+    data["matrix_hash"] = hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _reverse_columns(data):
+    # Factors from the last columns of each row instead of the first ones:
+    # a different ideal.
+    ncols = len(data["matrix"]["rows"][0])
+    for g in data["generators"]:
+        g["factors"] = [[r, ncols - 1 - c] for r, c in g["factors"]]
+
+
+def _edit_point(data):
+    data["points"]["points"][0][0] += 1
+
+
+def _edit_source(data):
+    data["generators"][0]["source"] = [9, 9, 9]
+
+
+def _drop_points(data):
+    del data["points"]
+
+
+def _factor_out_of_range(data):
+    data["generators"][0]["factors"][0] = [9, 0]
+
+
+def _short_form(data):
+    data["matrix"]["rows"][0][0] = data["matrix"]["rows"][0][0][:2]
+    _rehash(data)
+
+
+def _t_zero(data):
+    data["matrix"]["t"] = 0
+    data["matrix"]["kind"]["t"] = 0
+    _rehash(data)
+
+
+class TestVerifyLiftReplay:
+    """verify-lift refuses a record that is not what lift writes from the
+    record's own source and matrix, and one it cannot decode."""
+
+    @pytest.fixture
+    def worked_lift(self, worked_ideal, tmp_path, capsys):
+        lifted = tmp_path / "L.json"
+        code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "7",
+                         "--out", str(lifted))
+        assert code == 0
+        return lifted
+
+    @pytest.mark.parametrize("tamper,message", [
+        (_reverse_columns, "in: generators"),
+        (_edit_point, "in: points"),
+        (_edit_source, "in: generators"),
+        (_drop_points, "in: points"),
+        (_factor_out_of_range, "in: generators"),
+        (_short_form, "ambient_n + t = 4 coefficients"),
+        (_t_zero, "ambient_n + t = 3 coefficients"),
+    ], ids=["reversed-columns", "edited-point", "edited-source", "no-points",
+            "factor-out-of-range", "short-form", "t-zero"])
+    def test_altered_record_is_input_error(self, worked_lift, capsys,
+                                           tamper, message):
+        data = json.loads(worked_lift.read_text())
+        tamper(data)
+        worked_lift.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-lift", str(worked_lift))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_lift_at_another_prime_verifies_at_the_default(
+            self, worked_ideal, tmp_path, capsys):
+        lifted = tmp_path / "L.json"
+        code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "7",
+                         "--prime", "65537", "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] and report["prime"] == 32003
+        assert report["checks"][-1] == {
+            "name": "point-model", "passed": True,
+            "detail": "26 points, expected 26"}
+
+    def test_coincident_points_are_a_verification_failure(
+            self, worked_ideal, capsys):
+        code, out, err = run(capsys, "lift", worked_ideal, "--prime", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: point model produced coincident points\n"
+
+
+# Options that a subcommand does not read are not accepted.
+@pytest.mark.parametrize("argv", [
+    ["lex-build", "--h", "1", "--n", "2", "--prime", "65537"],
+    ["lex-build", "--h", "1", "--n", "2", "--seed", "1"],
+    ["analyze", "J.json", "--prime", "65537"],
+    ["analyze", "J.json", "--seed", "1"],
+    ["verify-lift", "L.json", "--seed", "1"],
+    ["verify", "cert.json", "--prime", "65537"],
+    ["verify", "cert.json", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_option_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 class TestGlicciAndVerify:

@@ -5,6 +5,7 @@ import pytest
 
 from liaison.hilbert import HVector, hilbert_function_artinian, lex_ideal_from_hvector
 from liaison.lifting import (
+    LiftError,
     LiftedIdeal,
     LiftingMatrix,
     LinearForm,
@@ -12,9 +13,11 @@ from liaison.lifting import (
     bar,
     default_matrix,
     lift_ideal,
+    lift_record,
     lifted_layer_formula,
     point_model,
     validate_matrix,
+    verify_lift,
 )
 from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
 from liaison.oracle import (
@@ -75,6 +78,12 @@ class TestMatrices:
         B = LiftingMatrix.from_json(A.to_json())
         assert B == A
         assert B.content_hash() == A.content_hash()
+
+    def test_json_form_length_must_match_the_ring(self):
+        data = default_matrix(3, "t-lift", seed=3, ncols=4, t=1).to_json()
+        data["t"] = 2
+        with pytest.raises(MatrixError, match="ambient_n \\+ t = 5"):
+            LiftingMatrix.from_json(data)
 
     def test_json_unknown_kind_is_matrix_error(self):
         data = default_matrix(3, "bf", ncols=4).to_json()
@@ -220,3 +229,44 @@ class TestLiftHilbert:
 
         h = hilbert_oracle(L.polynomials(P), 8, A.N, P)
         assert difference(h, 1).values == (1, 3, 6, 10, 4, 2, 0, 0, 0)
+
+
+class TestVerifyLift:
+    def test_worked_lift_rows(self):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        data = json.loads(json.dumps(lift_record(WORKED_J, A)))
+        assert data["points"]["prime"] == P
+        report = verify_lift(data)
+        assert {k: report[k] for k in ("schema", "ok", "prime", "dmax")} == {
+            "schema": "lift-report/1", "ok": True, "prime": P, "dmax": 10}
+        assert [(c["name"], c["passed"], c["detail"]) for c in report["checks"]] == [
+            ("matrix-validation", True, f"prime {P}"),
+            ("hilbert-difference-t1", True,
+             "difference (1, 3, 6, 10, 4, 2, 0, 0, 0, 0, 0)"),
+            ("saturation-spot-check", True, "tail values (26, 26, 26)"),
+            ("non-degeneracy-dim-I1", True, ""),
+            ("point-model", True, "26 points, expected 26"),
+        ]
+
+    def test_t2_lift_has_no_point_rows(self):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=2)
+        data = json.loads(json.dumps(lift_record(WORKED_J, A)))
+        assert "points" not in data
+        report = verify_lift(data, dmax=11)
+        assert report["ok"]
+        assert [c["name"] for c in report["checks"]] == [
+            "matrix-validation", "hilbert-difference-t2",
+            "saturation-spot-check", "non-degeneracy-dim-I1"]
+
+    def test_record_differing_from_its_replay_is_refused(self):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        data = json.loads(json.dumps(lift_record(WORKED_J, A)))
+        data["generators"] = data["generators"][1:]
+        data["extra"] = 1
+        with pytest.raises(LiftError, match="in: extra, generators$"):
+            verify_lift(data)
+
+    def test_unit_ideal_is_not_lifted(self):
+        A = default_matrix(2, "t-lift", seed=0, ncols=1, t=1)
+        with pytest.raises(LiftError, match="zero or unit"):
+            lift_record(ideal(2, (0, 0)), A)
