@@ -48,7 +48,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_prime, hilbert_oracle, scope
+from .oracle import DEFAULT_PRIME, check_prime, hilbert_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -213,12 +213,12 @@ def _matrix_for(args, J: MonomialIdeal):
 def cmd_lift(args) -> int:
     J = _load_ideal(args.ideal)
     A = _matrix_for(args, J)
-    report = validate_matrix(A, J, prime=args.prime, seed=args.seed)
-    if not report.ok:
-        print("matrix validation failed:")
-        print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-        return EXIT_VERIFY
     try:
+        report = validate_matrix(A, J, prime=args.prime)
+        if not report.ok:
+            print("matrix validation failed:")
+            print(json.dumps(report.to_json(), indent=1, sort_keys=True))
+            return EXIT_VERIFY
         record = lift_record(J, A, prime=args.prime)
     except LiftError as exc:
         raise InputError(str(exc))
@@ -336,8 +336,11 @@ def cmd_worked_example(args) -> int:
         diffs.append(f"column sums: got {tuple(shifted)}, want {GOLDEN_H}")
 
     A = default_matrix(3, "t-lift", seed=seed, ncols=max(J.max_gen_degree, 1), t=1)
-    L = lift_ideal(J, A, prime=prime)
-    pts = point_model(J, A, prime=prime)
+    try:
+        L = lift_ideal(J, A, prime=prime)
+        pts = point_model(J, A, prime=prime)
+    except MatrixError as exc:
+        raise VerifyError(str(exc))
     lines.append(f"lift: {len(pts.points)} points mod {prime}")
     if len(pts.points) != GOLDEN_POINTS:
         diffs.append(f"points: got {len(pts.points)}, want {GOLDEN_POINTS}")
@@ -464,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@scope()
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)

@@ -6,13 +6,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
 from .hilbert import difference, hilbert_function
 from .monomials import Monomial, MonomialIdeal, is_artinian, standard_monomials
-from .oracle import (DEFAULT_PRIME, FALLBACK_PRIME, check_prime, expand,
-                     graded_dim, hilbert_oracle, rank_mod_p, scope)
+from .oracle import (DEFAULT_PRIME, check_prime, expand, graded_dim,
+                     hilbert_oracle, rank_mod_p, scope)
 
 import numpy as np
 
@@ -174,7 +175,6 @@ class ValidationReport:
     used_cols: tuple[int, ...]
     proportional_pairs: list  # (row, col, col) entries proportional in a row
     dependent_selections: list  # tuples of (row, col) choices with a rank drop
-    exhaustive: bool
     selections_checked: int
     prime: int
 
@@ -184,7 +184,6 @@ class ValidationReport:
             "used_cols": list(self.used_cols),
             "proportional_pairs": self.proportional_pairs,
             "dependent_selections": [list(map(list, s)) for s in self.dependent_selections],
-            "exhaustive": self.exhaustive,
             "selections_checked": self.selections_checked,
             "prime": self.prime,
         }
@@ -200,25 +199,22 @@ def _proportional(a: LinearForm, b: LinearForm) -> bool:
 
 
 SELECTION_LIMIT = 10**6
-SELECTION_SAMPLES = 10_000
 
 
 def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
-                    prime: int = DEFAULT_PRIME, seed: int = 0,
-                    _retry: bool = True) -> ValidationReport:
-    """Check the genericity conditions a "sufficiently general" matrix of
-    linear forms is assumed to satisfy.
+                    prime: int = DEFAULT_PRIME) -> ValidationReport:
+    """Check, modulo ``prime``, the genericity conditions a "sufficiently
+    general" matrix of linear forms is assumed to satisfy over the field
+    the lift is computed in.
 
     (a) for t-lifting matrices, entries within each row are pairwise
         non-proportional over the used columns (distinct point slices);
     (b) every selection of one used entry per row is linearly independent
-        (exhaustive up to 10^6 selections, seeded sampling beyond), which
-        makes the row products cut out a codimension-n complete
-        intersection.
+        mod ``prime``, which makes the row products cut out a
+        codimension-n complete intersection.
 
-    A failure at the working prime is retried at a larger prime before
-    being reported, so that accidental mod-p collisions never condemn a
-    valid matrix.
+    Every selection is checked.  More than SELECTION_LIMIT of them is a
+    MatrixError, raised before any rank is taken.
     """
     if J.n != A.n_source:
         raise MatrixError(
@@ -230,6 +226,10 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
     for j, u in enumerate(used):
         if u > len(A.rows[j]):
             raise MatrixError(f"row {j + 1} has {len(A.rows[j])} columns, needs {u}")
+    active = [j for j, u in enumerate(used) if u > 0]
+    total = math.prod(used[j] for j in active)
+    if total > SELECTION_LIMIT:
+        raise MatrixError(f"{total} selections to check, more than {SELECTION_LIMIT}")
 
     proportional_pairs = []
     if A.kind == "t-lift":
@@ -238,27 +238,12 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
                 if _proportional(A.rows[j][c1], A.rows[j][c2]):
                     proportional_pairs.append((j, c1, c2))
 
-    active = [j for j, u in enumerate(used) if u > 0]
-    total = 1
-    for j in active:
-        total *= used[j]
-    exhaustive = total <= SELECTION_LIMIT
-
-    def selections():
-        if exhaustive:
-            for combo in itertools.product(*[range(used[j]) for j in active]):
-                yield tuple(zip(active, combo))
-        else:
-            rng = random.Random(seed)
-            for _ in range(SELECTION_SAMPLES):
-                yield tuple((j, rng.randrange(used[j])) for j in active)
-
     dependent = []
     checked = 0
-    for sel in selections():
-        if not sel:
-            break
+    choices = [range(used[j]) for j in active]
+    for combo in (itertools.product(*choices) if choices else ()):
         checked += 1
+        sel = tuple(zip(active, combo))
         M = np.array([A.rows[j][c].coeffs for j, c in sel], dtype=np.int64)
         if rank_mod_p(M, prime) < len(sel):
             dependent.append(sel)
@@ -266,13 +251,7 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
                 break
 
     ok = not proportional_pairs and not dependent
-    if not ok and _retry and prime != FALLBACK_PRIME:
-        retry = validate_matrix(A, J, prime=FALLBACK_PRIME, seed=seed, _retry=False)
-        if retry.ok:
-            return retry
-    return ValidationReport(
-        ok, used, proportional_pairs, dependent, exhaustive, checked, prime
-    )
+    return ValidationReport(ok, used, proportional_pairs, dependent, checked, prime)
 
 
 @dataclass(frozen=True)

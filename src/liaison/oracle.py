@@ -14,15 +14,14 @@ Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A comparison has
 no such direction: a containment or colon residual can vanish mod p when
 it does not over Q, so those checks can pass spuriously at one prime.
-Replay at a second prime is still to come (ROADMAP.md item 4,
-"Two-prime replay").
+Replay at a second prime is still to come (ROADMAP.md item 6,
+"Two primes and stated horizons").
 
 Inside ``scope()`` each (generators, degree, variables, prime) is
 eliminated once and its basis kept until the outermost scope exits;
 outside any scope nothing is cached.  The certificate builders,
-``verify_certificate`` and ``cli.main`` each open a scope, so nothing
-carries from one call to the next, nor from a build to its replay.  (The
-CLI's ``worked-example`` builds and replays within its one command scope.)
+``verify_certificate`` and ``verify_lift`` each open a scope, so nothing
+carries from one call to the next, nor from a build to its replay.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ from .hilbert import HVector
 from .monomials import monomials_of_degree
 
 DEFAULT_PRIME = 32003
-FALLBACK_PRIME = 65537
 # Largest modulus whose square fits int64: elimination multiplies two
 # residues before reducing.  Cached bases are stored as uint32, which
 # every prime up to it fits.

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from liaison import cli, oracle
 from liaison.cli import main
 
 
@@ -134,6 +135,35 @@ class TestLiftAndVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "below the floor 10" in err
+
+    def test_bf_lift_fails_validation_at_the_working_prime(self, tmp_path, capsys):
+        # The bf row-1 entry 3*x1 is zero mod 3.
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(
+            {"schema": "ideal/1", "n": 3,
+             "gens": [[3 - a - b, a, b] for a in range(4) for b in range(4 - a)]}
+        ))
+        code, out, err = run(capsys, "lift", str(path), "--matrix", "bf",
+                             "--prime", "3")
+        assert code == 3
+        assert out.startswith("matrix validation failed:\n")
+        report = json.loads(out.split("\n", 1)[1])
+        assert not report["ok"] and report["prime"] == 3
+        assert err == ""
+        code, _, _ = run(capsys, "lift", str(path), "--matrix", "bf",
+                         "--prime", "32003")
+        assert code == 0
+
+    def test_too_many_selections_is_a_verification_failure(self, tmp_path, capsys):
+        path = tmp_path / "powers.json"
+        path.write_text(json.dumps(
+            {"schema": "ideal/1", "n": 4,
+             "gens": [[32 if i == j else 0 for j in range(4)] for i in range(4)]}
+        ))
+        code, out, err = run(capsys, "lift", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 1048576 selections") and err.count("\n") == 1
 
     def test_bad_matrix_spec(self, worked_ideal, capsys):
         code, _, err = run(capsys, "lift", worked_ideal, "--matrix", "q:9")
@@ -347,6 +377,40 @@ class TestWorkedExampleCommand:
 
         args = build_parser().parse_args(["worked-example"])
         assert args.prime == 65537
+
+    def test_coincident_points_are_a_verification_failure(self, capsys):
+        code, out, err = run(capsys, "worked-example", "--prime", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: point model produced coincident points\n"
+
+    def test_replay_recomputes_what_the_build_computed(self, capsys, monkeypatch):
+        # The certificate replay shares no echelon basis with its build.
+        calls = []
+        real = oracle._degree_rows
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        phases = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                start = len(calls)
+                result = fn(*args, **kwargs)
+                phases[name] = len(calls) - start
+                return result
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_degree_rows", counting)
+        monkeypatch.setattr(cli, "glicci_certificate_artinian",
+                            counted("build", cli.glicci_certificate_artinian))
+        monkeypatch.setattr(cli, "verify_certificate",
+                            counted("verify", cli.verify_certificate))
+        code, _, _ = run(capsys, "worked-example")
+        assert code == 0
+        assert phases["build"] > 0 and phases["verify"] == phases["build"]
 
     def test_dmax_too_small(self, capsys):
         code, _, err = run(capsys, "worked-example", "--dmax", "3")

@@ -97,7 +97,7 @@ class TestValidation:
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         report = validate_matrix(A, WORKED_J)
         assert report.ok
-        assert report.exhaustive
+        assert report.selections_checked == 96
 
     def test_bf_matrix_validates(self):
         J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 2))
@@ -123,6 +123,29 @@ class TestValidation:
         A = LiftingMatrix(rows, 2, 1, "t-lift", None)
         report = validate_matrix(A, ideal(2, (1, 0), (0, 1)))
         assert not report.ok
+
+    def test_failure_at_the_working_prime_is_reported_there(self):
+        # The bf row-1 entry 3*x1 vanishes mod 3, so x1^3 lifts to zero.
+        J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 3))
+        A = default_matrix(3, "bf", ncols=3)
+        report = validate_matrix(A, J, prime=3)
+        assert not report.ok and report.prime == 3
+        assert report.dependent_selections
+        assert validate_matrix(A, J).ok
+
+    def test_too_many_selections_is_an_error(self, monkeypatch):
+        # 32^4 selections: the limit is checked before any rank is taken.
+        J = ideal(4, (32, 0, 0, 0), (0, 32, 0, 0), (0, 0, 32, 0), (0, 0, 0, 32))
+        A = default_matrix(4, "t-lift", seed=0, ncols=32, t=1)
+
+        def no_rank(*args):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr("liaison.lifting.rank_mod_p", no_rank)
+        with pytest.raises(MatrixError, match="1048576 selections"):
+            validate_matrix(A, J)
+        with pytest.raises(MatrixError, match="1048576 selections"):
+            lift_ideal(J, A)
 
     def test_lift_requires_valid_matrix(self):
         rows = (
