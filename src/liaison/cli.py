@@ -18,7 +18,7 @@ from .hilbert import (
     hilbert_function_artinian,
     lex_ideal_from_hvector,
 )
-from .layers import decompose, layer_hvectors
+from .layers import decompose, hf_via_layers, layer_hvectors
 from .lifting import (
     LiftError,
     MatrixError,
@@ -194,11 +194,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _t_lift_matrix(J: MonomialIdeal, seed: int, t: int = 1):
+    """The default t-lifting matrix for J: one column per degree of its
+    largest generator."""
+    return default_matrix(J.n, "t-lift", seed=seed,
+                          ncols=max(J.max_gen_degree, 1), t=t)
+
+
 def _matrix_for(args, J: MonomialIdeal):
     spec = args.matrix
-    ncols = max(J.max_gen_degree, 1)
     if spec == "bf":
-        return default_matrix(J.n, "bf", ncols=ncols)
+        return default_matrix(J.n, "bf", ncols=max(J.max_gen_degree, 1))
     if spec.startswith("t:"):
         try:
             t = int(spec[2:])
@@ -206,7 +212,7 @@ def _matrix_for(args, J: MonomialIdeal):
             raise InputError(f"bad matrix spec {spec!r}")
         if t < 1:
             raise InputError("t must be at least 1")
-        return default_matrix(J.n, "t-lift", seed=args.seed, ncols=ncols, t=t)
+        return _t_lift_matrix(J, args.seed, t)
     raise InputError(f"bad matrix spec {spec!r} (use bf or t:<t>)")
 
 
@@ -258,9 +264,8 @@ def cmd_glicci(args) -> int:
         raise InputError(str(exc))
     try:
         if args.mode == "artinian":
-            ncols = max(J.max_gen_degree, 1)
-            A = default_matrix(J.n, "t-lift", seed=args.seed, ncols=ncols, t=1)
-            cert = glicci_certificate_artinian(J, A, dmax=args.dmax, prime=prime)
+            cert = glicci_certificate_artinian(J, _t_lift_matrix(J, args.seed),
+                                               dmax=args.dmax, prime=prime)
         else:
             cert = glicci_certificate_borel(J, dmax=args.dmax, prime=prime)
     except (LinkageError, NotBorelFixedError, MatrixError) as exc:
@@ -326,16 +331,12 @@ def cmd_worked_example(args) -> int:
     if not D.layers[D.alpha].is_unit:
         diffs.append("I_alpha is not the unit ideal")
 
-    shifted = [0] * len(GOLDEN_H)
-    for j, row in enumerate(got_layers):
-        for d, v in enumerate(row):
-            if j + d < len(shifted):
-                shifted[j + d] += v
-    lines.append(f"shifted column sums: {tuple(shifted)}")
-    if tuple(shifted) != GOLDEN_H:
-        diffs.append(f"column sums: got {tuple(shifted)}, want {GOLDEN_H}")
+    shifted = tuple(hf_via_layers(D, s) for s in range(len(GOLDEN_H)))
+    lines.append(f"shifted column sums: {shifted}")
+    if shifted != GOLDEN_H:
+        diffs.append(f"column sums: got {shifted}, want {GOLDEN_H}")
 
-    A = default_matrix(3, "t-lift", seed=seed, ncols=max(J.max_gen_degree, 1), t=1)
+    A = _t_lift_matrix(J, seed)
     try:
         L = lift_ideal(J, A, prime=prime)
         pts = point_model(J, A, prime=prime)

@@ -39,13 +39,6 @@ class LinearForm:
         if all(c == 0 for c in self.coeffs):
             raise ValueError("zero linear form")
 
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*v{i + 1}" if c != 1 else f"v{i + 1}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class LiftingMatrix:
@@ -70,10 +63,6 @@ class LiftingMatrix:
     @property
     def n_source(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return min(len(r) for r in self.rows)
 
     def drop_first_row(self) -> "LiftingMatrix":
         return LiftingMatrix(self.rows[1:], self.ambient_n, self.t, self.kind, self.seed)
@@ -189,11 +178,11 @@ class ValidationReport:
         }
 
 
-def _proportional(a: LinearForm, b: LinearForm) -> bool:
+def _proportional(a: LinearForm, b: LinearForm, prime: int) -> bool:
     n = len(a.coeffs)
     for i in range(n):
         for j in range(i + 1, n):
-            if a.coeffs[i] * b.coeffs[j] != a.coeffs[j] * b.coeffs[i]:
+            if (a.coeffs[i] * b.coeffs[j] - a.coeffs[j] * b.coeffs[i]) % prime:
                 return False
     return True
 
@@ -207,14 +196,16 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
     general" matrix of linear forms is assumed to satisfy over the field
     the lift is computed in.
 
-    (a) for t-lifting matrices, entries within each row are pairwise
-        non-proportional over the used columns (distinct point slices);
+    (a) for t-lifting matrices, no two used entries of a row are
+        proportional mod ``prime`` (some 2x2 minor of their coefficient
+        vectors is nonzero mod ``prime``), so their point slices are
+        distinct;
     (b) every selection of one used entry per row is linearly independent
         mod ``prime``, which makes the row products cut out a
         codimension-n complete intersection.
 
-    Every selection is checked.  More than SELECTION_LIMIT of them is a
-    MatrixError, raised before any rank is taken.
+    Every pair and every selection is checked.  More than SELECTION_LIMIT
+    selections is a MatrixError, raised before any rank is taken.
     """
     if J.n != A.n_source:
         raise MatrixError(
@@ -235,7 +226,7 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
     if A.kind == "t-lift":
         for j, u in enumerate(used):
             for c1, c2 in itertools.combinations(range(u), 2):
-                if _proportional(A.rows[j][c1], A.rows[j][c2]):
+                if _proportional(A.rows[j][c1], A.rows[j][c2], prime):
                     proportional_pairs.append((j, c1, c2))
 
     dependent = []
@@ -478,51 +469,3 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME,
     return {"schema": "lift-report/1", "prime": prime, "dmax": dmax,
             "ok": all(passed for _, passed, _ in checks),
             "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in checks]}
-
-
-@dataclass(frozen=True)
-class LayeredLift:
-    """The layer form of a lifted ideal: bar-lifts of the x_1-layers by
-    the row-deleted matrix, scaled by prefix products of row-1 entries,
-    plus the full row-1 product."""
-
-    matrix: LiftingMatrix  # the full matrix; layers use rows 2..n
-    alpha: int
-    layer_lifts: tuple[LiftedIdeal, ...]  # lift of I_j by A', j = 0..alpha-1
-
-    def polynomial_generators(self, p: int | None = DEFAULT_PRIME) -> list:
-        from .oracle import expand_product, poly_mul
-
-        N = self.matrix.N
-        out = []
-        prefix = {(0,) * N: 1}
-        for j, lifted in enumerate(self.layer_lifts):
-            for g in lifted.generators:
-                out.append(poly_mul(prefix, expand(g, lifted.matrix, p), p))
-            prefix = poly_mul(
-                prefix,
-                expand_product([self.matrix.rows[0][j]], N, p),
-                p,
-            )
-        # prefix now holds L_{1,1} ... L_{1,alpha}
-        out.append(prefix)
-        return out
-
-
-def lifted_layer_formula(J: MonomialIdeal, A: LiftingMatrix,
-                         prime: int = DEFAULT_PRIME) -> LayeredLift:
-    """Right-hand side of the layer identity
-    I = bar I_0 + L_{1,1} bar I_1 + ... + (L_{1,1} ... L_{1,alpha})."""
-    from .layers import decompose
-
-    D = decompose(J)
-    if not D.layers[D.alpha].is_unit:
-        raise ValueError("layer formula requires I_alpha = (1) "
-                         "(Artinian or Borel-fixed source)")
-    Aprime = A.drop_first_row()
-    lifts = tuple(
-        lift_ideal(D.layers[j], Aprime, prime=prime) for j in range(D.alpha)
-    )
-    if D.alpha > len(A.rows[0]):
-        raise MatrixError("row 1 too short for the prefix products")
-    return LayeredLift(A, D.alpha, lifts)

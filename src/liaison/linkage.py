@@ -6,13 +6,13 @@ ideals; its meaning is that every arithmetic precondition and identity
 attached to each step has been verified modulo the working prime through
 the degree horizon.
 
-``verify_certificate`` replays a certificate through the same step
-builders: each step is rebuilt once from its stored source (chain steps
-after the first use the previous matrix minus its first row), and the
-stored step must equal the rebuild, so nothing stored is trusted.  The
-mode must be known, the root acceptable to the mode's builder, each
-step's kind and the leaf what that builder makes next; the prime must
-pass ``check_prime`` and the horizon ``check_horizon``.
+The builders and ``verify_certificate`` run one induction, ``_induction``.
+The verifier reruns it from the certificate's inputs (mode, root, prime,
+horizon and, for the Artinian builder, the matrix of step 0) and compares
+each step it builds with the stored one, so nothing stored is trusted.
+The mode must be known, the root acceptable to the mode's builder, each
+stored step's source and kind and the leaf what that builder makes there;
+the prime must pass ``check_prime`` and the horizon ``check_horizon``.
 """
 from __future__ import annotations
 
@@ -657,23 +657,37 @@ def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None,
     return _build_cone_step(source)
 
 
+def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
+               dmax: int, prime: int):
+    """The induction of the ``mode`` builder from J.  Before each step it
+    yields the ideal the step starts at and the step's kind; asked once
+    more, it builds that step and yields it.  Last it yields the ideal it
+    stops at and the leaf.  Each chain step uses the previous one's matrix
+    minus its first row; a builder's error propagates."""
+    cur, prev = J, None
+    while (move := _next_move(mode, cur, prev)) in _STEP_KINDS:
+        yield cur, move
+        step = _build_step(move, cur, A, dmax, prime)
+        yield step
+        if move == "chain":
+            A = A.drop_first_row()
+        cur, prev = step.continuation, move
+    yield cur, move
+
+
 @scope()
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        dmax: int | None, prime: int) -> GlicciCertificate:
-    """Build steps from J until ``_next_move`` names a leaf; each chain
-    step uses the previous one's matrix minus its first row.  The build
+    """Collect the steps of the induction from J and its leaf.  The build
     runs in one oracle scope."""
     _check_root(mode, J)
     check_prime(prime)
     dmax = check_horizon(J, dmax)
     steps: list = []
-    cur, prev = J, None
-    while (move := _next_move(mode, cur, prev)) in _STEP_KINDS:
-        step = _build_step(move, cur, A, dmax, prime)
-        steps.append(step)
-        if move == "chain":
-            A = A.drop_first_row()
-        cur, prev = step.continuation, move
+    induction = _induction(mode, J, A, dmax, prime)
+    for _, move in induction:
+        if move in _STEP_KINDS:
+            steps.append(next(induction))
     return GlicciCertificate(mode, prime, dmax, J, tuple(steps), move)
 
 
@@ -721,18 +735,6 @@ def _check_mode(mode) -> str:
     return mode
 
 
-def _move_entry(idx: int, name: str, mode: str, cur: MonomialIdeal,
-                prev: str | None, stored: str) -> tuple:
-    """Report entry comparing a stored step kind or leaf with what the
-    builder of ``mode`` does next at ``cur``."""
-    try:
-        move = _next_move(mode, cur, prev)
-    except ValueError as exc:
-        return (idx, name, False, f"no induction reaches {cur}: {exc}")
-    return (idx, name, stored == move,
-            f"at {cur}: expected {move}, certificate stores {stored}")
-
-
 def _contract(name: str, check, *args) -> tuple:
     """Report entry for a certificate-wide precondition: the accepted
     value, or the error raised by ``check``."""
@@ -745,16 +747,18 @@ def _contract(name: str, check, *args) -> tuple:
 @scope()
 def verify_certificate(cert: GlicciCertificate,
                        dmax: int | None = None) -> VerificationReport:
-    """Rebuild every step once with its builder, report the rebuilt
-    checks, and require the stored step to equal the rebuild; failures
-    become report entries, never exceptions.  The replay runs in one
-    oracle scope; opened outside any scope, it reuses nothing the build
-    computed.
+    """Rerun the builder's induction from the certificate's inputs,
+    report each rebuilt step's checks, and require every stored step to
+    equal its rebuild; failures become report entries, never exceptions.
+    The replay runs in one oracle scope; opened outside any scope, it
+    reuses nothing the build computed.
 
     ``dmax`` overrides the stored horizon.  An unknown mode, an invalid
     prime, a horizon below the floor or a root the mode's builder refuses
-    fails the report before any step is replayed.  Each step's kind, and
-    the leaf, must be what the mode's builder makes next.
+    fails the report before any step is replayed.  Each stored step's
+    source and kind, and the leaf, must be where the builder stands and
+    what it makes next.  The replay follows the builder, not the stored
+    steps, and ends where the builder stops or raises.
     """
     dmax = cert.dmax if dmax is None else dmax
     prime = cert.prime
@@ -768,32 +772,38 @@ def verify_certificate(cert: GlicciCertificate,
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    # Loop state of the builders: the current ideal, the previous step's
-    # kind and, along a chain of Artinian steps, the matrix (step 0 stores
-    # it; each later step drops the first row of the previous one).
-    cur, prev, A = cert.root, None, None
-    for idx, step in enumerate(cert.steps):
-        entries.append((
-            idx, "step-continuity", step.source == cur,
-            f"expected {cur}, step stores {step.source}",
-        ))
-        entries.append(_move_entry(idx, "step-kind", cert.mode, cur, prev,
-                                   step.kind))
-        try:
-            if isinstance(step, ChainStep):
-                A = step.matrix if A is None else A.drop_first_row()
-            rebuilt = _build_step(step.kind, step.source, A, dmax, prime)
-        except (LinkageError, MatrixError) as exc:
-            entries.append((idx, "rebuild", False, str(exc)))
-        except Exception as exc:  # replay must never crash the report
-            entries.append((idx, "replay-error", False, repr(exc)))
-        else:
+    # The induction reruns from the certificate's inputs: the root and,
+    # for the Artinian builder, the matrix stored step 0 lifts by.
+    first = cert.steps[0] if cert.steps else None
+    induction = _induction(cert.mode, cert.root,
+                           first.matrix if isinstance(first, ChainStep) else None,
+                           dmax, prime)
+    idx = 0
+    try:
+        for idx, step in enumerate(cert.steps):
+            cur, move = next(induction)
+            entries.append((
+                idx, "step-continuity", step.source == cur,
+                f"expected {cur}, step stores {step.source}",
+            ))
+            entries.append((
+                idx, "step-kind", step.kind == move,
+                f"at {cur}: expected {move}, certificate stores {step.kind}",
+            ))
+            if move not in _STEP_KINDS:  # the builder stops here
+                return VerificationReport(entries)
+            rebuilt = next(induction)
             entries.extend(
                 (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
             )
             entries.append((idx, "stored-equals-rebuilt", rebuilt == step, None))
-        cur, prev = step.continuation, step.kind
-
-    entries.append(_move_entry(len(cert.steps), "leaf-validity", cert.mode,
-                               cur, prev, cert.leaf))
+        cur, leaf = next(induction)
+        entries.append((
+            len(cert.steps), "leaf-validity", cert.leaf == leaf,
+            f"at {cur}: expected {leaf}, certificate stores {cert.leaf}",
+        ))
+    except (LinkageError, MatrixError) as exc:
+        entries.append((idx, "rebuild", False, str(exc)))
+    except Exception as exc:  # replay must never crash the report
+        entries.append((idx, "replay-error", False, repr(exc)))
     return VerificationReport(entries)

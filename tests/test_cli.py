@@ -260,10 +260,14 @@ class TestVerifyLiftReplay:
 
     def test_coincident_points_are_a_verification_failure(
             self, worked_ideal, capsys):
+        # Entries proportional mod 3 would give coincident points; check
+        # (a) of the matrix validation finds them first.
         code, out, err = run(capsys, "lift", worked_ideal, "--prime", "3")
         assert code == 3
-        assert out == ""
-        assert err == "error: point model produced coincident points\n"
+        assert out.startswith("matrix validation failed:\n")
+        report = json.loads(out.split("\n", 1)[1])
+        assert report["prime"] == 3 and report["proportional_pairs"]
+        assert err == ""
 
 
 # Options that a subcommand does not read are not accepted.
@@ -382,7 +386,8 @@ class TestWorkedExampleCommand:
         code, out, err = run(capsys, "worked-example", "--prime", "3")
         assert code == 3
         assert out == ""
-        assert err == "error: point model produced coincident points\n"
+        assert err.startswith("error: matrix failed validation: ")
+        assert err.count("\n") == 1 and "'proportional_pairs': [(" in err
 
     def test_replay_recomputes_what_the_build_computed(self, capsys, monkeypatch):
         # The certificate replay shares no echelon basis with its build.

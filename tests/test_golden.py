@@ -1,0 +1,62 @@
+"""The sha256 and size of seven CLI outputs, pinned byte for byte.
+
+A change that alters a certificate, a report or a lift record must update
+these pins on purpose.
+"""
+import hashlib
+import json
+
+from liaison.cli import main
+
+PINNED = {
+    "glicci --json, worked ideal, artinian, seed 7": (
+        "1f2615485efd867f2dece9f400362023e5d449493856574f457ffb7ea47165ff", 73529),
+    "verify --json, worked artinian certificate": (
+        "3a780098eca04fd73058e8c9402dbd59bca8a6bc487cf6baefc10ed086737410", 4810),
+    "glicci --json, square Borel ideal, borel": (
+        "4b4df06250460befff0fb34a5d36e9fa4cbff0d1390066e286226983b9874b38", 5624),
+    "verify --json, square Borel certificate": (
+        "bc1f94b59a4310f03433e901ae4c599f89489ea1a51efb9207222d4957dd03d7", 3430),
+    "lift --seed 7 file, worked ideal": (
+        "3faf9c3dcd0736c0996f80a7ac17ac6467f92e74effa02770b95448418564876", 6702),
+    "verify-lift --json, worked lift file": (
+        "c6d39f95e589033339520c11fe5e7ad52e4a21e030151e982a7f09b071946ea6", 578),
+    "worked-example --json": (
+        "256427d1e7334ddf91c12fb2d782f8fbca39b32b0cf18ab9bd3ccfa3672f0364", 325),
+}
+
+SQUARE = {"schema": "ideal/1", "n": 3,
+          "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                   [0, 2, 0], [0, 1, 1], [0, 0, 2]]}
+
+
+def _digest(data: bytes) -> tuple:
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def test_cli_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LIAISON_PRIME", raising=False)
+
+    def stdout(*argv):
+        assert main([str(a) for a in argv]) == 0
+        return capsys.readouterr().out.encode()
+
+    worked, square = tmp_path / "J.json", tmp_path / "sq.json"
+    stdout("lex-build", "--h", "1,3,6,10,4,2", "--n", "3", "--out", worked)
+    square.write_text(json.dumps(SQUARE))
+    cert_a, cert_b, lifted = (tmp_path / f for f in ("a.json", "b.json", "L.json"))
+    outputs = [
+        stdout("glicci", worked, "--mode", "artinian", "--seed", "7",
+               "--json", "--out", cert_a),
+        stdout("verify", cert_a, "--json"),
+        stdout("glicci", square, "--mode", "borel", "--json", "--out", cert_b),
+        stdout("verify", cert_b, "--json"),
+    ]
+    stdout("lift", worked, "--seed", "7", "--out", lifted)
+    outputs += [
+        lifted.read_bytes(),
+        stdout("verify-lift", lifted, "--json"),
+        stdout("worked-example", "--json"),
+    ]
+    got = dict(zip(PINNED, map(_digest, outputs)))
+    assert got == PINNED

@@ -14,7 +14,6 @@ from liaison.lifting import (
     default_matrix,
     lift_ideal,
     lift_record,
-    lifted_layer_formula,
     point_model,
     validate_matrix,
     verify_lift,
@@ -133,6 +132,17 @@ class TestValidation:
         assert report.dependent_selections
         assert validate_matrix(A, J).ok
 
+    def test_proportional_entries_are_found_at_the_working_prime(self):
+        # x1 + u and x1 + (1 + p)*u differ over Z but coincide mod p.
+        p = 3
+        row = (LinearForm((1, 1)), LinearForm((1, 1 + p)))
+        A = LiftingMatrix((row,), 1, 1, "t-lift", None)
+        J = ideal(1, (2,))
+        report = validate_matrix(A, J, prime=p)
+        assert not report.ok
+        assert report.proportional_pairs == [(0, 0, 1)]
+        assert validate_matrix(A, J, prime=5).ok
+
     def test_too_many_selections_is_an_error(self, monkeypatch):
         # 32^4 selections: the limit is checked before any rank is taken.
         J = ideal(4, (32, 0, 0, 0), (0, 32, 0, 0), (0, 0, 32, 0), (0, 0, 0, 32))
@@ -230,12 +240,6 @@ class TestPointModel:
 
 
 class TestLayerFormula:
-    def test_equals_direct_lift(self):
-        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
-        direct = lift_ideal(WORKED_J, A).polynomials(P)
-        layered = lifted_layer_formula(WORKED_J, A).polynomial_generators(P)
-        assert ideals_equal_up_to(direct, layered, 8, A.N, P)
-
     def test_bf_bar_fixes_borel_square(self):
         J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 2))
         A = default_matrix(3, "bf", ncols=2)
