@@ -649,6 +649,9 @@ def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None,
     """The builder of a step of ``kind`` run on ``source``; ``A`` is the
     lifting matrix of a chain step."""
     if kind == "chain":
+        if A is None:
+            raise LinkageError("chain step needs a lifting matrix; "
+                               "the certificate stores none")
         return _build_chain_step(source, A, dmax, prime)
     if kind == "bilink":
         return _build_bilink_step(source, dmax, prime)

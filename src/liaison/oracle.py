@@ -2,11 +2,17 @@
 
 Expands lifted generators into honest polynomials and answers graded
 questions degree by degree from Macaulay matrices, the coefficient rows
-of every monomial multiple of the generators in one degree:
+of every monomial multiple of the generators in one degree.  A matrix is
+assembled in numpy, one block per generator: the multipliers' exponent
+vectors, shifted by each term, are mapped to their columns by their rank
+in descending lex order.  An ideal whose generators are single terms
+(nonzero mod p) builds no matrix: its degree-d basis is read off its
+monomials, exactly, as the degree-d monomials some generator divides.
 
 - a graded dimension is the pivot count of forward elimination;
 - containment reduces one ideal's rows against the other's reduced row
-  echelon basis, and a nonzero residual is a failure;
+  echelon basis, and a nonzero residual is a failure; against a monomial
+  ideal the residual is the terms no generator divides;
 - equality compares the two reduced bases, which are canonical;
 - colon stability ranks the residual of the multiples of f modulo I.
 
@@ -17,8 +23,8 @@ it does not over Q, so those checks can pass spuriously at one prime.
 Replay at a second prime is still to come (ROADMAP.md item 6,
 "Two primes and stated horizons").
 
-Inside ``scope()`` each (generators, degree, variables, prime) is
-eliminated once and its basis kept until the outermost scope exits;
+Inside ``scope()`` the basis of each (generators, degree, variables,
+prime) is computed once and kept until the outermost scope exits;
 outside any scope nothing is cached.  The certificate builders,
 ``verify_certificate`` and ``verify_lift`` each open a scope, so nothing
 carries from one call to the next, nor from a build to its replay.
@@ -80,10 +86,6 @@ def poly_mul(f: Poly, g: Poly, p: int | None) -> Poly:
     return poly_normalize(out, p)
 
 
-def poly_shift(f: Poly, mono_exps: tuple[int, ...]) -> Poly:
-    return {tuple(a + b for a, b in zip(e, mono_exps)): c for e, c in f.items()}
-
-
 def linear_form_poly(coeffs, p: int | None = None) -> Poly:
     """Degree-1 polynomial from a coefficient vector."""
     N = len(coeffs)
@@ -110,13 +112,39 @@ def expand(gen, matrix, p: int | None = DEFAULT_PRIME) -> Poly:
     return expand_product(forms, matrix.N, p)
 
 
-@lru_cache(maxsize=None)
-def _basis_index(N: int, d: int) -> dict:
-    return {m.exps: k for k, m in enumerate(monomials_of_degree(N, d))}
-
-
 def ring_dim(N: int, d: int) -> int:
     return comb(N - 1 + d, d) if d >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _exponents(N: int, d: int) -> np.ndarray:
+    """Exponent rows of the degree-d monomials, descending lex: row k is
+    the monomial of column k of a degree-d Macaulay matrix."""
+    monos = monomials_of_degree(N, d)
+    E = np.array([m.exps for m in monos], dtype=np.int64).reshape(len(monos), N)
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def _lex_rank_table(N: int, d: int) -> np.ndarray:
+    """T[i, m] = C(m + k - 1, k) with k = N - 1 - i, and 0 for m = 0 or
+    i = N - 1: the number of degree-d monomials that agree with a monomial
+    e before variable i and exceed it there, when m = d - e_0 - ... - e_i
+    is the degree e leaves after i."""
+    T = np.array([[comb(m + N - 2 - i, N - 1 - i) if m and i < N - 1 else 0
+                   for m in range(d + 1)] for i in range(N)],
+                 dtype=np.int64).reshape(N, d + 1)
+    T.flags.writeable = False
+    return T
+
+
+def _columns(E: np.ndarray, N: int, d: int) -> np.ndarray:
+    """Column of each degree-d exponent vector (the last axis of E): its
+    position in descending lex order, summed from ``_lex_rank_table``.
+    Exact in int64 wherever the matrix itself fits in memory."""
+    left = d - np.cumsum(E, axis=-1)
+    return _lex_rank_table(N, d)[np.arange(N), left].sum(axis=-1)
 
 
 def _row_echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,24 +181,48 @@ def rank_mod_p(M: np.ndarray, p: int) -> int:
 
 
 class _Basis:
-    """Echelon basis of one Macaulay matrix over F_p.
+    """Echelon basis of one degree-d piece of an ideal over F_p.
 
-    Forward elimination gives the pivot columns and pivot rows.  The first
-    call of ``reduced`` back-substitutes them into the reduced row echelon
-    form, whose pivot block is the identity, keeps only its block in the
-    free (non-pivot) columns and drops the pivot rows.  Entries are
-    uint32, which every prime ``check_prime`` accepts fits.
+    ``of_matrix`` eliminates a Macaulay matrix: forward elimination gives
+    the pivot columns and pivot rows, and the first call of ``reduced``
+    back-substitutes them into the reduced row echelon form, whose pivot
+    block is the identity, keeps only its block in the free (non-pivot)
+    columns and drops the pivot rows.  ``of_monomials`` reads the basis
+    of a monomial ideal off its terms: the pivots are the monomials they
+    divide and the free block is zero.  Entries are uint32, which every
+    prime ``check_prime`` accepts fits.
     """
 
-    def __init__(self, M: np.ndarray, p: int):
-        pivots, rows = _row_echelon(M, p)
-        free = np.ones(M.shape[1], dtype=bool)
+    def __init__(self, p: int, ncols: int, pivots: np.ndarray, rows: np.ndarray | None):
+        """``rows`` are the pivot rows of forward elimination, or None
+        when the pivot monomials span the piece."""
+        free = np.ones(ncols, dtype=bool)
         free[pivots] = False
         self.p = p
         self.pivots = pivots
         self.free = np.flatnonzero(free)
-        self._rows = rows.astype(np.uint32)
-        self._reduced = None
+        self.monomial = rows is None
+        if self.monomial:
+            self._rows = None
+            self._reduced = np.zeros((len(pivots), self.free.size), dtype=np.uint32)
+        else:
+            self._rows = rows.astype(np.uint32)
+            self._reduced = None
+
+    @classmethod
+    def of_matrix(cls, M: np.ndarray, p: int) -> "_Basis":
+        pivots, rows = _row_echelon(M, p)
+        return cls(p, M.shape[1], pivots, rows)
+
+    @classmethod
+    def of_monomials(cls, terms, d: int, N: int, p: int) -> "_Basis":
+        """Basis of the degree-d piece of the ideal generated by the
+        monomials with exponent vectors ``terms``."""
+        E = _exponents(N, d)
+        divided = np.zeros(len(E), dtype=bool)
+        for t in terms:
+            divided |= (E >= t).all(axis=1)
+        return cls(p, len(E), np.flatnonzero(divided), None)
 
     def reduced(self) -> np.ndarray:
         """The reduced basis restricted to the free columns."""
@@ -192,11 +244,15 @@ class _Basis:
         """Rows of A modulo this row space, in the free columns:
         A_free - A_pivots @ X mod p.  The product is summed in chunks of
         at most (2^63 - 1) // (p - 1)^2 terms, so int64 never overflows
-        and the residual is exact for every prime up to MAX_PRIME."""
+        and the residual is exact for every prime up to MAX_PRIME.  For a
+        monomial basis X is zero, and the residual is A_free: the terms
+        no generator divides."""
         p = self.p
         A = np.asarray(A, dtype=np.int64) % p
-        X = self.reduced()
         out = A[:, self.free]
+        if self.monomial:
+            return out
+        X = self.reduced()
         A_piv = A[:, self.pivots]
         step = _INT64_MAX // (p - 1) ** 2
         for k in range(0, len(self.pivots), step):
@@ -224,37 +280,48 @@ def scope():
         _SCOPE.reset(token)
 
 
+def _new_basis(gens, d: int, N: int, p: int) -> _Basis:
+    """Read off the basis when every generator is one term with a
+    coefficient nonzero mod p; else eliminate the Macaulay matrix."""
+    if all(len(g) == 1 and next(iter(g.values())) % p for g in gens):
+        return _Basis.of_monomials([next(iter(g)) for g in gens], d, N, p)
+    return _Basis.of_matrix(_degree_rows(gens, d, N, p), p)
+
+
 def _basis(gens, d: int, N: int, p: int) -> _Basis:
     """Echelon basis of the degree-d piece of (gens), from the open scope
     when it holds one."""
     cache = _SCOPE.get()
     if cache is None:
-        return _Basis(_degree_rows(gens, d, N, p), p)
+        return _new_basis(gens, d, N, p)
     key = (tuple(tuple(sorted(g.items())) for g in gens), d, N, p)
     basis = cache.get(key)
     if basis is None:
-        basis = cache[key] = _Basis(_degree_rows(gens, d, N, p), p)
+        basis = cache[key] = _new_basis(gens, d, N, p)
     return basis
 
 
 def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
     """Coefficient rows of all monomial multiples of the generators in
     degree d.  Row order: generators in given order, multiplier monomials
-    in descending degree-lex."""
-    index = _basis_index(N, d)
-    rows = []
+    in descending degree-lex.  A generator's block is filled in one step:
+    its multipliers' exponents shifted by each of its terms give the
+    entries' columns, and its coefficients, reduced mod p, their values."""
+    blocks = []
     for g in gens:
         dg = poly_degree(g)
-        if dg < 0 or dg > d:
-            continue
-        for mu in monomials_of_degree(N, d - dg):
-            row = np.zeros(len(index), dtype=np.int64)
-            for e, c in poly_shift(g, mu.exps).items():
-                row[index[e]] = c % p
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, len(index)), dtype=np.int64)
-    return np.vstack(rows)
+        if 0 <= dg <= d:
+            terms = np.array(list(g), dtype=np.int64).reshape(len(g), N)
+            shifted = _exponents(N, d - dg)[:, None, :] + terms
+            coeffs = np.array([c % p for c in g.values()], dtype=np.int64)
+            blocks.append((_columns(shifted, N, d), coeffs))
+    M = np.zeros((sum(len(cols) for cols, _ in blocks), ring_dim(N, d)), dtype=np.int64)
+    start = 0
+    for cols, coeffs in blocks:
+        rows = np.arange(start, start + len(cols))
+        M[rows[:, None], cols] = coeffs
+        start += len(cols)
+    return M
 
 
 def graded_dim(gens, d: int, N: int, p: int = DEFAULT_PRIME) -> int:

@@ -332,6 +332,15 @@ def _mode_relabelled(certs):
     return dataclasses.replace(certs[1], mode="artinian"), (0, "step-kind")
 
 
+def _descent_relabelled(certs):
+    # The Borel certificate of (x1, x2, x3^2) starts with a hyperplane
+    # descent, and stores no matrix for the chain step the Artinian
+    # builder makes there.
+    cert = glicci_certificate_borel(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 2)),
+                                    prime=P)
+    return dataclasses.replace(cert, mode="artinian"), (0, "step-kind")
+
+
 def _non_cm_root(certs):
     # (x1^2, x1*x2) is Borel-fixed of height 1 but not Cohen-Macaulay, so
     # the Borel builder refuses it; this certificate claims it is a leaf.
@@ -344,7 +353,7 @@ def _non_cm_root(certs):
 class TestCriterion9NegativeControls:
     @pytest.mark.parametrize("forge", [
         _link_swapped, _extra_check, _zero_horizon, _foreign_matrix, _prime_four,
-        _mode_unknown, _mode_relabelled, _non_cm_root,
+        _mode_unknown, _mode_relabelled, _descent_relabelled, _non_cm_root,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_forged_certificate_rejected_at_step(self, generated_certificates,
                                                  forge):
@@ -353,6 +362,8 @@ class TestCriterion9NegativeControls:
         rep = verify_certificate(stored)
         assert not rep.ok
         assert rep.first_failure()[:2] == failing, rep.first_failure()
+        # The replay fails on the forgery, never on its own code.
+        assert not any(e[1] == "replay-error" for e in rep.entries), rep.entries
         print(f"PASS criterion 9d: {forge.__name__} rejected at {failing}")
 
     def test_tampered_certificate_fails_at_step(self, generated_certificates):

@@ -258,7 +258,7 @@ def test_failing_degrees_match_reference(p, scoped):
         assert ideals_equal_up_to(bigger, I, 2, 3, p)
 
 
-# --- scopes -----------------------------------------------------------------
+# --- Macaulay matrix assembly and the monomial basis ----------------------
 
 SQUARE = ideal(3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
@@ -277,15 +277,108 @@ def degree_row_calls(monkeypatch):
     return calls
 
 
+def dict_degree_rows(gens, d, N, p):
+    """Reference assembly, one row at a time: each term of each multiple
+    is looked up in a dict from exponent vector to column."""
+    index = {m.exps: k for k, m in enumerate(monomials_of_degree(N, d))}
+    rows = []
+    for g in gens:
+        dg = poly_degree(g)
+        if dg < 0 or dg > d:
+            continue
+        for mu in monomials_of_degree(N, d - dg):
+            row = np.zeros(len(index), dtype=np.int64)
+            for e, c in g.items():
+                row[index[tuple(a + b for a, b in zip(e, mu.exps))]] = c % p
+            rows.append(row)
+    if not rows:
+        return np.zeros((0, len(index)), dtype=np.int64)
+    return np.vstack(rows)
+
+
+def assert_same_rows(gens, d, N, p):
+    got, want = _degree_rows(gens, d, N, p), dict_degree_rows(gens, d, N, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want), (gens, d, N, p)
+
+
+def awkward_coefficient(rng, p):
+    return rng.choice([rng.randrange(1, p), -rng.randrange(1, 2**70), 2**63 + rng.randrange(p),
+                       2**64 * p, -p, 0])
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
+def test_assembly_matches_dict_reference(p):
+    rng = random.Random(p + 1)
+    for _ in range(40):
+        N = rng.randint(3, 5)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            monos = monomials_of_degree(N, rng.randint(0, 3))
+            terms = rng.sample(monos, rng.randint(1, len(monos)))
+            gens.append({m.exps: awkward_coefficient(rng, p) for m in terms})
+        for d in range(5):
+            assert_same_rows(gens, d, N, p)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
+def test_assembly_in_seventy_variables(p):
+    # Read as digits in base d + 1, a degree-1 exponent vector needs 70
+    # bits, past int64; the column is its rank in lex order instead.
+    rng = random.Random(70)
+    forms = [{m.exps: awkward_coefficient(rng, p) for m in rng.sample(
+        monomials_of_degree(70, 1), 5)} for _ in range(3)]
+    assert_same_rows(forms + [{(0,) * 70: 3}], 1, 70, p)
+    assert_same_rows(forms, 2, 70, p)
+
+
+def monomial_basis_cases():
+    yield [], 3, 3                                         # zero ideal
+    yield [{(0, 0, 0): 5}], 2, 3                           # unit ideal
+    yield monomial_polys(SQUARE), 3, 3
+    yield [{(3, 0, 0): 2}, {(1, 2, 0): -1}, {(0, 1, 2): 7}], 4, 3
+    yield [{(2, 0, 1, 0): 1}, {(0, 0, 0, 3): 1}, {(0, 2, 2, 0): 4}], 5, 4
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
+def test_monomial_basis_equals_elimination(p):
+    rng = random.Random(5)
+    for gens, dmax, N in monomial_basis_cases():
+        for d in range(dmax + 1):
+            fast = oracle._new_basis(gens, d, N, p)
+            slow = oracle._Basis.of_matrix(_degree_rows(gens, d, N, p), p)
+            assert fast.monomial and not slow.monomial
+            assert np.array_equal(fast.pivots, slow.pivots)
+            assert np.array_equal(fast.reduced(), slow.reduced())
+            A = np.array([[rng.randrange(-p, p) for _ in range(ring_dim(N, d))]
+                          for _ in range(3)], dtype=np.int64).reshape(3, ring_dim(N, d))
+            assert np.array_equal(fast.residual(A), slow.residual(A))
+
+
+def test_term_with_coefficient_p_is_eliminated(degree_row_calls):
+    # p * x1^2 is zero mod p: the ideal is (x2^2) there, not (x1^2, x2^2).
+    gens = [{(2, 0): P}, {(0, 2): 1}]
+    basis = oracle._new_basis(gens, 2, 2, P)
+    assert not basis.monomial and len(basis.pivots) == 1
+    assert len(degree_row_calls) == 1
+
+
+# --- scopes -----------------------------------------------------------------
+
+# (x1^2 - x2 x3, x2^2 + 2 x1 x3): not monomial, so each basis is eliminated
+# from a Macaulay matrix.
+BINOMIALS = [{(2, 0, 0): 1, (0, 1, 1): -1}, {(0, 2, 0): 1, (1, 0, 1): 2}]
+
+
 class TestScope:
     def test_nothing_cached_outside_a_scope(self, degree_row_calls):
-        gens = monomial_polys(SQUARE)
+        gens = BINOMIALS
         graded_dim(gens, 3, 3, P)
         graded_dim(gens, 3, 3, P)
         assert len(degree_row_calls) == 2
 
     def test_nested_scopes_share_one_cache(self, degree_row_calls):
-        gens = monomial_polys(SQUARE)
+        gens = BINOMIALS
         with scope():
             with scope():
                 graded_dim(gens, 3, 3, P)
@@ -295,6 +388,13 @@ class TestScope:
                 hilbert_oracle(gens, 3, 3, P)
         assert len(degree_row_calls) == 4  # degrees 0..3, each built once
         assert oracle._SCOPE.get() is None
+
+    def test_monomial_ideal_builds_no_matrix(self, degree_row_calls):
+        gens = monomial_polys(SQUARE)
+        assert graded_dim(gens, 3, 3, P) == ring_dim(3, 3)
+        with scope():
+            assert hilbert_oracle(gens, 4, 3, P).values == hilbert_function(SQUARE, 4).values
+        assert degree_row_calls == []
 
     def test_replay_recomputes_what_the_build_computed(self, degree_row_calls):
         cert = glicci_certificate_borel(SQUARE)
