@@ -314,6 +314,8 @@ def cmd_worked_example(args) -> int:
     table compared against embedded golden values."""
     prime = args.prime
     seed = args.seed
+    if args.dmax is not None and args.dmax < 0:
+        raise InputError(f"horizon dmax {args.dmax} is negative")
     diffs: list[str] = []
     lines: list[str] = []
 

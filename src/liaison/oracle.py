@@ -9,7 +9,12 @@ in descending lex order.  An ideal whose generators are single terms
 (nonzero mod p) builds no matrix: its degree-d basis is read off its
 monomials, exactly, as the degree-d monomials some generator divides.
 
-- a graded dimension is the pivot count of forward elimination;
+- a graded dimension is the pivot count of the reduced row echelon form,
+  computed from leading terms: the first row leading in each column is a
+  pivot row, these rows form a triangular system solved by level sets,
+  and only the Schur complement of the other rows (the part left after
+  reducing them by the pivot rows) is eliminated column by column; the
+  products run in float64 (BLAS) wherever every sum stays below 2^53;
 - containment reduces one ideal's rows against the other's reduced row
   echelon basis, and a nonzero residual is a failure; against a monomial
   ideal the residual is the terms no generator divides;
@@ -43,10 +48,17 @@ from .monomials import monomials_of_degree
 
 DEFAULT_PRIME = 32003
 # Largest modulus whose square fits int64: elimination multiplies two
-# residues before reducing.  Cached bases are stored as uint32, which
-# every prime up to it fits.
+# residues before reducing.  A product of matrices of residues sums k
+# terms below (p - 1)^2 each: in float64 when k (p - 1)^2 < 2^53, where
+# every partial sum is an exact integer, else in int64 chunks of at most
+# (2^63 - 1) // (p - 1)^2 terms.  Cached bases are stored as uint32,
+# which every prime up to it fits.
 MAX_PRIME = 3_037_000_499
 _INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53
+# Rows of the Schur complement computed per product, bounding its
+# temporaries.
+_ROW_BLOCK = 256
 
 # A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 # Coefficients are ints; reduced mod p by the routines that consume them.
@@ -180,39 +192,119 @@ def rank_mod_p(M: np.ndarray, p: int) -> int:
     return len(_row_echelon(M, p)[0])
 
 
-class _Basis:
-    """Echelon basis of one degree-d piece of an ideal over F_p.
+def _sub_mul(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(C - A @ B) mod p as int64, exact for entries in [0, p).  In float64
+    (BLAS) when each sum of k = A.shape[1] products stays below 2^53, as
+    k (p - 1)^2 < 2^53 ensures: every partial sum is then an exact integer
+    in any summation order.  Otherwise in int64, in chunks of at most
+    (2^63 - 1) // (p - 1)^2 terms, so that no sum overflows."""
+    k = A.shape[1]
+    if k * (p - 1) ** 2 < _FLOAT_EXACT:
+        out = C.astype(np.float64) - A.astype(np.float64) @ B.astype(np.float64)
+        return np.mod(out, p).astype(np.int64)
+    out = C.astype(np.int64)
+    used = A.any(axis=0)  # chunks hold one term at the largest primes
+    A, B = A[:, used].astype(np.int64), B[used].astype(np.int64)
+    step = _INT64_MAX // (p - 1) ** 2
+    for s in range(0, A.shape[1], step):
+        out = (out - A[:, s : s + step] @ B[s : s + step]) % p
+    return out
 
-    ``of_matrix`` eliminates a Macaulay matrix: forward elimination gives
-    the pivot columns and pivot rows, and the first call of ``reduced``
-    back-substitutes them into the reduced row echelon form, whose pivot
-    block is the identity, keeps only its block in the free (non-pivot)
-    columns and drops the pivot rows.  ``of_monomials`` reads the basis
-    of a monomial ideal off its terms: the pivots are the monomials they
-    divide and the free block is zero.  Entries are uint32, which every
-    prime ``check_prime`` accepts fits.
+
+def _echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of M over F_p from its leading terms.
+    Returns the pivot columns, ascending, and the reduced rows restricted
+    to the free (non-pivot) columns, one row per pivot.
+
+    The first row leading in each distinct column is a pivot row; scaled
+    to a leading 1, these rows restricted to their leading columns L form
+    a unit upper triangular matrix U, solved by level sets (each level is
+    the rows whose entries off the diagonal point only at rows already
+    solved, in one product).  Every other row is reduced to its Schur
+    complement in the free columns F, R_F - R_L @ X, in row blocks; only
+    the nonzero complement rows are eliminated by ``_row_echelon``, and
+    their pivots are then cleared from X."""
+    M = np.asarray(M, dtype=np.int64) % p
+    ncols = M.shape[1]
+    nonzero = M != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, ncols), dtype=np.int64)
+    L, at = np.unique(nonzero[rows].argmax(axis=1), return_index=True)
+    k, first = L.size, rows[at]
+    F = np.setdiff1d(np.arange(ncols), L, assume_unique=True)
+    rest = np.setdiff1d(rows, first, assume_unique=True)
+    # Pivot rows and the others, the leading columns first in both.
+    columns = np.concatenate([L, F])
+    P, R = M[np.ix_(first, columns)], M[np.ix_(rest, columns)]
+    del M, nonzero
+
+    # Pivot rows scaled to a leading 1, one inverse per distinct leader.
+    leaders, which = np.unique(P.diagonal(), return_inverse=True)
+    inverses = np.array([pow(int(a), p - 2, p) for a in leaders], dtype=np.int64)
+    P = P * inverses[which][:, None] % p
+
+    U, X = P[:, :k], P[:, k:].copy()
+    needs = U != 0
+    np.fill_diagonal(needs, False)
+    unsolved_needs = needs.sum(axis=1)
+    solved = np.zeros(k, dtype=bool)
+    ready = np.flatnonzero(unsolved_needs == 0)
+    while ready.size:
+        done = np.flatnonzero(solved)
+        X[ready] = _sub_mul(X[ready], U[ready][:, done], X[done], p)
+        solved[ready] = True
+        unsolved_needs -= needs[:, ready].sum(axis=1)
+        ready = np.flatnonzero((unsolved_needs == 0) & ~solved)
+
+    S = np.empty((len(R), F.size), dtype=np.int64)
+    for r in range(0, len(R), _ROW_BLOCK):
+        block = R[r : r + _ROW_BLOCK]
+        S[r : r + _ROW_BLOCK] = _sub_mul(block[:, k:], block[:, :k], X, p)
+    S = S[S.any(axis=1)]
+
+    new, Y = _row_echelon(S, p)
+    # Back-substitute, last pivot first: row i is already clear in the
+    # later pivot columns when it is used.
+    for i in range(len(new) - 1, 0, -1):
+        above = Y[:i, new[i]:]
+        mask = above[:, 0] != 0
+        if mask.any():
+            above[mask] = (above[mask] - np.outer(above[mask, 0], Y[i, new[i]:])) % p
+    if new.size:
+        X = _sub_mul(X, X[:, new], Y, p)
+    keep = np.ones(F.size, dtype=bool)
+    keep[new] = False
+    pivots = np.concatenate([L, F[new]])
+    order = np.argsort(pivots)
+    return pivots[order], np.vstack([X, Y])[order][:, keep]
+
+
+class _Basis:
+    """Reduced row echelon basis of one degree-d piece of an ideal over F_p.
+
+    The pivot block of a reduced basis is the identity, so only its block
+    in the free (non-pivot) columns is kept, one row per pivot.
+    ``of_matrix`` eliminates a Macaulay matrix with ``_echelon``;
+    ``of_monomials`` reads the basis of a monomial ideal off its terms:
+    the pivots are the monomials they divide and the free block is zero.
+    Entries are uint32, which every prime ``check_prime`` accepts fits.
     """
 
-    def __init__(self, p: int, ncols: int, pivots: np.ndarray, rows: np.ndarray | None):
-        """``rows`` are the pivot rows of forward elimination, or None
-        when the pivot monomials span the piece."""
+    def __init__(self, p: int, ncols: int, pivots: np.ndarray, reduced: np.ndarray,
+                 monomial: bool = False):
         free = np.ones(ncols, dtype=bool)
         free[pivots] = False
         self.p = p
         self.pivots = pivots
         self.free = np.flatnonzero(free)
-        self.monomial = rows is None
-        if self.monomial:
-            self._rows = None
-            self._reduced = np.zeros((len(pivots), self.free.size), dtype=np.uint32)
-        else:
-            self._rows = rows.astype(np.uint32)
-            self._reduced = None
+        self.monomial = monomial
+        self._reduced = reduced.astype(np.uint32)
 
     @classmethod
     def of_matrix(cls, M: np.ndarray, p: int) -> "_Basis":
-        pivots, rows = _row_echelon(M, p)
-        return cls(p, M.shape[1], pivots, rows)
+        pivots, reduced = _echelon(M, p)
+        return cls(p, M.shape[1], pivots, reduced)
 
     @classmethod
     def of_monomials(cls, terms, d: int, N: int, p: int) -> "_Basis":
@@ -222,42 +314,23 @@ class _Basis:
         divided = np.zeros(len(E), dtype=bool)
         for t in terms:
             divided |= (E >= t).all(axis=1)
-        return cls(p, len(E), np.flatnonzero(divided), None)
+        pivots = np.flatnonzero(divided)
+        reduced = np.zeros((pivots.size, len(E) - pivots.size), dtype=np.uint32)
+        return cls(p, len(E), pivots, reduced, monomial=True)
 
     def reduced(self) -> np.ndarray:
         """The reduced basis restricted to the free columns."""
-        if self._reduced is None:
-            R, p = self._rows.astype(np.int64), self.p
-            # Clear above each pivot, last first: row i is already clear
-            # in the later pivot columns when it is used.
-            for i in range(len(self.pivots) - 1, 0, -1):
-                above = R[:i, self.pivots[i]:]
-                mask = above[:, 0] != 0
-                if mask.any():
-                    above[mask] = (above[mask]
-                                   - np.outer(above[mask, 0], R[i, self.pivots[i]:])) % p
-            self._reduced = R[:, self.free].astype(np.uint32)
-            self._rows = None
         return self._reduced
 
     def residual(self, A: np.ndarray) -> np.ndarray:
         """Rows of A modulo this row space, in the free columns:
-        A_free - A_pivots @ X mod p.  The product is summed in chunks of
-        at most (2^63 - 1) // (p - 1)^2 terms, so int64 never overflows
-        and the residual is exact for every prime up to MAX_PRIME.  For a
+        A_free - A_pivots @ X mod p, exact through ``_sub_mul``.  For a
         monomial basis X is zero, and the residual is A_free: the terms
         no generator divides."""
-        p = self.p
-        A = np.asarray(A, dtype=np.int64) % p
-        out = A[:, self.free]
+        A = np.asarray(A, dtype=np.int64) % self.p
         if self.monomial:
-            return out
-        X = self.reduced()
-        A_piv = A[:, self.pivots]
-        step = _INT64_MAX // (p - 1) ** 2
-        for k in range(0, len(self.pivots), step):
-            out = (out - A_piv[:, k : k + step] @ X[k : k + step]) % p
-        return out
+            return A[:, self.free]
+        return _sub_mul(A[:, self.free], A[:, self.pivots], self._reduced, self.p)
 
 
 # The open scope's bases by (generators, degree, variables, prime), or

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, exact tolerances, explicit
 time budgets.  Each test prints a single PASS line on success."""
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -216,6 +217,10 @@ def test_criterion_6_link_identities(generated_certificates):
     print(f"PASS criterion 6: Hilbert/degree identities on {total} links")
 
 
+# sha256 of the canonical JSON of the sweep's certificates and reports at P.
+SWEEP_SHA256 = "18bb4feb1403c89abcdafa6de8a26665117546fbb086ffed3ca28a8f9b822e99"
+
+
 def test_criterion_7_borel_bilink_loop():
     t0 = time.time()
     square = MonomialIdeal.from_gens(3, monomials_of_degree(3, 2))
@@ -231,6 +236,7 @@ def test_criterion_7_borel_bilink_loop():
     assert verify_certificate(cert).ok
 
     built = 0
+    digest = hashlib.sha256()
     for n in range(1, 5):
         for J in enumerate_borel_ideals(n, 3):
             if J.is_zero or J.is_unit:
@@ -241,12 +247,17 @@ def test_criterion_7_borel_bilink_loop():
             c = glicci_certificate_borel(J, prime=P)
             rep = verify_certificate(c)
             assert rep.ok, (J, rep.first_failure())
+            for doc in (c.to_json(), rep.to_json()):
+                digest.update(json.dumps(doc, sort_keys=True).encode())
             for step in c.steps:
                 if isinstance(step, BilinkStep):
                     assert (step.source.initial_degree()
                             - step.continuation.initial_degree()) == 1
             built += 1
     assert built >= 90
+    # Every certificate and replay report, byte for byte: a kernel that
+    # spans the same row spaces leaves this unchanged.
+    assert digest.hexdigest() == SWEEP_SHA256
     budget(f"criterion 7: bilink loop over {built} CM Borel ideals",
            time.time() - t0, 120)
 

@@ -422,6 +422,13 @@ class TestWorkedExampleCommand:
         assert code == 3
         assert "horizon too small" in err
 
+    @pytest.mark.parametrize("dmax", ["-1", "-3"])
+    def test_negative_dmax_is_input_error(self, capsys, dmax):
+        code, out, err = run(capsys, "worked-example", "--dmax", dmax)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: horizon dmax {dmax} is negative\n"
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "worked-example", "--json")
         code2, out2, _ = run(capsys, "worked-example", "--json")

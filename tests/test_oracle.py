@@ -363,6 +363,117 @@ def test_term_with_coefficient_p_is_eliminated(degree_row_calls):
     assert len(degree_row_calls) == 1
 
 
+# --- the leading-term kernel -----------------------------------------------
+
+# Products over k terms run in float64 for k <= 16 and in int64 for k >= 17
+# at this prime, the largest below sqrt(2^53 / 16): one elimination takes
+# both branches.
+MIXED_P = 23_726_561
+KERNEL_PRIMES = [2, 3, DEFAULT_PRIME, MIXED_P, BIG_P]
+
+
+def reference_rref(M, p):
+    """Forward elimination, then back-substitution in the free columns: the
+    kernel that the leading-term elimination replaced, kept as reference."""
+    M = np.array(M, dtype=np.int64) % p
+    rows, cols = M.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), p - 2, p)) % p
+        below = M[r + 1 :, c:]
+        mask = below[:, 0] != 0
+        if mask.any():
+            below[mask] = (below[mask] - np.outer(below[mask, 0], M[r, c:])) % p
+        pivots.append(c)
+    R = M[: len(pivots)]
+    for i in range(len(pivots) - 1, 0, -1):
+        above = R[:i, pivots[i]:]
+        mask = above[:, 0] != 0
+        if mask.any():
+            above[mask] = (above[mask] - np.outer(above[mask, 0], R[i, pivots[i]:])) % p
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.array(pivots, dtype=np.intp), R[:, free]
+
+
+def assert_kernel_matches(M, p):
+    want_pivots, want = reference_rref(M, p)
+    basis = oracle._Basis.of_matrix(M, p)
+    assert np.array_equal(basis.pivots, want_pivots), (M, p)
+    got = basis.reduced()
+    assert got.shape == want.shape and np.array_equal(got, want), (M, p)
+    return basis
+
+
+def leading_columns(M, p):
+    M = np.asarray(M) % p
+    return {int(np.flatnonzero(row)[0]) for row in M if row.any()}
+
+
+def kernel_cases(p):
+    """(label, matrix) pairs."""
+    rng = np.random.default_rng(p % 1000)
+    for N, d in ((3, 4), (4, 4), (3, 6)):
+        gens = [random_form(random.Random(p + N + d + i), N, g, p)
+                for i, g in enumerate((1, 2, 2, 3))]
+        yield "degree rows", _degree_rows(gens, d, N, p)
+    for shape in ((6, 9), (30, 20), (45, 45)):
+        yield "dense", rng.integers(0, p, size=shape)
+    yield "no rows", np.zeros((0, 7), dtype=np.int64)
+    yield "no columns", np.zeros((5, 0), dtype=np.int64)
+    sparse = rng.integers(0, p, size=(12, 10)) * (rng.random((12, 10)) < 0.3)
+    yield "zero rows", np.vstack([np.zeros((2, 10), dtype=np.int64), sparse,
+                                  np.zeros((3, 10), dtype=np.int64)])
+    yield "repeated rows", np.vstack([sparse, sparse[::-1], 2 * sparse[:4]])
+    same = rng.integers(0, p, size=(15, 12))
+    same[:, 0] = rng.integers(1, p, size=15)
+    yield "one leading column", same
+    # Rows 0 and 1 both lead in column 0; the complement of row 1 is
+    # (0, p - 1, 1, 0), a new pivot in column 1 at every p, which must
+    # then be cleared from pivot row 0.
+    yield "complement of positive rank", np.array(
+        [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1], [2, 2, 0, 0]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_matches_reference(p):
+    for label, M in kernel_cases(p):
+        basis = assert_kernel_matches(M, p)
+        if label == "complement of positive rank":
+            assert len(basis.pivots) > len(leading_columns(M, p))
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, MIXED_P])
+def test_row_blocks_match_reference(p, monkeypatch):
+    monkeypatch.setattr(oracle, "_ROW_BLOCK", 3)
+    for _, M in kernel_cases(p):
+        assert_kernel_matches(M, p)
+
+
+def test_one_elimination_takes_both_product_branches(monkeypatch):
+    terms = []
+    real = oracle._sub_mul
+
+    def recording(C, A, B, p):
+        terms.append(A.shape[1])
+        return real(C, A, B, p)
+
+    monkeypatch.setattr(oracle, "_sub_mul", recording)
+    gens = [random_form(random.Random(i), 4, 2, MIXED_P) for i in range(3)]
+    assert_kernel_matches(_degree_rows(gens, 5, 4, MIXED_P), MIXED_P)
+    assert any(0 < k <= 16 for k in terms) and any(k >= 17 for k in terms), terms
+    assert 16 * (MIXED_P - 1) ** 2 < 2**53 <= 17 * (MIXED_P - 1) ** 2
+
+
 # --- scopes -----------------------------------------------------------------
 
 # (x1^2 - x2 x3, x2^2 + 2 x1 x3): not monomial, so each basis is eliminated
