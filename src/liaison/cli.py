@@ -48,7 +48,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_prime, hilbert_oracle
+from .oracle import DEFAULT_PRIME, check_dmax, check_prime, hilbert_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -218,8 +218,8 @@ def _matrix_for(args, J: MonomialIdeal):
 
 def cmd_lift(args) -> int:
     J = _load_ideal(args.ideal)
-    A = _matrix_for(args, J)
     try:
+        A = _matrix_for(args, J)
         report = validate_matrix(A, J, prime=args.prime)
         if not report.ok:
             print("matrix validation failed:")
@@ -259,13 +259,13 @@ def cmd_glicci(args) -> int:
     J = _load_ideal(args.ideal)
     prime = args.prime
     try:
-        check_horizon(J, args.dmax)
-    except LinkageError as exc:
+        A = _t_lift_matrix(J, args.seed) if args.mode == "artinian" else None
+        check_horizon(J, args.dmax, A)
+    except (LiftError, LinkageError) as exc:
         raise InputError(str(exc))
     try:
-        if args.mode == "artinian":
-            cert = glicci_certificate_artinian(J, _t_lift_matrix(J, args.seed),
-                                               dmax=args.dmax, prime=prime)
+        if A is not None:
+            cert = glicci_certificate_artinian(J, A, dmax=args.dmax, prime=prime)
         else:
             cert = glicci_certificate_borel(J, dmax=args.dmax, prime=prime)
     except (LinkageError, NotBorelFixedError, MatrixError) as exc:
@@ -283,11 +283,8 @@ def cmd_glicci(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = _load_json(args.cert)
-    if data.get("schema") != "glicci-cert/1":
-        raise InputError("expected schema glicci-cert/1")
     try:
-        cert = GlicciCertificate.from_json(data)
+        cert = GlicciCertificate.from_json(_load_json(args.cert))
     except (KeyError, TypeError, ValueError, MatrixError) as exc:
         raise InputError(f"malformed certificate: {exc}")
     report = verify_certificate(cert, dmax=args.dmax)
@@ -314,8 +311,9 @@ def cmd_worked_example(args) -> int:
     table compared against embedded golden values."""
     prime = args.prime
     seed = args.seed
-    if args.dmax is not None and args.dmax < 0:
-        raise InputError(f"horizon dmax {args.dmax} is negative")
+    dmax = args.dmax if args.dmax is not None else 8
+    if dmax < 0:
+        raise InputError(f"horizon dmax {dmax} is negative")
     diffs: list[str] = []
     lines: list[str] = []
 
@@ -340,6 +338,10 @@ def cmd_worked_example(args) -> int:
 
     A = _t_lift_matrix(J, seed)
     try:
+        check_dmax(dmax, 0, A.N)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    try:
         L = lift_ideal(J, A, prime=prime)
         pts = point_model(J, A, prime=prime)
     except MatrixError as exc:
@@ -348,7 +350,6 @@ def cmd_worked_example(args) -> int:
     if len(pts.points) != GOLDEN_POINTS:
         diffs.append(f"points: got {len(pts.points)}, want {GOLDEN_POINTS}")
 
-    dmax = args.dmax if args.dmax is not None else 8
     try:
         hf = hilbert_oracle(L.polynomials(prime), dmax, A.N, prime)
         diff1 = difference(hf, 1)

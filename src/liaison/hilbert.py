@@ -79,12 +79,6 @@ class HVector:
         kind = "artinian" if self.horizon is None else {"truncated": self.horizon}
         return {"h": list(self.values), "kind": kind}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HVector":
-        if data["kind"] == "artinian":
-            return cls.artinian(data["h"])
-        return cls.truncated(data["h"], data["kind"]["truncated"])
-
     def __str__(self) -> str:
         body = ",".join(str(v) for v in self.values)
         return f"({body})" if self.horizon is None else f"({body} | d<={self.horizon})"

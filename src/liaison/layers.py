@@ -48,14 +48,6 @@ class LayerDecomposition:
             "layers": [I.to_json() for I in self.layers],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LayerDecomposition":
-        return cls(
-            MonomialIdeal.from_json(data["source"]),
-            data["alpha"],
-            tuple(MonomialIdeal.from_json(x) for x in data["layers"]),
-        )
-
 
 def decompose(J: MonomialIdeal) -> LayerDecomposition:
     """Layer decomposition along x_1: I_j = (J : x_1^j) restricted to the

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .hilbert import difference, hilbert_function
 from .monomials import Monomial, MonomialIdeal, is_artinian, standard_monomials
-from .oracle import (DEFAULT_PRIME, check_prime, expand, graded_dim,
-                     hilbert_oracle, rank_mod_p, scope)
+from .oracle import (DEFAULT_PRIME, check_dmax, check_prime, expand,
+                     graded_dim, hilbert_oracle, rank_mod_p, scope)
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class MatrixError(ValueError):
 class LiftError(ValueError):
     """A lift that is refused: a zero or unit source, a lifted-ideal record
     that is malformed or not what ``lift_record`` makes from its own source
-    and matrix, or a horizon below the floor."""
+    and matrix, or a horizon ``check_dmax`` refuses."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class LiftingMatrix:
         return matrix
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
+        blob = canonical_json(self.to_json()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -119,7 +119,8 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
 
     style "t-lift": ambient n plus t new variables u; row j has entries
     x_j + sum_k c_{j,i,k} u_k with coefficient vectors drawn
-    deterministically from the seed, distinct within each row.
+    deterministically from the seed in [1, 2999]^t, distinct within each
+    row; more than 2999^t columns is a LiftError.
     """
     if style == "bf":
         rows = []
@@ -136,6 +137,9 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
             rows.append(tuple(row))
         return LiftingMatrix(tuple(rows), n, 0, "bf")
     if style == "t-lift":
+        if ncols > 2999 ** t:
+            raise LiftError(f"{ncols} columns of distinct coefficient vectors "
+                            f"in [1, 2999]^{t}: at most {2999 ** t} exist")
         rng = random.Random(seed)
         N = n + t
         rows = []
@@ -410,7 +414,8 @@ def lift_record(J: MonomialIdeal, A: LiftingMatrix,
     return record
 
 
-def _canonical(value) -> str:
+def canonical_json(value) -> str:
+    """JSON text with sorted keys: equal exactly for equal documents."""
     return json.dumps(value, sort_keys=True)
 
 
@@ -433,15 +438,14 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME,
     except (KeyError, TypeError, ValueError) as exc:
         raise LiftError(f"malformed lifted ideal: {exc}")
     differ = sorted(k for k in data.keys() | replay.keys()
-                    if _canonical(data.get(k)) != _canonical(replay.get(k)))
+                    if canonical_json(data.get(k)) != canonical_json(replay.get(k)))
     if differ:
         raise LiftError("lifted ideal differs from the lift of its own source "
                         f"and matrix in: {', '.join(differ)}")
-    floor = J.max_gen_degree + A.N
-    dmax = floor if dmax is None else dmax
-    if not isinstance(dmax, int) or dmax < floor:
-        raise LiftError(f"horizon dmax {dmax} is below the floor {floor} "
-                        "(max generator degree + number of lifted variables)")
+    try:
+        dmax = check_dmax(dmax, J.max_gen_degree + A.N, A.N)
+    except ValueError as exc:
+        raise LiftError(str(exc))
 
     report = validate_matrix(A, J, prime=prime)
     checks = [("matrix-validation", report.ok, f"prime {report.prime}")]

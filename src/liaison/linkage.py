@@ -8,17 +8,16 @@ the degree horizon.
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime,
-horizon and, for the Artinian builder, the matrix of step 0) and compares
-each step it builds with the stored one, so nothing stored is trusted.
-The mode must be known, the root acceptable to the mode's builder, each
-stored step's source and kind and the leaf what that builder makes there;
-the prime must pass ``check_prime`` and the horizon ``check_horizon``.
+horizon and, for the Artinian builder, the matrix of step 0) and requires
+each stored step to be the canonical JSON text of the step it builds, so
+nothing stored is trusted.  The mode must be known, the root acceptable to
+the mode's builder, each stored step's source and kind and the leaf what
+that builder makes there; the prime must pass ``check_prime`` and the
+horizon ``check_horizon``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
-from typing import get_args, get_origin, get_type_hints
 
 from .hilbert import HVector, difference
 from .layers import decompose
@@ -26,6 +25,7 @@ from .lifting import (
     LiftedIdeal,
     LiftingMatrix,
     MatrixError,
+    canonical_json,
     default_matrix,
     lift_ideal,
 )
@@ -40,6 +40,7 @@ from .monomials import (
 from .oracle import (
     DEFAULT_PRIME,
     check_prime,
+    check_dmax,
     colon_stability_failure,
     containment_failure,
     expand,
@@ -47,7 +48,6 @@ from .oracle import (
     ideals_equal_up_to,
     linear_form_poly,
     poly_degree,
-    poly_from_json,
     poly_mul,
     poly_normalize,
     poly_to_json,
@@ -64,11 +64,10 @@ class LinkageError(ValueError):
 
 
 class _FieldCodec:
-    """JSON codec driven by the dataclass fields: one key per field, plus
+    """JSON encoder driven by the dataclass fields: one key per field, plus
     the class's ``schema`` or ``kind`` tag.  A polynomial (dict) goes
     through ``poly_to_json``, a tuple becomes a list, and a value with its
-    own ``to_json`` uses it.  Decoding follows the field types; every
-    field's key is required."""
+    own ``to_json`` uses it."""
 
     def to_json(self) -> dict:
         out = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
@@ -76,11 +75,6 @@ class _FieldCodec:
             if hasattr(self, tag):
                 out[tag] = getattr(self, tag)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(**{name: decode(data[name])
-                      for name, decode in _field_decoders(cls)})
 
 
 def _encode(value):
@@ -91,36 +85,6 @@ def _encode(value):
     if hasattr(value, "to_json"):
         return value.to_json()
     return value
-
-
-@cache
-def _field_decoders(cls) -> tuple:
-    hints = get_type_hints(cls)
-    return tuple((f.name, _decoder(hints[f.name])) for f in fields(cls))
-
-
-@cache
-def _decoder(tp):
-    """The function that decodes the JSON of a value of type ``tp``."""
-    if tp is dict:
-        return poly_from_json
-    if tp == Step:
-        return _decode_step
-    if get_origin(tp) is tuple:
-        item = _decoder(get_args(tp)[0])
-        return lambda data: tuple(map(item, data))
-    return getattr(tp, "from_json", _identity)
-
-
-def _identity(value):
-    return value
-
-
-def _decode_step(data: dict):
-    kind = data["kind"]
-    if kind not in _STEP_KINDS:
-        raise ValueError(f"unknown step kind {kind!r}")
-    return _STEP_KINDS[kind].from_json(data)
 
 
 @dataclass(frozen=True)
@@ -397,9 +361,29 @@ class DescentStep(_FieldCodec):
     checks: tuple[Check, ...]
 
 
-Step = ChainStep | BilinkStep | DescentStep
-_STEP_KINDS = {"chain": ChainStep, "bilink": BilinkStep,
-              "hyperplane-descent": DescentStep, "cone-descent": DescentStep}
+_STEP_KINDS = frozenset({"chain", "bilink", "hyperplane-descent", "cone-descent"})
+
+
+@dataclass(frozen=True)
+class StoredStep:
+    """A step as a certificate document stores it: its JSON ``data``, and
+    decoded from it what the replay reads."""
+
+    kind: str
+    source: MonomialIdeal
+    matrix: LiftingMatrix | None
+    data: dict
+
+    @classmethod
+    def from_json(cls, data: dict) -> "StoredStep":
+        kind = data["kind"]
+        if kind not in _STEP_KINDS:
+            raise ValueError(f"unknown step kind {kind!r}")
+        matrix = LiftingMatrix.from_json(data["matrix"]) if kind == "chain" else None
+        return cls(kind, MonomialIdeal.from_json(data["source"]), matrix, data)
+
+    def to_json(self) -> dict:
+        return self.data
 
 
 @dataclass(frozen=True)
@@ -408,10 +392,25 @@ class GlicciCertificate(_FieldCodec):
     prime: int
     dmax: int
     root: MonomialIdeal
-    steps: tuple[Step, ...]
+    steps: tuple[ChainStep | BilinkStep | DescentStep | StoredStep, ...]
     leaf: str  # "codim<=2-licci" | "principal"
 
     schema = "glicci-cert/1"
+
+    @classmethod
+    def from_json(cls, data: dict) -> "GlicciCertificate":
+        """The certificate a ``glicci-cert/1`` document stores; a root that
+        is not canonical JSON or a key outside the schema is a ValueError."""
+        if data.get("schema") != cls.schema:
+            raise ValueError(f"expected schema {cls.schema}")
+        unknown = data.keys() - {f.name for f in fields(cls)} - {"schema"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        root = MonomialIdeal.from_json(data["root"])
+        if canonical_json(root.to_json()) != canonical_json(data["root"]):
+            raise ValueError("root is not the canonical JSON of its ideal")
+        return cls(data["mode"], data["prime"], data["dmax"], root,
+                   tuple(map(StoredStep.from_json, data["steps"])), data["leaf"])
 
 
 def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
@@ -427,19 +426,16 @@ def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
     return J
 
 
-def check_horizon(J: MonomialIdeal, dmax: int | None) -> int:
+def check_horizon(J: MonomialIdeal, dmax: int | None,
+                  A: LiftingMatrix | None = None) -> int:
     """The degree horizon of a certificate for J: ``dmax``, or the floor
     max generator degree + number of variables when ``dmax`` is None.
-    Raises LinkageError for a horizon below that floor."""
-    floor = J.max_gen_degree + J.n
-    if dmax is None:
-        return floor
-    if not isinstance(dmax, int) or dmax < floor:
-        raise LinkageError(
-            f"horizon dmax {dmax!r} is below the floor {floor} "
-            "(max generator degree + number of variables)"
-        )
-    return dmax
+    Raises LinkageError for a horizon below that floor or above the
+    ``check_dmax`` ceiling in the variables of the matrix ``A``, or J's."""
+    try:
+        return check_dmax(dmax, J.max_gen_degree + J.n, J.n if A is None else A.N)
+    except ValueError as exc:
+        raise LinkageError(str(exc))
 
 
 # --- Artinian certificate ---------------------------------------------------
@@ -685,7 +681,7 @@ def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
     runs in one oracle scope."""
     _check_root(mode, J)
     check_prime(prime)
-    dmax = check_horizon(J, dmax)
+    dmax = check_horizon(J, dmax, A)
     steps: list = []
     induction = _induction(mode, J, A, dmax, prime)
     for _, move in induction:
@@ -751,36 +747,35 @@ def _contract(name: str, check, *args) -> tuple:
 def verify_certificate(cert: GlicciCertificate,
                        dmax: int | None = None) -> VerificationReport:
     """Rerun the builder's induction from the certificate's inputs,
-    report each rebuilt step's checks, and require every stored step to
-    equal its rebuild; failures become report entries, never exceptions.
-    The replay runs in one oracle scope; opened outside any scope, it
-    reuses nothing the build computed.
+    report each rebuilt step's checks, and require every stored step's
+    JSON to be the canonical JSON text of its rebuild; failures become
+    report entries, never exceptions.  The replay runs in one oracle
+    scope; opened outside any scope, it reuses nothing the build computed.
 
     ``dmax`` overrides the stored horizon.  An unknown mode, an invalid
-    prime, a horizon below the floor or a root the mode's builder refuses
-    fails the report before any step is replayed.  Each stored step's
-    source and kind, and the leaf, must be where the builder stands and
-    what it makes next.  The replay follows the builder, not the stored
-    steps, and ends where the builder stops or raises.
+    prime, a horizon ``check_horizon`` refuses or a root the mode's builder
+    refuses fails the report before any step is replayed.  Each stored
+    step's source and kind, and the leaf, must be where the builder stands
+    and what it makes next.  The replay follows the builder, not the
+    stored steps, and ends where the builder stops or raises.
     """
     dmax = cert.dmax if dmax is None else dmax
     prime = cert.prime
+    # The induction reruns from the certificate's inputs: the root and,
+    # for the Artinian builder, the matrix stored step 0 lifts by.
+    steps = cert.steps
+    A = steps[0].matrix if steps and steps[0].kind == "chain" else None
     entries: list = [
         _contract("mode", _check_mode, cert.mode),
         _contract("prime", check_prime, prime),
-        _contract("horizon", check_horizon, cert.root, dmax),
+        _contract("horizon", check_horizon, cert.root, dmax, A),
     ]
     if entries[0][2]:  # the root's precondition depends on the mode
         entries.append(_contract("root", _check_root, cert.mode, cert.root))
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    # The induction reruns from the certificate's inputs: the root and,
-    # for the Artinian builder, the matrix stored step 0 lifts by.
-    first = cert.steps[0] if cert.steps else None
-    induction = _induction(cert.mode, cert.root,
-                           first.matrix if isinstance(first, ChainStep) else None,
-                           dmax, prime)
+    induction = _induction(cert.mode, cert.root, A, dmax, prime)
     idx = 0
     try:
         for idx, step in enumerate(cert.steps):
@@ -799,7 +794,9 @@ def verify_certificate(cert: GlicciCertificate,
             entries.extend(
                 (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
             )
-            entries.append((idx, "stored-equals-rebuilt", rebuilt == step, None))
+            entries.append((idx, "stored-equals-rebuilt",
+                            canonical_json(rebuilt.to_json())
+                            == canonical_json(step.to_json()), None))
         cur, leaf = next(induction)
         entries.append((
             len(cert.steps), "leaf-validity", cert.leaf == leaf,

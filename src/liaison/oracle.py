@@ -60,6 +60,11 @@ _FLOAT_EXACT = 2**53
 # temporaries.
 _ROW_BLOCK = 256
 
+MAX_WIDTH = 10**5
+"""Sanity ceiling on a horizon: the width C(N - 1 + dmax, N - 1) of its
+top-degree Macaulay matrix.  It stops absurd horizons before any matrix or
+monomial table is built, but does not guarantee memory to those below."""
+
 # A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 # Coefficients are ints; reduced mod p by the routines that consume them.
 Poly = dict
@@ -72,6 +77,20 @@ def check_prime(p) -> int:
             or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
         raise ValueError(f"modulus {p!r} is not a prime in [2, {MAX_PRIME}]")
     return p
+
+
+def check_dmax(dmax, floor: int, N: int) -> int:
+    """``dmax``, or ``floor`` when None, if it is an int from ``floor`` up to
+    the MAX_WIDTH ceiling in ``N`` variables; raise ValueError otherwise."""
+    dmax = floor if dmax is None else dmax
+    if not isinstance(dmax, int) or dmax < floor:
+        raise ValueError(f"horizon dmax {dmax!r} is below the floor {floor} "
+                         "(max generator degree + number of variables)")
+    width = ring_dim(N, dmax)
+    if width > MAX_WIDTH:
+        raise ValueError(f"horizon dmax {dmax} needs Macaulay matrices {width} "
+                         f"columns wide in {N} variables, more than {MAX_WIDTH}")
+    return dmax
 
 
 def poly_degree(f: Poly) -> int:
@@ -460,11 +479,3 @@ def stable_value(h: HVector) -> int:
 
 def poly_to_json(f: Poly) -> list:
     return sorted([list(e) + [c] for e, c in f.items()], reverse=True)
-
-
-def poly_from_json(data: list) -> Poly:
-    out = {}
-    for term in data:
-        out[tuple(term[:-1])] = term[-1]
-    return out
-

@@ -1,16 +1,41 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from liaison import cli, oracle
 from liaison.cli import main
+from liaison.linkage import glicci_certificate_borel
+from liaison.monomials import MonomialIdeal
+
+SQUARE = {"schema": "ideal/1", "n": 3,
+          "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                   [0, 2, 0], [0, 1, 1], [0, 0, 2]]}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_bounded(*argv, timeout=60):
+    """``liaison *argv`` in a subprocess held to 2 GiB of address space and
+    ``timeout`` seconds, so that a hang or a runaway allocation fails the
+    test rather than the host: (exit code, stdout, stderr)."""
+    limit = 2 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liaison.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture
@@ -358,6 +383,59 @@ class TestGlicciAndVerify:
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 3
         assert "REJECTED" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["root"]["gens"].append([3, 0, 0]),
+        lambda doc: doc["steps"][0].update(kind="nonsense"),
+    ], ids=["redundant-root-generator", "unknown-step-kind"])
+    def test_malformed_certificate_is_input_error(self, tmp_path, capsys, edit):
+        data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
+        edit(data)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed certificate: ")
+        assert err.count("\n") == 1
+
+
+class TestUnboundedInputs:
+    """Inputs that used to hang or exhaust memory are refused at once."""
+
+    # (x1^3000) needs 3000 distinct u-coefficients from [1, 2999] in one
+    # row of its default 1-lifting matrix.
+    @pytest.mark.parametrize("command", [["lift"], ["glicci", "--mode", "artinian"]])
+    def test_row_wider_than_its_coefficients(self, tmp_path, command):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 1, "gens": [[3000]]}))
+        code, out, err = run_bounded(command[0], path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 3000 columns") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["glicci", "verify-lift", "worked-example"])
+    def test_absurd_horizon_is_input_error(self, tmp_path, capsys, command):
+        square, lifted = str(tmp_path / "sq.json"), str(tmp_path / "L.json")
+        Path(square).write_text(json.dumps(SQUARE))
+        run(capsys, "lift", square, "--matrix", "bf", "--out", lifted)
+        argv = {"glicci": [square, "--mode", "borel"], "verify-lift": [lifted],
+                "worked-example": []}[command]
+        code, out, err = run_bounded(command, *argv, "--dmax", 10**6)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "columns wide" in err
+
+    def test_absurd_horizon_is_refused_before_replay(self, tmp_path):
+        data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
+        data["dmax"] = 10**6
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(data))
+        code, out, _ = run_bounded("verify", cert)
+        assert code == 3
+        failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failing) == 1
+        assert failing[0].startswith("FAIL  step 0  horizon  [horizon dmax 1000000")
+        assert "step-continuity" not in out
 
 
 class TestWorkedExampleCommand:

@@ -37,11 +37,6 @@ class TestHVector:
         with pytest.raises(HorizonError):
             h.at(3)
 
-    def test_json_roundtrip(self):
-        for h in (HVector.artinian((1, 2)), HVector.truncated((1, 3, 6), 2)):
-            assert HVector.from_json(h.to_json()) == h
-
-
 class TestMacaulay:
     def test_representation_reconstructs(self):
         from math import comb

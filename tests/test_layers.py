@@ -54,12 +54,6 @@ class TestDecompose:
             D = decompose(J)
             assert D.chain_holds()
             assert recompose(D) == J
-
-    def test_json_roundtrip(self):
-        J = ideal(3, (2, 0, 0), (0, 1, 1))
-        D = decompose(J)
-        assert LayerDecomposition.from_json(D.to_json()).source == J
-
     def test_decompose_along_other_variable(self):
         J = ideal(3, (0, 2, 0), (1, 1, 0))
         D = decompose_along(J, 1)

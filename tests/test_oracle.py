@@ -11,8 +11,10 @@ from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
 from liaison.oracle import (
     DEFAULT_PRIME,
     MAX_PRIME,
+    MAX_WIDTH,
     _degree_rows,
     check_prime,
+    check_dmax,
     colon_stability_failure,
     containment_failure,
     graded_dim,
@@ -20,9 +22,7 @@ from liaison.oracle import (
     ideals_equal_up_to,
     linear_form_poly,
     poly_degree,
-    poly_from_json,
     poly_mul,
-    poly_to_json,
     rank_mod_p,
     ring_dim,
     scope,
@@ -58,11 +58,6 @@ class TestPolyArithmetic:
         f = linear_form_poly((2, 0, 5))
         assert f == {(1, 0, 0): 2, (0, 0, 1): 5}
         assert poly_degree(f) == 1
-
-    def test_json_roundtrip(self):
-        f = {(2, 1): 3, (0, 3): 1}
-        assert poly_from_json(poly_to_json(f)) == f
-
 
 class TestRank:
     def test_rank_identity(self):
@@ -208,6 +203,13 @@ def test_largest_accepted_prime():
     for q in range(BIG_P + 1, MAX_PRIME + 1):
         with pytest.raises(ValueError):
             check_prime(q)
+
+
+def test_widest_accepted_horizon():
+    # In two variables the degree-d Macaulay matrix has d + 1 columns.
+    assert check_dmax(MAX_WIDTH - 1, 0, 2) == MAX_WIDTH - 1
+    with pytest.raises(ValueError, match=f"{MAX_WIDTH + 1} columns"):
+        check_dmax(MAX_WIDTH, 0, 2)
 
 
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
