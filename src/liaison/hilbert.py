@@ -7,8 +7,9 @@ from math import comb
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    is_artinian,
+    is_borel_fixed,
     monomials_of_degree,
-    standard_monomials,
     variable,
 )
 
@@ -84,25 +85,97 @@ class HVector:
         return f"({body})" if self.horizon is None else f"({body} | d<={self.horizon})"
 
 
+def _add_shifted(p: list[int], q: list[int], shift: int) -> list[int]:
+    """p + t^shift * q."""
+    out = p + [0] * max(0, shift + len(q) - len(p))
+    for k, b in enumerate(q, shift):
+        out[k] += b
+    return out
+
+
+def _pivot_numerator(gens: list[tuple[int, ...]]) -> list[int]:
+    """Bigatti's recursion N(I) = N(I + x_i^e) + t^e * N(I : x_i^e) on the
+    minimal generators (exponent tuples) of a proper nonzero ideal: x_i is
+    in the most generators, e is the median of its exponents in those
+    that are not pure powers, and pairwise coprime generators g end it
+    with prod_g (1 - t^deg g).  Both branches lower the generator degrees."""
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    top = max(counts)
+    if top <= 1:
+        num = [1]
+        for g in gens:
+            num = _add_shifted(num, [-c for c in num], sum(g))
+        return num
+    i = counts.index(top)
+    exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    e = exps[len(exps) // 2]
+    # x_i^e is not in I, so the generators it does not divide stay minimal.
+    plus = [g for g in gens if g[i] < e] + [(0,) * i + (e,) + (0,) * (len(counts) - i - 1)]
+    # In I : x_i^e only an image that lost x_i can be redundant, and only
+    # by another such image.
+    colon: list[tuple[int, ...]] = []
+    for g in sorted({g[:i] + (0,) + g[i + 1:] for g in gens if g[i] <= e}, key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in colon):
+            colon.append(g)
+    colon += [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i] > e]
+    return _add_shifted(_pivot_numerator(plus), _pivot_numerator(colon), e)
+
+
+def hilbert_numerator(J: MonomialIdeal) -> tuple[int, ...]:
+    """Coefficients N_0, N_1, ... of the numerator of the Hilbert series
+    of S/J, sum_d h(d) t^d = N(t) / (1 - t)^n, without trailing zeros.
+
+    A Borel-fixed J has N(t) = 1 - sum_u t^deg(u) * (1 - t)^(m(u) - 1) over
+    its minimal generators u, m(u) being the largest index of a variable
+    of u, from 1: each monomial of J is uniquely u * v with v in x_m(u)..x_n
+    (Eliahou and Kervaire, J. Algebra 129, 1990).  Any other J goes through
+    Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
+    """
+    if J.is_unit:
+        return ()
+    n = J.n
+    if is_borel_fixed(J):
+        rows = [[(-1) ** (k + 1) * comb(m, k) for k in range(m + 1)] for m in range(n)]
+        num = [1] + [0] * (J.max_gen_degree + n - 1)
+        for u in J.gens:
+            e = u.exps
+            last = n - 1
+            while not e[last]:
+                last -= 1
+            for k, c in enumerate(rows[last], sum(e)):
+                num[k] += c
+    else:
+        num = _pivot_numerator([g.exps for g in J.gens])
+    while num[-1] == 0:
+        num.pop()
+    return tuple(num)
+
+
+def hilbert_value(numerator: tuple[int, ...], n: int, d: int) -> int:
+    """h(d) = sum_k N_k * C(d - k + n - 1, n - 1), the degree-d coefficient
+    of N(t) / (1 - t)^n; for n = 0 it is N_d."""
+    if n == 0 or d < 0:
+        return numerator[d] if 0 <= d < len(numerator) else 0
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(numerator[: d + 1]))
+
+
 def hilbert_function(J: MonomialIdeal, dmax: int) -> HVector:
-    """h(d) = number of degree-d standard monomials, 0 <= d <= dmax."""
-    values = [len(standard_monomials(J, d)) for d in range(dmax + 1)]
-    return HVector.truncated(values, dmax)
+    """h(d) = dim (S/J)_d for 0 <= d <= dmax, exact in every degree, as
+    sum_k N_k * C(d - k + n - 1, n - 1) from ``hilbert_numerator``:
+    Eliahou-Kervaire (1990) for Borel-fixed J, Bigatti (1997) otherwise."""
+    num = hilbert_numerator(J)
+    return HVector.truncated([hilbert_value(num, J.n, d) for d in range(dmax + 1)], dmax)
 
 
 def hilbert_function_artinian(J: MonomialIdeal) -> HVector:
-    """Full h-vector of an Artinian ideal (finite by assumption)."""
-    values = []
-    d = 0
-    while True:
-        c = len(standard_monomials(J, d))
-        if c == 0:
-            break
-        values.append(c)
-        d += 1
-        if d > J.max_gen_degree + J.n + 1:
-            raise ValueError(f"{J} is not Artinian: h-vector does not terminate")
-    return HVector.artinian(values)
+    """Full h-vector of an Artinian ideal, exact in every degree, as
+    sum_k N_k * C(d - k + n - 1, n - 1) from ``hilbert_numerator``:
+    Eliahou-Kervaire (1990) for Borel-fixed J, Bigatti (1997) otherwise.
+    N(t) / (1 - t)^n is then a polynomial of degree below len(N)."""
+    if not is_artinian(J):
+        raise ValueError(f"{J} is not Artinian: h-vector does not terminate")
+    num = hilbert_numerator(J)
+    return HVector.artinian(hilbert_value(num, J.n, d) for d in range(len(num)))
 
 
 def macaulay_representation(v: int, d: int) -> list[tuple[int, int]]:

@@ -3,13 +3,14 @@ function recursion it induces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .hilbert import hilbert_function_artinian, hilbert_numerator, hilbert_value
 from .monomials import (
     Monomial,
     MonomialIdeal,
     is_artinian,
     is_borel_fixed,
-    standard_monomials,
     variable,
 )
 
@@ -33,6 +34,11 @@ class LayerDecomposition:
     @property
     def n(self) -> int:
         return self.source.n
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """Hilbert-series numerators of the layers, one per I_j."""
+        return tuple(hilbert_numerator(I) for I in self.layers)
 
     def chain_holds(self) -> bool:
         return all(
@@ -89,31 +95,19 @@ def recompose(D: LayerDecomposition) -> MonomialIdeal:
     return MonomialIdeal.from_gens(n, gens)
 
 
-def decompose_along(J: MonomialIdeal, k: int) -> LayerDecomposition:
-    """Decompose along variable k (0-based) by re-indexing it to the front."""
-    order = (k,) + tuple(i for i in range(J.n) if i != k)
-    swapped = MonomialIdeal.from_gens(
-        J.n, (Monomial(tuple(g.exps[i] for i in order)) for g in J.gens)
-    )
-    return decompose(swapped)
-
-
 def hf_via_layers(D: LayerDecomposition, s: int) -> int:
     """Hilbert function of S/J at degree s via the layer recursion:
-    sum_j h_{T/I_j}(s - j) for j < alpha, plus h_{S/(I_alpha S)}(s - alpha)."""
-    total = 0
-    for j in range(D.alpha):
-        if s - j >= 0:
-            total += len(standard_monomials(D.layers[j], s - j))
-    if s - D.alpha >= 0:
-        extended = D.layers[D.alpha].extend_front(1)
-        total += len(standard_monomials(extended, s - D.alpha))
-    return total
+    sum_j h_{T/I_j}(s - j) for j < alpha, plus h_{S/(I_alpha S)}(s - alpha).
+
+    Each term is exact, sum_k N_k * C(d - k + m - 1, m - 1) with N from
+    ``D.numerators`` (Eliahou-Kervaire 1990 on Borel-fixed layers, Bigatti
+    1997 on the others), m = n - 1 in T and m = n for I_alpha * S."""
+    n = D.n
+    return sum(hilbert_value(num, n - 1 if j < D.alpha else n, s - j)
+               for j, num in enumerate(D.numerators))
 
 
 def layer_hvectors(D: LayerDecomposition) -> list:
     """Full h-vectors of the Artinian layers I_0..I_{alpha-1} (the rows of
     the shifted layer table)."""
-    from .hilbert import hilbert_function_artinian
-
     return [hilbert_function_artinian(I) for I in D.layers[: D.alpha]]

@@ -256,8 +256,18 @@ def borel_moves(m: Monomial) -> Iterator[Monomial]:
 
 
 def is_borel_fixed(J: MonomialIdeal) -> bool:
-    """Exchange test on minimal generators (implies it for the whole ideal)."""
-    return all(J.contains(m) for g in J.gens for m in borel_moves(g))
+    """Exchange test x_{i-1}/x_i on the minimal generators.
+
+    A move x_j/x_i with j < i is a chain of adjacent moves, and a move on
+    u * w either moves w or moves the generator u, so adjacent moves on
+    the generators imply every move on every monomial of J.
+    """
+    gens = [g.exps for g in reversed(J.gens)]  # ascending degree
+    present = set(gens)
+    moved = (g[: i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:]
+             for g in gens for i in range(1, len(g)) if g[i])
+    return all(m in present or any(all(a <= b for a, b in zip(h, m)) for h in gens)
+               for m in moved)
 
 
 def lex_segment_violation(J: MonomialIdeal) -> Monomial | None:
@@ -279,75 +289,6 @@ def lex_segment_violation(J: MonomialIdeal) -> Monomial | None:
 
 def is_lex_segment(J: MonomialIdeal) -> bool:
     return lex_segment_violation(J) is None
-
-
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """A pure-power ideal (x_{i1}^{b1}, ..., x_{ik}^{bk})."""
-
-    n: int
-    powers: tuple[tuple[int, int], ...]  # (variable index, exponent), sorted
-
-    @property
-    def height(self) -> int:
-        return len(self.powers)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.powers)
-
-    def contains(self, m: Monomial) -> bool:
-        return any(m.exps[i] >= b for i, b in self.powers)
-
-    def contains_component(self, other: "IrreducibleComponent") -> bool:
-        # (x_i^c : i in A') subset of (x_i^b : i in A) iff every pure power
-        # generator of the smaller lies in the larger.
-        mine = dict(self.powers)
-        return all(i in mine and c >= mine[i] for i, c in other.powers)
-
-
-def irreducible_decomposition(J: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """Irredundant irreducible decomposition by recursive splitting.
-
-    Splits on the degree-lex-largest non-pure-power generator, separating
-    the pure power of its lowest involved variable.
-    """
-    if J.is_zero or J.is_unit:
-        raise IdealError("decomposition requires a proper nonzero ideal")
-    n = J.n
-
-    cache: dict[tuple[Monomial, ...], frozenset] = {}
-
-    def split(gens: tuple[Monomial, ...]) -> frozenset:
-        if gens in cache:
-            return cache[gens]
-        mixed = [g for g in gens if len(g.support) > 1]
-        if not mixed:
-            comp = IrreducibleComponent(
-                n, tuple(sorted((g.support[0], g.exps[g.support[0]]) for g in gens))
-            )
-            result = frozenset([comp])
-        else:
-            g = max(mixed, key=Monomial.deglex_key)
-            i = g.support[0]
-            u = variable(n, i, g.exps[i])
-            v = g / u
-            rest = tuple(h for h in gens if h != g)
-            left = MonomialIdeal.from_gens(n, rest + (u,)).gens
-            right = MonomialIdeal.from_gens(n, rest + (v,)).gens
-            result = split(left) | split(right)
-        cache[gens] = result
-        return result
-
-    comps = list(split(J.gens))
-    # Drop any component that contains a strictly smaller one.
-    irredundant = [
-        c
-        for c in comps
-        if not any(o != c and c.contains_component(o) for o in comps)
-    ]
-    irredundant.sort(key=lambda c: (c.height, c.powers))
-    return tuple(irredundant)
 
 
 def minimal_primes(J: MonomialIdeal) -> tuple[frozenset[int], ...]:
@@ -421,32 +362,21 @@ class ConePresentation:
 def is_cm_borel(J: MonomialIdeal) -> tuple[bool, ConePresentation | None]:
     """Cohen-Macaulay test for Borel-fixed ideals.
 
-    With c = height(J): true iff J contains a pure power of x_c and no
-    minimal generator involves x_{c+1},...,x_n.  On success returns the
-    cone presentation over the Artinian part in c variables.
+    The height of J is the largest c with a pure power x_c^k in J: moves
+    put x_1^k..x_c^k in J, and a generator outside x_1..x_c would move to a
+    pure power of a later variable.  J is CM iff no minimal generator
+    involves x_{c+1},...,x_n.  On success returns the cone presentation
+    over the Artinian part in c variables.
     """
     if not is_borel_fixed(J):
         raise NotBorelFixedError(f"{J} is not Borel-fixed")
-    c = height(J)
-    has_power = any(g.support == (c - 1,) for g in J.gens)
-    tail_free = all(max(g.support) <= c - 1 for g in J.gens)
-    if not (has_power and tail_free):
+    if J.is_zero or J.is_unit:
+        raise IdealError("the CM test requires a proper nonzero ideal")
+    c = 1 + max(g.support[0] for g in J.gens if g.is_pure_power)
+    if any(g.support[-1] >= c for g in J.gens):
         return False, None
     artinian_part = J.restrict(range(c))
     return True, ConePresentation(c, artinian_part)
-
-
-def borel_closure(n: int, monos: Iterable[Monomial]) -> frozenset[Monomial]:
-    """Smallest Borel-move-closed set of monomials containing the input."""
-    closed: set[Monomial] = set()
-    stack = list(monos)
-    while stack:
-        m = stack.pop()
-        if m in closed:
-            continue
-        closed.add(m)
-        stack.extend(borel_moves(m))
-    return frozenset(closed)
 
 
 def _borel_closed_supersets(
@@ -490,12 +420,12 @@ def enumerate_borel_ideals(n: int, maxdeg: int) -> Iterator[MonomialIdeal]:
     def rec(d: int, prev: frozenset[Monomial], gens: list[Monomial]) -> Iterator[MonomialIdeal]:
         if d > maxdeg:
             if gens:
-                yield MonomialIdeal.from_gens(n, gens)
+                # Minimal already: no generator is in the shadow of a lower degree.
+                yield MonomialIdeal(n, tuple(sorted(gens, key=Monomial.deglex_key, reverse=True)))
             return
         monos = monomials_of_degree(n, d)
         forced = shadow(prev)
         for chosen in _borel_closed_supersets(monos, forced):
-            new_gens = sorted(chosen - forced, key=Monomial.deglex_key, reverse=True)
-            yield from rec(d + 1, chosen, gens + new_gens)
+            yield from rec(d + 1, chosen, gens + list(chosen - forced))
 
     yield from rec(1, frozenset(), [])

@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.hilbert import (
+    _pivot_numerator,
     HorizonError,
     HVector,
     NotDifferentiableError,
@@ -9,6 +13,8 @@ from liaison.hilbert import (
     difference,
     hilbert_function,
     hilbert_function_artinian,
+    hilbert_numerator,
+    hilbert_value,
     is_k_differentiable,
     is_o_sequence,
     lex_ideal_from_hvector,
@@ -17,7 +23,13 @@ from liaison.hilbert import (
     o_sequence_violation,
     partial_sum,
 )
-from liaison.monomials import MonomialIdeal, Monomial, monomials_of_degree
+from liaison.layers import decompose, hf_via_layers
+from liaison.monomials import (
+    Monomial,
+    MonomialIdeal,
+    enumerate_borel_ideals,
+    is_borel_fixed,
+)
 
 
 def ideal(n, *gens):
@@ -146,3 +158,111 @@ class TestLexBuilder:
         h = HVector.artinian(tuple(values))
         J = lex_ideal_from_hvector(h, n)
         assert hilbert_function_artinian(J) == h
+
+
+def enumerated_hilbert_function(J, dmax):
+    """Reference count of the degree-d monomials outside J, d <= dmax.
+
+    Grows the standard monomials of degree d + 1 as the multiples x_i * m
+    of those of degree d that stay outside J: a divisor of a monomial
+    outside J is outside J.
+    """
+    gens = [g.exps for g in J.gens]
+    layer = set() if J.is_unit else {(0,) * J.n}
+    values = []
+    for _ in range(dmax + 1):
+        values.append(len(layer))
+        layer = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in layer for i in range(J.n)}
+        layer = {m for m in layer
+                 if not any(all(a <= b for a, b in zip(g, m)) for g in gens)}
+    return tuple(values)
+
+
+def pivot_values(J, dmax):
+    """h(0..dmax) from Bigatti's pivot recursion, whatever the ideal."""
+    num = _pivot_numerator([g.exps for g in J.gens])
+    return tuple(hilbert_value(num, J.n, d) for d in range(dmax + 1))
+
+
+def random_non_borel_ideals(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            exps = [0] * n
+            for _ in range(rng.randint(1, 5)):
+                exps[rng.randrange(n)] += 1
+            gens.append(Monomial(tuple(exps)))
+        J = MonomialIdeal.from_gens(n, gens)
+        if not is_borel_fixed(J):
+            out.append(J)
+    return out
+
+
+def budget(label, elapsed, limit):
+    assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
+
+
+@pytest.fixture(scope="module")
+def borel_ideals():
+    return [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 4)]
+
+
+class TestClosedForms:
+    def test_eliahou_kervaire_matches_pivot_recursion(self, borel_ideals):
+        # Equal numerators give equal Hilbert functions in every degree,
+        # past max degree + 10 and any other horizon.
+        t0 = time.time()
+        assert len(borel_ideals) == 9686
+        for J in borel_ideals:
+            pivot = _pivot_numerator([g.exps for g in J.gens])
+            while pivot[-1] == 0:
+                pivot.pop()
+            assert hilbert_numerator(J) == tuple(pivot), J
+        budget("Eliahou-Kervaire against the pivot recursion", time.time() - t0, 15)
+
+    def test_borel_sample_matches_enumeration(self, borel_ideals):
+        t0 = time.time()
+        for J in random.Random(11).sample(borel_ideals, 300):
+            dmax = J.max_gen_degree + 4
+            want = enumerated_hilbert_function(J, dmax)
+            assert hilbert_function(J, dmax).values == want, J
+            assert pivot_values(J, dmax) == want, J
+        budget("300 Borel ideals against enumeration", time.time() - t0, 4)
+
+    def test_non_borel_sample_matches_enumeration(self):
+        t0 = time.time()
+        for J in random_non_borel_ideals(random.Random(12), 300):
+            dmax = J.max_gen_degree + 4
+            want = enumerated_hilbert_function(J, dmax)
+            assert hilbert_function(J, dmax).values == want, J
+            D = decompose(J)
+            assert tuple(hf_via_layers(D, s) for s in range(dmax + 1)) == want, J
+        budget("300 non-Borel ideals against enumeration", time.time() - t0, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_unit_and_zero_ideals(self, n):
+        assert hilbert_numerator(MonomialIdeal.unit(n)) == ()
+        assert hilbert_function(MonomialIdeal.unit(n), 4).values == (0,) * 5
+        assert hilbert_function_artinian(MonomialIdeal.unit(n)).values == ()
+        assert hilbert_numerator(MonomialIdeal.zero(n)) == (1,)
+        assert (hilbert_function(MonomialIdeal.zero(n), 6).values
+                == enumerated_hilbert_function(MonomialIdeal.zero(n), 6))
+
+    def test_no_variables(self):
+        assert hilbert_function(MonomialIdeal.zero(0), 3).values == (1, 0, 0, 0)
+        assert hilbert_function_artinian(MonomialIdeal.zero(0)).values == (1,)
+
+    @pytest.mark.parametrize("a", [1, 2, 5])
+    def test_one_variable(self, a):
+        J = ideal(1, (a,))
+        assert hilbert_numerator(J) == (1,) + (0,) * (a - 1) + (-1,)
+        assert hilbert_function(J, a + 3).values == (1,) * a + (0,) * 4
+        assert hilbert_function_artinian(J).values == (1,) * a
+
+    def test_artinian_past_generator_degree_plus_n(self):
+        # The socle of (x1^5, x2^5) sits in degree 8 > 5 + 2.
+        J = ideal(2, (5, 0), (0, 5))
+        assert hilbert_function_artinian(J).values == (1, 2, 3, 4, 5, 4, 3, 2, 1)
+        assert hilbert_function_artinian(J).values == enumerated_hilbert_function(J, 8)

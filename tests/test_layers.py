@@ -8,7 +8,6 @@ from liaison.layers import (
     DecompositionError,
     LayerDecomposition,
     decompose,
-    decompose_along,
     hf_via_layers,
     layer_hvectors,
     recompose,
@@ -54,12 +53,6 @@ class TestDecompose:
             D = decompose(J)
             assert D.chain_holds()
             assert recompose(D) == J
-    def test_decompose_along_other_variable(self):
-        J = ideal(3, (0, 2, 0), (1, 1, 0))
-        D = decompose_along(J, 1)
-        assert D.alpha == 2
-        # layers live in the remaining variables (x1, x3)
-        assert D.layers[2] == MonomialIdeal.unit(2)
 
     def test_recompose_rejects_broken_chain(self):
         bad = LayerDecomposition(

@@ -1,15 +1,15 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison.monomials import (
-    IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     NotBorelFixedError,
-    borel_closure,
+    borel_moves,
     enumerate_borel_ideals,
     height,
-    irreducible_decomposition,
     is_artinian,
     is_borel_fixed,
     is_cm_borel,
@@ -148,11 +148,11 @@ class TestBorelAndLex:
         assert is_borel_fixed(J)
         assert is_lex_segment(J)
 
-    def test_borel_closure_contains_input(self):
-        monos = [mono(0, 1, 1)]
-        closure = borel_closure(3, monos)
-        assert mono(0, 1, 1) in closure
-        assert mono(2, 0, 0) in closure  # x2*x3 -> x1*x3 -> x1*x2 -> x1^2
+    @given(small_ideals(n=4, max_gens=4, max_exp=2))
+    @settings(max_examples=150, deadline=None)
+    def test_adjacent_moves_decide_borel(self, J):
+        every_move = all(J.contains(m) for g in J.gens for m in borel_moves(g))
+        assert is_borel_fixed(J) == every_move
 
     def test_enumerate_borel_small(self):
         ideals = list(enumerate_borel_ideals(2, 2))
@@ -163,12 +163,6 @@ class TestBorelAndLex:
 
 
 class TestDecompositionAndPrimes:
-    def test_irreducible_decomposition_fixture(self):
-        J = ideal(2, (2, 0), (1, 1))
-        comps = irreducible_decomposition(J)
-        got = {c.powers for c in comps}
-        assert got == {((0, 1),), ((0, 2), (1, 1))}
-
     def test_minimal_primes_and_height(self):
         J = ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
         primes = {frozenset(p) for p in minimal_primes(J)}
@@ -189,19 +183,16 @@ class TestDecompositionAndPrimes:
 
     @given(small_ideals())
     @settings(max_examples=40, deadline=None)
-    def test_decomposition_is_intersection(self, J):
-        comps = irreducible_decomposition(J)
-        for m in monomials_of_degree(J.n, 4):
-            assert J.contains(m) == all(c.contains(m) for c in comps)
-
-    @given(small_ideals())
-    @settings(max_examples=40, deadline=None)
     def test_minimal_primes_match_decomposition(self, J):
-        from_comps = {c.support for c in irreducible_decomposition(J)}
-        minimal = {
-            s for s in from_comps
-            if not any(t < s for t in from_comps)
-        }
+        # Minimal primes of a monomial ideal are the inclusion-minimal sets
+        # of variables that meet the support of every generator.
+        hitting = [
+            frozenset(s)
+            for k in range(J.n + 1)
+            for s in combinations(range(J.n), k)
+            if all(set(g.support) & set(s) for g in J.gens)
+        ]
+        minimal = {s for s in hitting if not any(t < s for t in hitting)}
         assert {frozenset(p) for p in minimal_primes(J)} == minimal
 
 
