@@ -1,8 +1,8 @@
 """Command-line interface: build, analyze, lift, certify, verify.
 
-Exit codes: 0 success, 2 bad input, 3 verification failure.  All outputs
-are deterministic functions of the arguments; ``--json`` switches stdout
-from human tables to machine JSON.
+Exit codes: 0 success, 2 bad input or out of memory, 3 verification
+failure.  All outputs are deterministic functions of the arguments;
+``--json`` switches stdout from human tables to machine JSON.
 """
 from __future__ import annotations
 
@@ -481,6 +481,12 @@ def main(argv=None) -> int:
     except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except MemoryError as exc:
+        # An input below every ceiling can still need more memory than the
+        # host has; the arrays are freed once the stack has unwound.
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

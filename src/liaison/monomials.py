@@ -2,13 +2,16 @@
 
 Monomials are exponent vectors; ideals are stored by their minimal
 generating set, kept in descending degree-lexicographic order so that
-serialized output is byte-stable.
+serialized output is byte-stable.  A monomial's degree and support are
+computed once, on first use.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import comb
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 
@@ -27,14 +30,16 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise ValueError(f"negative exponent in {self.exps}")
 
     @property
     def n(self) -> int:
         return len(self.exps)
 
-    @property
+    # Cached in the instance __dict__, outside the dataclass fields, so
+    # equality, hashing, ordering and JSON see only ``exps``.
+    @cached_property
     def degree(self) -> int:
         return sum(self.exps)
 
@@ -47,7 +52,7 @@ class Monomial:
         return (self.degree, self.exps)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
@@ -63,7 +68,7 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
 
@@ -115,9 +120,12 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
 def _minimal_gens(gens: Iterable[Monomial]) -> list[Monomial]:
     gens = sorted(set(gens), key=lambda m: (m.degree, m.exps))
     out: list[Monomial] = []
+    kept: list[tuple[int, ...]] = []  # the exponent tuples of out
     for g in gens:
-        if not any(h.divides(g) for h in out):
+        e = g.exps
+        if not any(all(map(le, h, e)) for h in kept):
             out.append(g)
+            kept.append(e)
     return out
 
 
@@ -157,7 +165,7 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return any(g.is_unit for g in self.gens)
+        return any(not any(g.exps) for g in self.gens)
 
     @property
     def max_gen_degree(self) -> int:
@@ -172,7 +180,8 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
             raise ValueError("ambient mismatch")
-        return any(g.divides(m) for g in self.gens)
+        e = m.exps
+        return any(all(map(le, g.exps, e)) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -204,7 +213,8 @@ class MonomialIdeal:
         and re-indexes them into a len(variables)-dimensional ambient.
         """
         variables = tuple(sorted(variables))
-        keep = [g for g in self.gens if set(g.support) <= set(variables)]
+        inside = set(variables)
+        keep = [g for g in self.gens if inside.issuperset(g.support)]
         reindexed = [Monomial(tuple(g.exps[v] for v in variables)) for g in keep]
         return MonomialIdeal.from_gens(len(variables), reindexed)
 
@@ -240,9 +250,7 @@ def is_artinian(J: MonomialIdeal) -> bool:
     """True iff J contains a pure power of every ambient variable."""
     if J.is_unit:
         return True
-    return all(
-        any(g.support == (i,) for g in J.gens) for i in range(J.n)
-    )
+    return len({g.support[0] for g in J.gens if len(g.support) == 1}) == J.n
 
 
 def borel_moves(m: Monomial) -> Iterator[Monomial]:
@@ -266,24 +274,49 @@ def is_borel_fixed(J: MonomialIdeal) -> bool:
     present = set(gens)
     moved = (g[: i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:]
              for g in gens for i in range(1, len(g)) if g[i])
-    return all(m in present or any(all(a <= b for a, b in zip(h, m)) for h in gens)
+    return all(m in present or any(all(map(le, h, m)) for h in gens)
                for m in moved)
+
+
+def _lex_position(e: tuple[int, ...]) -> int:
+    """Position from 0 of an exponent tuple among those of its degree in
+    descending lex order: the number of larger ones, which agree with it
+    before some variable i and exceed it there.  That is the sum over
+    i < n - 1 of C(m_i + n - 2 - i, n - 1 - i), m_i being the degree left
+    after variable i (the sum ``oracle._lex_rank_table`` tabulates)."""
+    n = len(e)
+    left = sum(e)
+    position = 0
+    for i in range(n - 1):
+        left -= e[i]
+        position += comb(left + n - 2 - i, n - 1 - i)
+    return position
 
 
 def lex_segment_violation(J: MonomialIdeal) -> Monomial | None:
     """First degree-lex gap witness, or None if J is a lex-segment ideal.
 
     Only degrees up to the maximal generator degree need checking:
-    shadows of lex segments are again lex segments.
+    shadows of lex segments are again lex segments.  J_d is a lex segment
+    iff its lex-smallest monomial, the least g * x_n^(d - deg g) over the
+    generators g of degree at most d, stands at position dim J_d - 1 in
+    descending lex order; dim J_d = C(n - 1 + d, n - 1) - h(d), with h
+    from the Hilbert-series numerator.  Only the first degree that fails
+    is scanned, and its first monomial outside J is the witness.
     """
+    from .hilbert import hilbert_numerator, hilbert_value  # hilbert imports this module
+
+    n = J.n
+    numerator = None
     for d in range(1, J.max_gen_degree + 1):
-        seen_outside = None
-        for m in monomials_of_degree(J.n, d):
-            if J.contains(m):
-                if seen_outside is not None:
-                    return seen_outside
-            elif seen_outside is None:
-                seen_outside = m
+        tails = [g.exps[:-1] + (g.exps[-1] + d - g.degree,) for g in J.gens if g.degree <= d]
+        if not tails:
+            continue
+        if numerator is None:
+            numerator = hilbert_numerator(J)
+        dim = comb(n - 1 + d, n - 1) - hilbert_value(numerator, n, d)
+        if _lex_position(min(tails)) != dim - 1:
+            return next(m for m in monomials_of_degree(n, d) if not J.contains(m))
     return None
 
 
@@ -379,35 +412,40 @@ def is_cm_borel(J: MonomialIdeal) -> tuple[bool, ConePresentation | None]:
     return True, ConePresentation(c, artinian_part)
 
 
-def _borel_closed_supersets(
-    monos: tuple[Monomial, ...], forced: frozenset[Monomial]
-) -> Iterator[frozenset[Monomial]]:
-    """All Borel-closed subsets of ``monos`` (one fixed degree, descending
-    degree-lex) that contain ``forced``."""
-    parents: list[list[int]] = []
+@lru_cache(maxsize=None)
+def _borel_parents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """For each degree-d monomial, in the order of ``monomials_of_degree``,
+    the positions of its Borel moves (x_j / x_i) * m with j < i."""
+    monos = monomials_of_degree(n, d)
     index = {m: k for k, m in enumerate(monos)}
-    for m in monos:
-        parents.append([index[p] for p in set(borel_moves(m))])
+    return tuple(tuple(index[p] for p in set(borel_moves(m))) for m in monos)
 
+
+def _borel_closed_supersets(
+    n: int, d: int, forced: frozenset[Monomial]
+) -> Iterator[frozenset[Monomial]]:
+    """All Borel-closed sets of degree-d monomials that contain ``forced``,
+    in a fixed order: each monomial, in descending degree-lex, is first
+    taken and then left out."""
+    monos = monomials_of_degree(n, d)
+    parents = _borel_parents(n, d)
+    must = [m in forced for m in monos]
     choice = [False] * len(monos)
 
     def rec(k: int) -> Iterator[frozenset[Monomial]]:
         if k == len(monos):
             yield frozenset(m for m, c in zip(monos, choice) if c)
             return
-        can_include = all(choice[p] for p in parents[k])
-        must_include = monos[k] in forced
-        if can_include:
+        if all(choice[p] for p in parents[k]):
             choice[k] = True
             yield from rec(k + 1)
-        if not must_include:
+        if not must[k]:
             choice[k] = False
             yield from rec(k + 1)
         choice[k] = False
 
-    if any(m not in index for m in forced):
-        return
-    yield from rec(0)
+    if sum(must) == len(forced):  # else some forced monomial is not of degree d
+        yield from rec(0)
 
 
 def enumerate_borel_ideals(n: int, maxdeg: int) -> Iterator[MonomialIdeal]:
@@ -423,9 +461,8 @@ def enumerate_borel_ideals(n: int, maxdeg: int) -> Iterator[MonomialIdeal]:
                 # Minimal already: no generator is in the shadow of a lower degree.
                 yield MonomialIdeal(n, tuple(sorted(gens, key=Monomial.deglex_key, reverse=True)))
             return
-        monos = monomials_of_degree(n, d)
         forced = shadow(prev)
-        for chosen in _borel_closed_supersets(monos, forced):
+        for chosen in _borel_closed_supersets(n, d, forced):
             yield from rec(d + 1, chosen, gens + list(chosen - forced))
 
     yield from rec(1, frozenset(), [])

@@ -25,8 +25,8 @@ Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A comparison has
 no such direction: a containment or colon residual can vanish mod p when
 it does not over Q, so those checks can pass spuriously at one prime.
-Replay at a second prime is still to come (ROADMAP.md item 6,
-"Two primes and stated horizons").
+Replay at a second prime is still to come (the open item "Two primes
+and stated horizons" of ROADMAP.md).
 
 Inside ``scope()`` the basis of each (generators, degree, variables,
 prime) is computed once and kept until the outermost scope exits;

@@ -24,11 +24,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_bounded(*argv, timeout=60):
-    """``liaison *argv`` in a subprocess held to 2 GiB of address space and
-    ``timeout`` seconds, so that a hang or a runaway allocation fails the
-    test rather than the host: (exit code, stdout, stderr)."""
-    limit = 2 << 30
+def run_bounded(*argv, timeout=60, limit=2 << 30):
+    """``liaison *argv`` in a subprocess held to ``limit`` bytes (2 GiB) of
+    address space and ``timeout`` seconds, so that a hang or a runaway
+    allocation fails the test rather than the host: (exit code, stdout,
+    stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
@@ -424,6 +424,16 @@ class TestUnboundedInputs:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "columns wide" in err
+
+    def test_out_of_memory_is_input_error(self, tmp_path):
+        # dmax 200 is below the width ceiling, but its Macaulay matrices
+        # outgrow 512 MiB of address space within seconds.
+        square = tmp_path / "sq.json"
+        square.write_text(json.dumps(SQUARE))
+        code, out, err = run_bounded("glicci", square, "--mode", "borel",
+                                     "--dmax", 200, limit=512 << 20)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_absurd_horizon_is_refused_before_replay(self, tmp_path):
         data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()

@@ -24,12 +24,7 @@ from liaison.hilbert import (
     partial_sum,
 )
 from liaison.layers import decompose, hf_via_layers
-from liaison.monomials import (
-    Monomial,
-    MonomialIdeal,
-    enumerate_borel_ideals,
-    is_borel_fixed,
-)
+from liaison.monomials import Monomial, MonomialIdeal
 
 
 def ideal(n, *gens):
@@ -184,29 +179,8 @@ def pivot_values(J, dmax):
     return tuple(hilbert_value(num, J.n, d) for d in range(dmax + 1))
 
 
-def random_non_borel_ideals(rng, count):
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, 4)
-        gens = []
-        for _ in range(rng.randint(1, 6)):
-            exps = [0] * n
-            for _ in range(rng.randint(1, 5)):
-                exps[rng.randrange(n)] += 1
-            gens.append(Monomial(tuple(exps)))
-        J = MonomialIdeal.from_gens(n, gens)
-        if not is_borel_fixed(J):
-            out.append(J)
-    return out
-
-
 def budget(label, elapsed, limit):
     assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
-
-
-@pytest.fixture(scope="module")
-def borel_ideals():
-    return [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 4)]
 
 
 class TestClosedForms:
@@ -231,9 +205,9 @@ class TestClosedForms:
             assert pivot_values(J, dmax) == want, J
         budget("300 Borel ideals against enumeration", time.time() - t0, 4)
 
-    def test_non_borel_sample_matches_enumeration(self):
+    def test_non_borel_sample_matches_enumeration(self, non_borel_ideals):
         t0 = time.time()
-        for J in random_non_borel_ideals(random.Random(12), 300):
+        for J in non_borel_ideals:
             dmax = J.max_gen_degree + 4
             want = enumerated_hilbert_function(J, dmax)
             assert hilbert_function(J, dmax).values == want, J

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import hashlib
+import json
+import pickle
+import time
 from itertools import combinations
 
 import pytest
@@ -23,6 +29,24 @@ from liaison.monomials import (
     unit_monomial,
     variable,
 )
+
+
+def scanned_lex_segment_violation(J):
+    """The lex-segment test by scanning every degree up to the largest
+    generator degree: the reference for ``lex_segment_violation``."""
+    for d in range(1, J.max_gen_degree + 1):
+        seen_outside = None
+        for m in monomials_of_degree(J.n, d):
+            if J.contains(m):
+                if seen_outside is not None:
+                    return seen_outside
+            elif seen_outside is None:
+                seen_outside = m
+    return None
+
+
+def budget(label, elapsed, limit):
+    assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
 
 
 def mono(*exps):
@@ -56,6 +80,25 @@ class TestMonomial:
         assert m.degree == 3
         assert mono(1, 1, 0).divides(m)
         assert not mono(0, 2, 0).divides(m)
+
+    def test_cached_attributes_change_nothing_observable(self):
+        a, b = mono(2, 0, 1), mono(2, 0, 1)
+        assert (a.support, a.degree) == ((0, 2), 3)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert dataclasses.astuple(a) == ((2, 0, 1),)
+        assert not a < b and not b < a
+        others = [mono(3, 0, 0), mono(0, 1, 2), mono(2, 1, 0)]
+        assert sorted(others + [a]) == sorted(others + [b])
+        for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == b and hash(copied) == hash(b)
+            assert (copied.support, copied.degree) == ((0, 2), 3)
+        J, K = ideal(3, (2, 0, 1), (0, 1, 0)), ideal(3, (2, 0, 1), (0, 1, 0))
+        assert all(g.support for g in J.gens) and J.max_gen_degree == 3
+        assert J == K and hash(J) == hash(K)
+        assert json.dumps(J.to_json()) == json.dumps(K.to_json())
+        assert MonomialIdeal.from_json(J.to_json()) == K
+        for copied in (copy.deepcopy(J), pickle.loads(pickle.dumps(J))):
+            assert copied == K and hash(copied) == hash(K)
 
     def test_mul_div_roundtrip(self):
         a, b = mono(2, 0, 1), mono(1, 3, 0)
@@ -138,6 +181,30 @@ class TestBorelAndLex:
         assert not is_lex_segment(J)
         assert lex_segment_violation(J) == mono(2, 0, 1)
 
+    def test_closed_form_lex_matches_scan_on_borel_ideals(self, borel_ideals):
+        t0 = time.time()
+        lex = 0
+        for J in borel_ideals:
+            witness = lex_segment_violation(J)
+            assert witness == scanned_lex_segment_violation(J), J
+            lex += witness is None
+        assert 0 < lex < len(borel_ideals)
+        budget("lex test of 9686 Borel ideals against the scan", time.time() - t0, 12)
+
+    def test_closed_form_lex_matches_scan_on_non_borel_ideals(self, non_borel_ideals):
+        t0 = time.time()
+        for J in non_borel_ideals:
+            assert lex_segment_violation(J) == scanned_lex_segment_violation(J), J
+        budget("lex test of 300 non-Borel ideals against the scan", time.time() - t0, 3)
+
+    @pytest.mark.parametrize("J", [
+        MonomialIdeal.zero(3), MonomialIdeal.unit(3), MonomialIdeal.zero(0),
+        MonomialIdeal.unit(0), ideal(1, (4,)), ideal(2, (0, 3)), ideal(2, (1, 1)),
+        ideal(3, (0, 0, 2)), ideal(3, (1, 0, 0), (0, 2, 0)),
+    ], ids=str)
+    def test_closed_form_lex_edge_cases(self, J):
+        assert lex_segment_violation(J) == scanned_lex_segment_violation(J)
+
     def test_lex_implies_borel(self):
         J = ideal(3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0))
         if is_lex_segment(J):
@@ -160,6 +227,22 @@ class TestBorelAndLex:
             assert J.is_zero or is_borel_fixed(J)
         # distinct ideals only
         assert len({J.gens for J in ideals}) == len(ideals)
+
+    @pytest.mark.parametrize("n, maxdeg", [(2, 3), (3, 2)])
+    def test_enumerate_borel_complete(self, n, maxdeg):
+        monos = [m for d in range(1, maxdeg + 1) for m in monomials_of_degree(n, d)]
+        brute = set()
+        for mask in range(1, 2 ** len(monos)):
+            J = MonomialIdeal.from_gens(n, (m for k, m in enumerate(monos) if mask >> k & 1))
+            if is_borel_fixed(J):
+                brute.add(J.gens)
+        assert {J.gens for J in enumerate_borel_ideals(n, maxdeg)} == brute
+
+    def test_enumeration_order_is_pinned(self, borel_ideals):
+        # Samples of this sequence are benchmark inputs, drawn by position.
+        text = json.dumps([J.to_json() for J in borel_ideals], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c52b9b2d599c158e30b895453e236de26d80a0f3c29d53a2cf0558f195ee2937")
 
 
 class TestDecompositionAndPrimes:
