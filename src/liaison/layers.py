@@ -67,7 +67,7 @@ def decompose(J: MonomialIdeal) -> LayerDecomposition:
     D = LayerDecomposition(J, alpha, layers)
     if not D.chain_holds():
         raise DecompositionError("layer chain I_0 <= ... <= I_alpha violated")
-    if recompose(D) != J:
+    if _layer_sum(D) != J:
         raise DecompositionError("recomposition does not reproduce the ideal")
     if is_artinian(J) and not J.is_unit:
         if not all(is_artinian(I) for I in layers) or not layers[alpha].is_unit:
@@ -83,9 +83,14 @@ def decompose(J: MonomialIdeal) -> LayerDecomposition:
 
 
 def recompose(D: LayerDecomposition) -> MonomialIdeal:
-    """Sum of x_1^j * (I_j extended to the full ring), minimalized."""
+    """Sum of x_1^j * (I_j extended to the full ring), minimalized; the
+    layers must form a chain."""
     if not D.chain_holds():
         raise DecompositionError("layer chain violated")
+    return _layer_sum(D)
+
+
+def _layer_sum(D: LayerDecomposition) -> MonomialIdeal:
     n = D.n
     gens: list[Monomial] = []
     for j, I in enumerate(D.layers):

@@ -118,14 +118,21 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
 
 
 def _minimal_gens(gens: Iterable[Monomial]) -> list[Monomial]:
-    gens = sorted(set(gens), key=lambda m: (m.degree, m.exps))
+    """The divisibility-minimal members of ``gens``, ascending by (degree,
+    exponents).  Distinct monomials of one degree never divide each other,
+    so each is tested only against those kept in lower degrees."""
     out: list[Monomial] = []
-    kept: list[tuple[int, ...]] = []  # the exponent tuples of out
-    for g in gens:
+    lower: list[tuple[int, ...]] = []  # exponent tuples kept below degree
+    fresh: list[tuple[int, ...]] = []  # ... and in degree
+    degree = -1
+    for g in sorted(set(gens), key=lambda m: (m.degree, m.exps)):
         e = g.exps
-        if not any(all(map(le, h, e)) for h in kept):
+        if g.degree != degree:
+            lower += fresh
+            fresh, degree = [], g.degree
+        if not any(all(map(le, h, e)) for h in lower):
             out.append(g)
-            kept.append(e)
+            fresh.append(e)
     return out
 
 

@@ -15,10 +15,14 @@ monomials, exactly, as the degree-d monomials some generator divides.
   and only the Schur complement of the other rows (the part left after
   reducing them by the pivot rows) is eliminated column by column; the
   products run in float64 (BLAS) wherever every sum stays below 2^53;
-- containment reduces one ideal's rows against the other's reduced row
-  echelon basis, and a nonzero residual is a failure; against a monomial
-  ideal the residual is the terms no generator divides;
-- equality compares the two reduced bases, which are canonical;
+- containment is decided in the generators' degrees: (A)_d lies in (B)_d
+  for every d <= dmax exactly when each generator of A of degree at most
+  dmax lies in (B) in its own degree, so only those generators' rows are
+  reduced against B's reduced row echelon basis, in those degrees, and
+  the first failing degree is the least degree of a generator outside
+  (B); against a monomial ideal the residual is the terms no generator
+  divides;
+- equality is containment both ways, in the same degrees;
 - colon stability ranks the residual of the multiples of f modulo I.
 
 Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
@@ -26,13 +30,24 @@ can only be too small, so a dimension is a lower bound.  A comparison has
 no such direction: a containment or colon residual can vanish mod p when
 it does not over Q, so those checks can pass spuriously at one prime.
 Replay at a second prime is still to come (the open item "Two primes
-and stated horizons" of ROADMAP.md).
+and stated horizons" of ROADMAP.md).  The horizon, on the other hand,
+truncates neither containment nor equality when every generator they
+compare has degree at most dmax: both then decide the ideals themselves,
+in every degree.  A test pins this on the worked example's certificate
+and on the 94 certificates of the Borel sweep.
 
 Inside ``scope()`` the basis of each (generators, degree, variables,
-prime) is computed once and kept until the outermost scope exits;
-outside any scope nothing is cached.  The certificate builders,
-``verify_certificate`` and ``verify_lift`` each open a scope, so nothing
-carries from one call to the next, nor from a build to its replay.
+prime) is computed once and kept until the outermost scope exits, and an
+equality proven there lets both ideals share one basis in every degree
+up to its horizon: one side's key is aliased, degree by degree, to the
+other's, toward the side whose basis is read off monomials when there
+is one.  A reduced row echelon basis is unique for its subspace, so an
+alias changes no answer; it spares, say, the elimination of
+bar I_0 + x_1 I' once that ideal is proven equal to the monomial ideal
+J.  Outside any scope nothing is cached and nothing aliased.  The
+certificate builders, ``verify_certificate`` and ``verify_lift`` each
+open a scope, so nothing carries from one call to the next, nor from a
+build to its replay.
 """
 from __future__ import annotations
 
@@ -303,7 +318,8 @@ class _Basis:
     """Reduced row echelon basis of one degree-d piece of an ideal over F_p.
 
     The pivot block of a reduced basis is the identity, so only its block
-    in the free (non-pivot) columns is kept, one row per pivot.
+    in the free (non-pivot) columns is kept, as ``reduced``, one row per
+    pivot.
     ``of_matrix`` eliminates a Macaulay matrix with ``_echelon``;
     ``of_monomials`` reads the basis of a monomial ideal off its terms:
     the pivots are the monomials they divide and the free block is zero.
@@ -318,7 +334,7 @@ class _Basis:
         self.pivots = pivots
         self.free = np.flatnonzero(free)
         self.monomial = monomial
-        self._reduced = reduced.astype(np.uint32)
+        self.reduced = reduced.astype(np.uint32)
 
     @classmethod
     def of_matrix(cls, M: np.ndarray, p: int) -> "_Basis":
@@ -337,10 +353,6 @@ class _Basis:
         reduced = np.zeros((pivots.size, len(E) - pivots.size), dtype=np.uint32)
         return cls(p, len(E), pivots, reduced, monomial=True)
 
-    def reduced(self) -> np.ndarray:
-        """The reduced basis restricted to the free columns."""
-        return self._reduced
-
     def residual(self, A: np.ndarray) -> np.ndarray:
         """Rows of A modulo this row space, in the free columns:
         A_free - A_pivots @ X mod p, exact through ``_sub_mul``.  For a
@@ -349,48 +361,86 @@ class _Basis:
         A = np.asarray(A, dtype=np.int64) % self.p
         if self.monomial:
             return A[:, self.free]
-        return _sub_mul(A[:, self.free], A[:, self.pivots], self._reduced, self.p)
+        return _sub_mul(A[:, self.free], A[:, self.pivots], self.reduced, self.p)
 
 
-# The open scope's bases by (generators, degree, variables, prime), or
-# None outside any scope.
-_SCOPE: ContextVar[dict | None] = ContextVar("liaison_oracle_scope", default=None)
+# The open scope's state, or None outside any scope: its bases by key
+# (generators, degree, variables, prime), and the aliases its proven
+# equalities left, from one such key to the key and generators of an ideal
+# with the same piece in that degree.
+_SCOPE: ContextVar[tuple[dict, dict] | None] = ContextVar("liaison_oracle_scope",
+                                                          default=None)
 
 
 @contextmanager
 def scope():
-    """Keep every echelon basis the oracle computes until the outermost
-    scope exits.  Re-entrant: a nested scope shares the open cache.  Also
-    a decorator, opening a scope around each call."""
+    """Keep every echelon basis the oracle computes, and every alias an
+    equality proves, until the outermost scope exits.  Re-entrant: a nested
+    scope shares the open state.  Also a decorator, opening a scope around
+    each call."""
     if _SCOPE.get() is not None:
         yield
         return
-    token = _SCOPE.set({})
+    token = _SCOPE.set(({}, {}))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
+def _single_terms(gens, p: int) -> bool:
+    """Whether every generator is one term with a coefficient nonzero mod
+    p: the ideal's bases are then read off its monomials."""
+    return all(len(g) == 1 and next(iter(g.values())) % p for g in gens)
+
+
 def _new_basis(gens, d: int, N: int, p: int) -> _Basis:
-    """Read off the basis when every generator is one term with a
-    coefficient nonzero mod p; else eliminate the Macaulay matrix."""
-    if all(len(g) == 1 and next(iter(g.values())) % p for g in gens):
+    """Read off the basis of a monomial ideal (``_single_terms``); else
+    eliminate the Macaulay matrix."""
+    if _single_terms(gens, p):
         return _Basis.of_monomials([next(iter(g)) for g in gens], d, N, p)
     return _Basis.of_matrix(_degree_rows(gens, d, N, p), p)
 
 
+def _gens_key(gens) -> tuple:
+    return tuple(tuple(sorted(g.items())) for g in gens)
+
+
+def _resolve(aliases: dict, key: tuple, gens) -> tuple:
+    """The (key, generators) whose basis stands for ``key``: the end of
+    its chain of aliases."""
+    while key in aliases:
+        key, gens = aliases[key]
+    return key, gens
+
+
 def _basis(gens, d: int, N: int, p: int) -> _Basis:
     """Echelon basis of the degree-d piece of (gens), from the open scope
-    when it holds one."""
-    cache = _SCOPE.get()
-    if cache is None:
+    when it holds one, for these generators or for an ideal proven equal
+    to theirs in degree d."""
+    state = _SCOPE.get()
+    if state is None:
         return _new_basis(gens, d, N, p)
-    key = (tuple(tuple(sorted(g.items())) for g in gens), d, N, p)
-    basis = cache.get(key)
+    bases, aliases = state
+    key, gens = _resolve(aliases, (_gens_key(gens), d, N, p), gens)
+    basis = bases.get(key)
     if basis is None:
-        basis = cache[key] = _new_basis(gens, d, N, p)
+        basis = bases[key] = _new_basis(gens, d, N, p)
     return basis
+
+
+def _alias(aliases: dict, gensA, gensB, dmax: int, N: int, p: int) -> None:
+    """Record (gensA)_d = (gensB)_d for every d <= dmax.  Both ends are
+    resolved first, so an alias only joins two ideals that are each the end
+    of their chain, and no chain can close on itself; it points at the end
+    whose bases are read off monomials, when one is."""
+    keyA, keyB = _gens_key(gensA), _gens_key(gensB)
+    for d in range(dmax + 1):
+        a = _resolve(aliases, (keyA, d, N, p), gensA)
+        b = _resolve(aliases, (keyB, d, N, p), gensB)
+        if a[0] != b[0]:
+            source, target = (b, a) if _single_terms(a[1], p) else (a, b)
+            aliases[source[0]] = target
 
 
 def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
@@ -428,24 +478,43 @@ def hilbert_oracle(gens, dmax: int, N: int, p: int = DEFAULT_PRIME) -> HVector:
     return HVector.truncated(values, dmax)
 
 
-def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME):
-    """First degree where (gensA)_d is not inside (gensB)_d, or None: the
-    rows of A in that degree leave a nonzero residual modulo B's basis."""
-    for d in range(dmax + 1):
-        basis = _basis(gensB, d, N, p)
-        if basis.free.size and basis.residual(_degree_rows(gensA, d, N, p)).any():
-            return d
+def _first_outside(gensA, gensB, dmax: int, N: int, p: int):
+    """Least degree d <= dmax of a generator of A outside (gensB), or None.
+    (A)_d is spanned by the multiples of A's generators of degree at most d,
+    so it lies in (B)_d for every d <= dmax exactly when each generator of
+    degree at most dmax lies in (B) in its own degree: its coefficient row
+    leaves no residual modulo B's basis there.  Zero generators are
+    skipped; a non-homogeneous one on either side raises ValueError."""
+    by_degree: dict[int, list] = {}
+    for g in gensA:
+        by_degree.setdefault(poly_degree(g), []).append(g)
+    for g in gensB:
+        poly_degree(g)  # raises on a non-homogeneous generator
+    for d in sorted(by_degree):
+        if 0 <= d <= dmax:
+            basis = _basis(gensB, d, N, p)
+            if basis.free.size and basis.residual(_degree_rows(by_degree[d], d, N, p)).any():
+                return d
     return None
 
 
+def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME):
+    """First degree d <= dmax where (gensA)_d is not inside (gensB)_d, or
+    None: the least degree of a generator of A outside (gensB)."""
+    return _first_outside(gensA, gensB, dmax, N, p)
+
+
 def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
-    """Whether (gensA)_d = (gensB)_d for every d <= dmax: a subspace has
-    one reduced row echelon basis, so the pivots and free blocks agree."""
-    for d in range(dmax + 1):
-        a, b = _basis(gensA, d, N, p), _basis(gensB, d, N, p)
-        if not (np.array_equal(a.pivots, b.pivots)
-                and np.array_equal(a.reduced(), b.reduced())):
-            return False
+    """Whether (gensA)_d = (gensB)_d for every d <= dmax: containment both
+    ways, in the generators' degrees.  Inside a scope, an equality proven
+    lets both ideals share one basis in every degree up to dmax: a subspace
+    has one reduced row echelon basis."""
+    if (_first_outside(gensA, gensB, dmax, N, p) is not None
+            or _first_outside(gensB, gensA, dmax, N, p) is not None):
+        return False
+    state = _SCOPE.get()
+    if state is not None:
+        _alias(state[1], gensA, gensB, dmax, N, p)
     return True
 
 

@@ -54,6 +54,15 @@ class TestDecompose:
             assert D.chain_holds()
             assert recompose(D) == J
 
+    def test_chain_checked_once(self, monkeypatch):
+        calls = []
+        real = LayerDecomposition.chain_holds
+        monkeypatch.setattr(LayerDecomposition, "chain_holds",
+                            lambda D: calls.append(D) or real(D))
+        J = lex_ideal_from_hvector(HVector.artinian((1, 3, 6, 10, 4, 2)), 3)
+        decompose(J)
+        assert len(calls) == 1
+
     def test_recompose_rejects_broken_chain(self):
         bad = LayerDecomposition(
             ideal(2, (1, 0)),

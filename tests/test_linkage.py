@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liaison import linkage
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.lifting import (
     MatrixError,
@@ -24,8 +25,14 @@ from liaison.linkage import (
     strip_x1,
     verify_certificate,
 )
-from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
-from liaison.oracle import DEFAULT_PRIME, linear_form_poly
+from liaison.monomials import (
+    Monomial,
+    MonomialIdeal,
+    enumerate_borel_ideals,
+    is_cm_borel,
+    monomials_of_degree,
+)
+from liaison.oracle import DEFAULT_PRIME, linear_form_poly, poly_degree
 
 P = DEFAULT_PRIME
 
@@ -171,6 +178,54 @@ class TestArtinianCertificate:
         A = default_matrix(3, "t-lift", seed=3, ncols=4, t=1)
         with pytest.raises(LinkageError, match="Artinian"):
             glicci_certificate_artinian(ideal(3, (1, 0, 0)), A)
+
+
+class TestHorizonCoversComparedGenerators:
+    """Every generator that a containment or equality check compares has
+    degree at most the certificate's horizon, so both checks decide the
+    ideals themselves, in every degree, and not only up to dmax."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        seen = []
+
+        def recording(real):
+            def check(gensA, gensB, dmax, N, p):
+                top = max(map(poly_degree, (*gensA, *gensB)), default=-1)
+                seen.append((real.__name__, dmax, top))
+                return real(gensA, gensB, dmax, N, p)
+            return check
+
+        for name in ("containment_failure", "ideals_equal_up_to"):
+            monkeypatch.setattr(linkage, name, recording(getattr(linkage, name)))
+        return seen
+
+    @staticmethod
+    def assert_within_horizon(cert, seen):
+        assert {name for name, _, _ in seen} == {"containment_failure",
+                                                  "ideals_equal_up_to"}
+        for name, dmax, top in seen:
+            assert dmax == cert.dmax and top <= cert.dmax, (name, dmax, top)
+
+    def test_worked_certificate(self, compared):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        cert = glicci_certificate_artinian(WORKED_J, A)
+        self.assert_within_horizon(cert, compared)
+
+    def test_sweep_certificates(self, compared):
+        built = 0
+        for n in range(1, 5):
+            for J in enumerate_borel_ideals(n, 3):
+                if J.is_zero or J.is_unit or not is_cm_borel(J)[0]:
+                    continue
+                del compared[:]
+                cert = glicci_certificate_borel(J)
+                built += 1
+                if any(s.kind == "bilink" for s in cert.steps):
+                    self.assert_within_horizon(cert, compared)
+                else:
+                    assert compared == []
+        assert built == 94
 
 
 class TestCertificateSerialization:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import random
 import time
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from liaison.monomials import (
     Monomial,
     MonomialIdeal,
     NotBorelFixedError,
+    _minimal_gens,
     borel_moves,
     enumerate_borel_ideals,
     height,
@@ -125,6 +127,17 @@ class TestMonomialIdeal:
     def test_minimalization(self):
         J = ideal(2, (2, 0), (3, 0), (2, 1))
         assert J.gens == (mono(2, 0),)
+
+    def test_minimalization_matches_brute_force(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+                    for _ in range(rng.randint(0, 12))]
+            want = sorted({g for g in gens
+                           if not any(h != g and h.divides(g) for h in gens)},
+                          key=lambda m: (m.degree, m.exps))
+            assert _minimal_gens(gens) == want, gens
 
     def test_contains(self):
         J = ideal(2, (2, 0), (0, 3))

@@ -351,7 +351,7 @@ def test_monomial_basis_equals_elimination(p):
             slow = oracle._Basis.of_matrix(_degree_rows(gens, d, N, p), p)
             assert fast.monomial and not slow.monomial
             assert np.array_equal(fast.pivots, slow.pivots)
-            assert np.array_equal(fast.reduced(), slow.reduced())
+            assert np.array_equal(fast.reduced, slow.reduced)
             A = np.array([[rng.randrange(-p, p) for _ in range(ring_dim(N, d))]
                           for _ in range(3)], dtype=np.int64).reshape(3, ring_dim(N, d))
             assert np.array_equal(fast.residual(A), slow.residual(A))
@@ -411,7 +411,7 @@ def assert_kernel_matches(M, p):
     want_pivots, want = reference_rref(M, p)
     basis = oracle._Basis.of_matrix(M, p)
     assert np.array_equal(basis.pivots, want_pivots), (M, p)
-    got = basis.reduced()
+    got = basis.reduced
     assert got.shape == want.shape and np.array_equal(got, want), (M, p)
     return basis
 
@@ -476,6 +476,63 @@ def test_one_elimination_takes_both_product_branches(monkeypatch):
     assert 16 * (MIXED_P - 1) ** 2 < 2**53 <= 17 * (MIXED_P - 1) ** 2
 
 
+# --- containment and equality in the generators' degrees -------------------
+
+def awkward_pair(rng, p):
+    """A ``random_pair`` with awkward generators mixed in: the zero
+    polynomial, a form whose coefficients are all 0 mod p, a nonzero
+    constant, a constant that is 0 mod p, and forms of degree 5, above
+    every horizon used, one inside the first ideal and one at random.
+    Sometimes one side is empty."""
+    N, gens, other = random_pair(rng, p)
+    if rng.random() < 0.15:
+        return (N, [], gens) if rng.random() < 0.5 else (N, gens, [])
+    zero_mod_p = {e: p * rng.randint(1, 3) for e in random_form(rng, N, 2, p)}
+    extras = [{}, zero_mod_p, {(0,) * N: rng.randrange(1, p)}, {(0,) * N: p},
+              poly_mul(gens[0], random_form(rng, N, 5 - poly_degree(gens[0]), p), p),
+              random_form(rng, N, 5, p)]
+    weights = [3, 3, 1, 3, 3, 3]  # a unit ideal decides little: keep it rare
+    for side in (gens, other):
+        if rng.random() < 0.6:
+            side += rng.choices(extras, weights, k=rng.randint(1, 2))
+    return N, gens, other
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_generator_degree_checks_match_reference(p, scoped):
+    rng = random.Random(p + 13)
+    outcomes, equalities = set(), set()
+    for _ in range(24):
+        N, gens, other = awkward_pair(rng, p)
+        dmax = rng.randint(0, 4)
+        with scope() if scoped else contextlib.nullcontext():
+            for _ in range(2):  # in a scope, the second round reads aliases
+                for A, B in ((gens, other), (other, gens)):
+                    got = containment_failure(A, B, dmax, N, p)
+                    assert got == ref_containment_failure(A, B, dmax, N, p), (A, B, dmax)
+                    outcomes.add(got is None)
+                equal = ideals_equal_up_to(gens, other, dmax, N, p)
+                assert equal == (
+                    ref_containment_failure(gens, other, dmax, N, p) is None
+                    and ref_containment_failure(other, gens, dmax, N, p) is None)
+                equalities.add(equal)
+                for d in range(dmax + 2):
+                    assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
+    assert outcomes == equalities == {True, False}  # both answers occur
+
+
+def test_checks_reject_non_homogeneous_generators():
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    mixed = {(1, 0): 1, (0, 2): 1}
+    # Above the horizon, or inside a unit ideal, a generator still counts.
+    for A, B in (([mixed], [x]), ([x], [mixed]), ([], [mixed]), ([mixed], [y, {(0, 0): 1}])):
+        with pytest.raises(ValueError, match="homogeneous"):
+            containment_failure(A, B, 3, 2, P)
+        with pytest.raises(ValueError, match="homogeneous"):
+            ideals_equal_up_to(A, B, 3, 2, P)
+
+
 # --- scopes -----------------------------------------------------------------
 
 # (x1^2 - x2 x3, x2^2 + 2 x1 x3): not monomial, so each basis is eliminated
@@ -523,3 +580,76 @@ class TestScope:
             with scope():
                 colon_stability_failure(monomial_polys(SQUARE), {}, 2, 3, P)
         assert oracle._SCOPE.get() is None
+
+    # (x^2, xy) from generators that are not all single terms, and the same
+    # ideal from its monomials.
+    MIXED = [{(2, 0, 0): 1, (1, 1, 0): 1}, {(1, 1, 0): 1}]
+    MONOMIAL = [{(2, 0, 0): 1}, {(1, 1, 0): 1}]
+
+    @staticmethod
+    def assert_fresh(basis, gens, d):
+        fresh = oracle._new_basis(gens, d, 3, P)
+        assert np.array_equal(basis.pivots, fresh.pivots)
+        assert np.array_equal(basis.reduced, fresh.reduced)
+
+    def test_proven_equal_ideals_share_one_basis(self, degree_row_calls):
+        other = BINOMIALS[::-1] + [poly_mul(BINOMIALS[0], {(0, 0, 1): 1}, P)]
+        with scope():
+            assert ideals_equal_up_to(BINOMIALS, other, 3, 3, P)
+            for d in range(4):
+                basis = oracle._basis(BINOMIALS, d, 3, P)
+                assert oracle._basis(other, d, 3, P) is basis
+                self.assert_fresh(basis, BINOMIALS, d)
+                self.assert_fresh(basis, other, d)
+            del degree_row_calls[:]
+            above = oracle._basis(BINOMIALS, 4, 3, P), oracle._basis(other, 4, 3, P)
+            assert above[0] is not above[1]
+            assert degree_row_calls == [(4, 3, P), (4, 3, P)]  # each computed fresh
+            self.assert_fresh(above[0], BINOMIALS, 4)
+            self.assert_fresh(above[1], other, 4)
+
+    @pytest.mark.parametrize("order", ["mixed first", "monomial first"])
+    def test_alias_points_at_the_monomial_side(self, order, degree_row_calls):
+        pair = (self.MIXED, self.MONOMIAL)
+        with scope():
+            assert ideals_equal_up_to(*(pair if order == "mixed first" else pair[::-1]), 4, 3, P)
+            del degree_row_calls[:]
+            bases = [oracle._basis(self.MIXED, d, 3, P) for d in range(5)]
+            assert degree_row_calls == []
+            for d, basis in enumerate(bases):
+                assert basis.monomial
+                self.assert_fresh(basis, self.MIXED, d)
+
+    def test_aliases_form_no_cycle(self):
+        other = BINOMIALS[::-1]
+        with scope():
+            assert ideals_equal_up_to(BINOMIALS, other, 2, 3, P)
+            assert ideals_equal_up_to(other, BINOMIALS, 4, 3, P)
+            assert ideals_equal_up_to(BINOMIALS, BINOMIALS, 5, 3, P)
+            assert ideals_equal_up_to(other, other, 5, 3, P)
+            _, aliases = oracle._SCOPE.get()
+            assert len(aliases) == 5  # one per degree 0..4, none for A = A
+            for target, _ in aliases.values():
+                assert target not in aliases
+            for d in range(6):
+                self.assert_fresh(oracle._basis(other, d, 3, P), other, d)
+
+    def test_failed_equality_leaves_no_alias(self, degree_row_calls):
+        bigger = self.MONOMIAL + [{(0, 0, 3): 1}]
+        with scope():
+            assert not ideals_equal_up_to(self.MIXED, bigger, 4, 3, P)
+            assert oracle._SCOPE.get()[1] == {}
+            assert ideals_equal_up_to(self.MIXED, self.MONOMIAL, 4, 3, P)
+            assert oracle._SCOPE.get()[1]
+        assert oracle._SCOPE.get() is None
+        with scope():
+            assert oracle._SCOPE.get() == ({}, {})
+            del degree_row_calls[:]
+            assert not oracle._basis(self.MIXED, 2, 3, P).monomial
+            assert degree_row_calls == [(2, 3, P)]
+
+    def test_no_alias_outside_a_scope(self, degree_row_calls):
+        assert ideals_equal_up_to(self.MIXED, self.MONOMIAL, 4, 3, P)
+        del degree_row_calls[:]
+        assert not oracle._basis(self.MIXED, 2, 3, P).monomial
+        assert degree_row_calls == [(2, 3, P)]
