@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .hilbert import difference, hilbert_function
-from .monomials import Monomial, MonomialIdeal, is_artinian, standard_monomials
+from .monomials import Monomial, MonomialIdeal, is_artinian, json_int, standard_monomials
 from .oracle import (DEFAULT_PRIME, check_dmax, check_prime, expand,
                      graded_dim, hilbert_oracle, rank_mod_p, scope)
 
@@ -82,6 +82,9 @@ class LiftingMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LiftingMatrix":
+        """The matrix a ``matrix/1`` document stores: ``ambient_n`` and
+        ``t`` must be integers >= 0 and every coefficient an integer
+        (``json_int``)."""
         spec = data["kind"]
         if spec == "bf":
             kind, seed = "bf", None
@@ -91,10 +94,12 @@ class LiftingMatrix:
             raise MatrixError(f"unknown matrix kind {spec!r}")
         matrix = cls(
             tuple(
-                tuple(LinearForm(tuple(c)) for c in row) for row in data["rows"]
+                tuple(LinearForm(tuple(json_int(c, "coefficient", None) for c in form))
+                      for form in row)
+                for row in data["rows"]
             ),
-            data["ambient_n"],
-            data["t"],
+            json_int(data["ambient_n"], "ambient_n"),
+            json_int(data["t"], "t"),
             kind,
             seed,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .hilbert import HVector, difference
+from .hilbert import HVector, difference, hilbert_function
 from .layers import decompose
 from .lifting import (
     LiftedIdeal,
@@ -156,9 +156,12 @@ class BasicDoubleLink(_FieldCodec):
 
 
 def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
-                      dmax: int, prime: int = DEFAULT_PRIME) -> BasicDoubleLink:
+                      dmax: int, prime: int = DEFAULT_PRIME, *,
+                      result_hilbert: HVector | None = None) -> BasicDoubleLink:
     """Build I + A*J and verify every recorded side condition; raises
-    LinkageError naming the first failure."""
+    LinkageError naming the first failure.  ``result_hilbert``, when
+    given, stands for the oracle's Hilbert function of I + A*J through
+    dmax: the Borel bilink passes J's, once I + A*J = J is proven."""
     result_gens = tuple(base.gens) + tuple(
         poly_mul(multiplier, g, prime) for g in divisor.gens
     )
@@ -196,7 +199,7 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
 
     h_base = base.hilbert(dmax, prime)
     h_div = divisor.hilbert(dmax, prime)
-    h_res = result.hilbert(dmax, prime)
+    h_res = result.hilbert(dmax, prime) if result_hilbert is None else result_hilbert
     bad_deg = None
     for t in range(dmax + 1):
         if h_res.at(t) != h_base.at(t) - h_base.at(t - d) + h_div.at(t - d):
@@ -268,14 +271,9 @@ def hypersurface_chain(vees, forms, dmax: int,
             ))
     _require(checks)
 
-    # W_1 = V_1 + (F_1); then Z_k = I_{V_k} + F_k * Z_{k-1}.
-    current = PolyIdeal(
-        N,
-        tuple(asc[0].gens) + (poly_normalize(forms[0], prime),),
-        asc[0].codim + 1,
-        asc[0].gorenstein_tag,
-        "W1",
-    )
+    # W_i = I_{V_i} + (F_i); Z_1 = W_1, then Z_k = I_{V_k} + F_k * Z_{k-1}.
+    ws = [tuple(v.gens) + (poly_normalize(f, prime),) for v, f in zip(asc, forms)]
+    current = PolyIdeal(N, ws[0], asc[0].codim + 1, asc[0].gorenstein_tag, "W1")
     links: list[BasicDoubleLink] = []
     for k in range(2, r + 1):
         link = basic_double_link(asc[k - 1], current, forms[k - 1], dmax, prime)
@@ -284,10 +282,7 @@ def hypersurface_chain(vees, forms, dmax: int,
 
     # Hilbert formula: h_Z(t) = sum_i h_{W_i}(t - d_{i+1} - ... - d_r).
     degs = [poly_degree(f) for f in forms]
-    h_ws = []
-    for i in range(1, r + 1):
-        w = tuple(asc[i - 1].gens) + (poly_normalize(forms[i - 1], prime),)
-        h_ws.append(hilbert_oracle(w, dmax, N, prime))
+    h_ws = [hilbert_oracle(w, dmax, N, prime) for w in ws]
     h_z = current.hilbert(dmax, prime)
     bad = None
     for t in range(dmax + 1):
@@ -570,7 +565,10 @@ def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
     ))
     _require(checks)
 
-    link = basic_double_link(base, divisor, multiplier, dmax, prime)
+    # bar-j-equals-j has passed: the link's result is J, whose Hilbert
+    # function is exact in closed form.
+    link = basic_double_link(base, divisor, multiplier, dmax, prime,
+                             result_hilbert=hilbert_function(J, dmax))
     return BilinkStep(J, i0, iprime, B, link, tuple(checks))
 
 

@@ -23,6 +23,16 @@ class NotBorelFixedError(ValueError):
     """Raised when an operation requires a Borel-fixed input."""
 
 
+def json_int(value, what: str, least: int | None = 0) -> int:
+    """``value`` if it is a JSON integer, not a float or a boolean, and at
+    least ``least`` unless that is None; raise ValueError naming ``what``
+    otherwise."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A monomial given by its exponent vector."""
@@ -240,7 +250,11 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_gens(data["n"], (Monomial(tuple(e)) for e in data["gens"]))
+        """The ideal an ``ideal/1`` document stores: ``n`` and every
+        exponent must be integers >= 0 (``json_int``)."""
+        n = json_int(data["n"], "n")
+        return cls.from_gens(n, (Monomial(tuple(json_int(e, "exponent") for e in exps))
+                                 for exps in data["gens"]))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -37,17 +37,14 @@ in every degree.  A test pins this on the worked example's certificate
 and on the 94 certificates of the Borel sweep.
 
 Inside ``scope()`` the basis of each (generators, degree, variables,
-prime) is computed once and kept until the outermost scope exits, and an
-equality proven there lets both ideals share one basis in every degree
-up to its horizon: one side's key is aliased, degree by degree, to the
-other's, toward the side whose basis is read off monomials when there
-is one.  A reduced row echelon basis is unique for its subspace, so an
-alias changes no answer; it spares, say, the elimination of
-bar I_0 + x_1 I' once that ideal is proven equal to the monomial ideal
-J.  Outside any scope nothing is cached and nothing aliased.  The
+prime) is computed once and kept until the outermost scope exits; the
+scope holds nothing else, and outside any scope nothing is cached.  The
 certificate builders, ``verify_certificate`` and ``verify_lift`` each
 open a scope, so nothing carries from one call to the next, nor from a
-build to its replay.
+build to its replay.  A proven equality caches no answer for the other
+side: a caller that has proven its ideal equal to a monomial ideal reads
+that ideal's Hilbert function in closed form instead, as the Borel
+bilink does for bar I_0 + x_1 I' = J.
 """
 from __future__ import annotations
 
@@ -364,40 +361,30 @@ class _Basis:
         return _sub_mul(A[:, self.free], A[:, self.pivots], self.reduced, self.p)
 
 
-# The open scope's state, or None outside any scope: its bases by key
-# (generators, degree, variables, prime), and the aliases its proven
-# equalities left, from one such key to the key and generators of an ideal
-# with the same piece in that degree.
-_SCOPE: ContextVar[tuple[dict, dict] | None] = ContextVar("liaison_oracle_scope",
-                                                          default=None)
+# The open scope's bases by key (generators, degree, variables, prime), or
+# None outside any scope.
+_SCOPE: ContextVar[dict | None] = ContextVar("liaison_oracle_scope", default=None)
 
 
 @contextmanager
 def scope():
-    """Keep every echelon basis the oracle computes, and every alias an
-    equality proves, until the outermost scope exits.  Re-entrant: a nested
-    scope shares the open state.  Also a decorator, opening a scope around
-    each call."""
+    """Keep every echelon basis the oracle computes until the outermost
+    scope exits.  Re-entrant: a nested scope shares the open cache.  Also
+    a decorator, opening a scope around each call."""
     if _SCOPE.get() is not None:
         yield
         return
-    token = _SCOPE.set(({}, {}))
+    token = _SCOPE.set({})
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-def _single_terms(gens, p: int) -> bool:
-    """Whether every generator is one term with a coefficient nonzero mod
-    p: the ideal's bases are then read off its monomials."""
-    return all(len(g) == 1 and next(iter(g.values())) % p for g in gens)
-
-
 def _new_basis(gens, d: int, N: int, p: int) -> _Basis:
-    """Read off the basis of a monomial ideal (``_single_terms``); else
-    eliminate the Macaulay matrix."""
-    if _single_terms(gens, p):
+    """Read off the basis of a monomial ideal, every generator one term
+    with a coefficient nonzero mod p; else eliminate the Macaulay matrix."""
+    if all(len(g) == 1 and next(iter(g.values())) % p for g in gens):
         return _Basis.of_monomials([next(iter(g)) for g in gens], d, N, p)
     return _Basis.of_matrix(_degree_rows(gens, d, N, p), p)
 
@@ -406,41 +393,17 @@ def _gens_key(gens) -> tuple:
     return tuple(tuple(sorted(g.items())) for g in gens)
 
 
-def _resolve(aliases: dict, key: tuple, gens) -> tuple:
-    """The (key, generators) whose basis stands for ``key``: the end of
-    its chain of aliases."""
-    while key in aliases:
-        key, gens = aliases[key]
-    return key, gens
-
-
 def _basis(gens, d: int, N: int, p: int) -> _Basis:
     """Echelon basis of the degree-d piece of (gens), from the open scope
-    when it holds one, for these generators or for an ideal proven equal
-    to theirs in degree d."""
-    state = _SCOPE.get()
-    if state is None:
+    when it holds one."""
+    bases = _SCOPE.get()
+    if bases is None:
         return _new_basis(gens, d, N, p)
-    bases, aliases = state
-    key, gens = _resolve(aliases, (_gens_key(gens), d, N, p), gens)
+    key = (_gens_key(gens), d, N, p)
     basis = bases.get(key)
     if basis is None:
         basis = bases[key] = _new_basis(gens, d, N, p)
     return basis
-
-
-def _alias(aliases: dict, gensA, gensB, dmax: int, N: int, p: int) -> None:
-    """Record (gensA)_d = (gensB)_d for every d <= dmax.  Both ends are
-    resolved first, so an alias only joins two ideals that are each the end
-    of their chain, and no chain can close on itself; it points at the end
-    whose bases are read off monomials, when one is."""
-    keyA, keyB = _gens_key(gensA), _gens_key(gensB)
-    for d in range(dmax + 1):
-        a = _resolve(aliases, (keyA, d, N, p), gensA)
-        b = _resolve(aliases, (keyB, d, N, p), gensB)
-        if a[0] != b[0]:
-            source, target = (b, a) if _single_terms(a[1], p) else (a, b)
-            aliases[source[0]] = target
 
 
 def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
@@ -506,16 +469,10 @@ def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME)
 
 def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
     """Whether (gensA)_d = (gensB)_d for every d <= dmax: containment both
-    ways, in the generators' degrees.  Inside a scope, an equality proven
-    lets both ideals share one basis in every degree up to dmax: a subspace
-    has one reduced row echelon basis."""
-    if (_first_outside(gensA, gensB, dmax, N, p) is not None
-            or _first_outside(gensB, gensA, dmax, N, p) is not None):
-        return False
-    state = _SCOPE.get()
-    if state is not None:
-        _alias(state[1], gensA, gensB, dmax, N, p)
-    return True
+    ways, in the generators' degrees.  Only the bases the two containments
+    build are cached in an open scope; the answer itself is not."""
+    return (_first_outside(gensA, gensB, dmax, N, p) is None
+            and _first_outside(gensB, gensA, dmax, N, p) is None)
 
 
 def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_PRIME):

@@ -122,6 +122,67 @@ def test_non_object_json_is_input_error(tmp_path, capsys, command):
     assert err == f"error: {path}: expected a JSON object, got list\n"
 
 
+@pytest.fixture(scope="module")
+def square_documents(tmp_path_factory):
+    """SQUARE, its default lift record and its Artinian certificate, as
+    the CLI writes them."""
+    d = tmp_path_factory.mktemp("square")
+    (d / "sq.json").write_text(json.dumps(SQUARE))
+    assert main(["lift", str(d / "sq.json"), "--out", str(d / "L.json")]) == 0
+    assert main(["glicci", str(d / "sq.json"), "--mode", "artinian",
+                 "--out", str(d / "cert.json")]) == 0
+    return {"ideal": SQUARE, "lift": json.loads((d / "L.json").read_text()),
+            "cert": json.loads((d / "cert.json").read_text())}
+
+
+# Where each command reads an ideal/1 and a matrix/1 document: the file it
+# takes, and the path inside it to each (None: it reads no matrix).
+_READS = {"analyze": ("ideal", (), None), "lift": ("ideal", (), None),
+          "glicci": ("ideal", (), None),
+          "verify": ("cert", ("root",), ("steps", 0, "matrix")),
+          "verify-lift": ("lift", ("source",), ("matrix",))}
+
+# JSON numbers that are not integers, or are out of range, where integers
+# belong: (document, path in it, value).
+_BAD_NUMBERS = {
+    "exponent-1.5": ("ideal", ("gens", 0, 0), 1.5),
+    "exponent-true": ("ideal", ("gens", 0, 0), True),
+    "n-3.0": ("ideal", ("n",), 3.0),
+    "n-negative": ("ideal", ("n",), -1),
+    "coefficient-1.5": ("matrix", ("rows", 0, 0, 0), 1.5),
+    "coefficient-true": ("matrix", ("rows", 0, 0, 0), True),
+    "ambient_n-3.0": ("matrix", ("ambient_n",), 3.0),
+    "t-true": ("matrix", ("t",), True),
+}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("command,case", [
+    (command, case) for case, (part, _, _) in _BAD_NUMBERS.items()
+    for command, (_, _, matrix_at) in _READS.items()
+    if part == "ideal" or matrix_at is not None])
+def test_non_integer_number_is_input_error(square_documents, tmp_path, capsys,
+                                           command, case):
+    name, ideal_at, matrix_at = _READS[command]
+    part, path, value = _BAD_NUMBERS[case]
+    data = json.loads(json.dumps(square_documents[name]))
+    target = _at(data, matrix_at if part == "matrix" else ideal_at)
+    _at(target, path[:-1])[path[-1]] = value
+    if command == "verify-lift" and part == "matrix":
+        _rehash(data)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data))
+    extra = ["--mode", "artinian"] if command == "glicci" else []
+    code, out, err = run(capsys, command, str(doc), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestLiftAndVerify:
     def test_lift_then_verify(self, worked_ideal, tmp_path, capsys):
         lifted = tmp_path / "L.json"

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liaison import linkage
+from liaison import linkage, oracle
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.lifting import (
     MatrixError,
@@ -49,6 +49,13 @@ def lifted_poly_ideal(J, A, codim, label=""):
     return PolyIdeal.from_lifted(lift_ideal(J, A), codim, label=label)
 
 
+def sweep_ideals():
+    """The 94 proper nonzero CM Borel-fixed ideals with n <= 4 and
+    generator degree <= 3: the Borel sweep."""
+    return [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 3)
+            if not (J.is_zero or J.is_unit) and is_cm_borel(J)[0]]
+
+
 class TestBasicDoubleLink:
     def test_simple_link_passes(self):
         # base: one lifted point-pair in P^2; divisor: a point on it
@@ -84,6 +91,18 @@ class TestBasicDoubleLink:
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
         with pytest.raises(LinkageError, match="gorenstein"):
             basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), 6, P)
+
+    def test_given_result_hilbert_is_checked(self):
+        A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
+        divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
+        curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
+        form = linear_form_poly((0, 0, 1), P)
+        h = basic_double_link(curve, divisor, form, 8, P).result.hilbert(8, P)
+        link = basic_double_link(curve, divisor, form, 8, P, result_hilbert=h)
+        assert all(c.passed for c in link.checks)
+        wrong = HVector.truncated(h.values[:3] + (h.values[3] + 1,) + h.values[4:], 8)
+        with pytest.raises(LinkageError, match="hilbert-identity"):
+            basic_double_link(curve, divisor, form, 8, P, result_hilbert=wrong)
 
 class TestHypersurfaceChain:
     def test_worked_example_chain(self):
@@ -150,6 +169,40 @@ class TestBorelCertificate:
         assert not cert.steps
         assert verify_certificate(cert).ok
 
+    def test_links_only_after_bar_j_equals_j(self, monkeypatch):
+        linked = []
+        monkeypatch.setattr(linkage, "ideals_equal_up_to", lambda *args: False)
+        monkeypatch.setattr(linkage, "basic_double_link",
+                            lambda *args, **kwargs: linked.append(args))
+        with pytest.raises(LinkageError, match="bar-j-equals-j"):
+            glicci_certificate_borel(SQUARE)
+        assert linked == []
+
+    def test_link_result_eliminated_only_in_js_generator_degrees(self, monkeypatch):
+        # Once bar J = J is proven, the link's Hilbert function is J's, in
+        # closed form; the result's own bases are built only where the
+        # containment of J in it needs them.
+        calls = []
+        real = oracle._degree_rows
+
+        def recording(gens, d, N, p):
+            calls.append((oracle._gens_key(gens), d))
+            return real(gens, d, N, p)
+
+        monkeypatch.setattr(oracle, "_degree_rows", recording)
+        eliminated = 0
+        for J in sweep_ideals():
+            del calls[:]
+            cert = glicci_certificate_borel(J)
+            assert verify_certificate(cert).ok  # the replay too
+            for step in cert.steps:
+                if step.kind == "bilink":
+                    key = oracle._gens_key(step.link.result.gens)
+                    degrees = {d for k, d in calls if k == key}
+                    assert degrees <= {g.degree for g in step.source.gens}, step.source
+                    eliminated += len(degrees)
+        assert eliminated > 0
+
     def test_deeper_borel_ideal(self):
         J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 3))
         cert = glicci_certificate_borel(J)
@@ -213,19 +266,15 @@ class TestHorizonCoversComparedGenerators:
         self.assert_within_horizon(cert, compared)
 
     def test_sweep_certificates(self, compared):
-        built = 0
-        for n in range(1, 5):
-            for J in enumerate_borel_ideals(n, 3):
-                if J.is_zero or J.is_unit or not is_cm_borel(J)[0]:
-                    continue
-                del compared[:]
-                cert = glicci_certificate_borel(J)
-                built += 1
-                if any(s.kind == "bilink" for s in cert.steps):
-                    self.assert_within_horizon(cert, compared)
-                else:
-                    assert compared == []
-        assert built == 94
+        ideals = sweep_ideals()
+        assert len(ideals) == 94
+        for J in ideals:
+            del compared[:]
+            cert = glicci_certificate_borel(J)
+            if any(s.kind == "bilink" for s in cert.steps):
+                self.assert_within_horizon(cert, compared)
+            else:
+                assert compared == []
 
 
 class TestCertificateSerialization:

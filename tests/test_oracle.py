@@ -507,7 +507,7 @@ def test_generator_degree_checks_match_reference(p, scoped):
         N, gens, other = awkward_pair(rng, p)
         dmax = rng.randint(0, 4)
         with scope() if scoped else contextlib.nullcontext():
-            for _ in range(2):  # in a scope, the second round reads aliases
+            for _ in range(2):  # in a scope, the second round reads cached bases
                 for A, B in ((gens, other), (other, gens)):
                     got = containment_failure(A, B, dmax, N, p)
                     assert got == ref_containment_failure(A, B, dmax, N, p), (A, B, dmax)
@@ -586,69 +586,20 @@ class TestScope:
     MIXED = [{(2, 0, 0): 1, (1, 1, 0): 1}, {(1, 1, 0): 1}]
     MONOMIAL = [{(2, 0, 0): 1}, {(1, 1, 0): 1}]
 
-    @staticmethod
-    def assert_fresh(basis, gens, d):
-        fresh = oracle._new_basis(gens, d, 3, P)
-        assert np.array_equal(basis.pivots, fresh.pivots)
-        assert np.array_equal(basis.reduced, fresh.reduced)
-
-    def test_proven_equal_ideals_share_one_basis(self, degree_row_calls):
+    def test_proven_equality_caches_only_bases(self):
         other = BINOMIALS[::-1] + [poly_mul(BINOMIALS[0], {(0, 0, 1): 1}, P)]
         with scope():
-            assert ideals_equal_up_to(BINOMIALS, other, 3, 3, P)
-            for d in range(4):
-                basis = oracle._basis(BINOMIALS, d, 3, P)
-                assert oracle._basis(other, d, 3, P) is basis
-                self.assert_fresh(basis, BINOMIALS, d)
-                self.assert_fresh(basis, other, d)
-            del degree_row_calls[:]
-            above = oracle._basis(BINOMIALS, 4, 3, P), oracle._basis(other, 4, 3, P)
-            assert above[0] is not above[1]
-            assert degree_row_calls == [(4, 3, P), (4, 3, P)]  # each computed fresh
-            self.assert_fresh(above[0], BINOMIALS, 4)
-            self.assert_fresh(above[1], other, 4)
+            for A, B in ((BINOMIALS, other), (self.MIXED, self.MONOMIAL)):
+                assert ideals_equal_up_to(A, B, 4, 3, P)
+            bases = oracle._SCOPE.get()
+            assert type(bases) is dict and bases
+            for (key, d, N, p), basis in bases.items():
+                fresh = oracle._new_basis([dict(g) for g in key], d, N, p)
+                assert basis.monomial == fresh.monomial
+                assert np.array_equal(basis.pivots, fresh.pivots)
+                assert np.array_equal(basis.reduced, fresh.reduced)
 
-    @pytest.mark.parametrize("order", ["mixed first", "monomial first"])
-    def test_alias_points_at_the_monomial_side(self, order, degree_row_calls):
-        pair = (self.MIXED, self.MONOMIAL)
-        with scope():
-            assert ideals_equal_up_to(*(pair if order == "mixed first" else pair[::-1]), 4, 3, P)
-            del degree_row_calls[:]
-            bases = [oracle._basis(self.MIXED, d, 3, P) for d in range(5)]
-            assert degree_row_calls == []
-            for d, basis in enumerate(bases):
-                assert basis.monomial
-                self.assert_fresh(basis, self.MIXED, d)
-
-    def test_aliases_form_no_cycle(self):
-        other = BINOMIALS[::-1]
-        with scope():
-            assert ideals_equal_up_to(BINOMIALS, other, 2, 3, P)
-            assert ideals_equal_up_to(other, BINOMIALS, 4, 3, P)
-            assert ideals_equal_up_to(BINOMIALS, BINOMIALS, 5, 3, P)
-            assert ideals_equal_up_to(other, other, 5, 3, P)
-            _, aliases = oracle._SCOPE.get()
-            assert len(aliases) == 5  # one per degree 0..4, none for A = A
-            for target, _ in aliases.values():
-                assert target not in aliases
-            for d in range(6):
-                self.assert_fresh(oracle._basis(other, d, 3, P), other, d)
-
-    def test_failed_equality_leaves_no_alias(self, degree_row_calls):
-        bigger = self.MONOMIAL + [{(0, 0, 3): 1}]
-        with scope():
-            assert not ideals_equal_up_to(self.MIXED, bigger, 4, 3, P)
-            assert oracle._SCOPE.get()[1] == {}
-            assert ideals_equal_up_to(self.MIXED, self.MONOMIAL, 4, 3, P)
-            assert oracle._SCOPE.get()[1]
-        assert oracle._SCOPE.get() is None
-        with scope():
-            assert oracle._SCOPE.get() == ({}, {})
-            del degree_row_calls[:]
-            assert not oracle._basis(self.MIXED, 2, 3, P).monomial
-            assert degree_row_calls == [(2, 3, P)]
-
-    def test_no_alias_outside_a_scope(self, degree_row_calls):
+    def test_equality_outside_a_scope_caches_nothing(self, degree_row_calls):
         assert ideals_equal_up_to(self.MIXED, self.MONOMIAL, 4, 3, P)
         del degree_row_calls[:]
         assert not oracle._basis(self.MIXED, 2, 3, P).monomial
