@@ -83,13 +83,15 @@ class LiftingMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "LiftingMatrix":
         """The matrix a ``matrix/1`` document stores: ``ambient_n`` and
-        ``t`` must be integers >= 0 and every coefficient an integer
-        (``json_int``)."""
+        ``t`` must be integers >= 0, and every coefficient and a t-lift's
+        ``seed``, unless null, an integer (``json_int``)."""
         spec = data["kind"]
         if spec == "bf":
             kind, seed = "bf", None
         elif isinstance(spec, dict):
             kind, seed = "t-lift", spec.get("seed")
+            if seed is not None:
+                json_int(seed, "seed", None)
         else:
             raise MatrixError(f"unknown matrix kind {spec!r}")
         matrix = cls(

@@ -238,11 +238,26 @@ class HypersurfaceChain(_FieldCodec):
     checks: tuple[Check, ...]
 
 
+def _section_hilbert(v: PolyIdeal, form: dict, dmax: int, prime: int) -> HVector:
+    """Hilbert function of W = I_V + (F) through dmax, read off V's as
+    h_W(t) = h_V(t) - h_V(t - deg F), with no elimination of W.  The
+    sequence 0 -> R/(V : F)(-deg F) -> R/V -> R/W -> 0 is exact, so this
+    is exact over F_p for t <= dmax once V : F = V is checked through dmax
+    (``colon_stability_failure``); the caller must have checked it."""
+    h_v = v.hilbert(dmax, prime)
+    d = poly_degree(form)
+    return HVector.truncated([h_v.at(t) - h_v.at(t - d) for t in range(dmax + 1)], dmax)
+
+
 def hypersurface_chain(vees, forms, dmax: int,
                        prime: int = DEFAULT_PRIME) -> HypersurfaceChain:
     """Z from the flag V_r >= ... >= V_1 (schemes, given descending) and
     forms F_1..F_r: the union of the hypersurface sections F_i on V_i,
-    with the full Hilbert bookkeeping verified."""
+    with the full Hilbert bookkeeping verified.  The sections'
+    W_i = I_{V_i} + (F_i) are never eliminated for the Hilbert formula:
+    once every colon check has passed, each h_{W_i} is read off h_{V_i}
+    (``_section_hilbert``), whose bases those checks have built.  W_1 is
+    still eliminated as the first link's divisor."""
     vees = tuple(vees)
     forms = tuple(forms)
     r = len(vees)
@@ -272,17 +287,18 @@ def hypersurface_chain(vees, forms, dmax: int,
     _require(checks)
 
     # W_i = I_{V_i} + (F_i); Z_1 = W_1, then Z_k = I_{V_k} + F_k * Z_{k-1}.
-    ws = [tuple(v.gens) + (poly_normalize(f, prime),) for v, f in zip(asc, forms)]
-    current = PolyIdeal(N, ws[0], asc[0].codim + 1, asc[0].gorenstein_tag, "W1")
+    w1 = tuple(asc[0].gens) + (poly_normalize(forms[0], prime),)
+    current = PolyIdeal(N, w1, asc[0].codim + 1, asc[0].gorenstein_tag, "W1")
     links: list[BasicDoubleLink] = []
     for k in range(2, r + 1):
         link = basic_double_link(asc[k - 1], current, forms[k - 1], dmax, prime)
         links.append(link)
         current = link.result
 
-    # Hilbert formula: h_Z(t) = sum_i h_{W_i}(t - d_{i+1} - ... - d_r).
+    # Hilbert formula: h_Z(t) = sum_i h_{W_i}(t - d_{i+1} - ... - d_r),
+    # each h_{W_i} read off h_{V_i} now that V_i : F_i = V_i is checked.
     degs = [poly_degree(f) for f in forms]
-    h_ws = [hilbert_oracle(w, dmax, N, prime) for w in ws]
+    h_ws = [_section_hilbert(v, f, dmax, prime) for v, f in zip(asc, forms)]
     h_z = current.hilbert(dmax, prime)
     bad = None
     for t in range(dmax + 1):

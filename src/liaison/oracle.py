@@ -23,7 +23,10 @@ monomials, exactly, as the degree-d monomials some generator divides.
   (B); against a monomial ideal the residual is the terms no generator
   divides;
 - equality is containment both ways, in the same degrees;
-- colon stability ranks the residual of the multiples of f modulo I.
+- colon stability (I : f = I in degree d) ranks only the multiples f*mu
+  of the h(d) standard monomials mu, the free columns of I_d's basis:
+  their residual modulo I_{d+deg f} must have full row rank h(d), and
+  degrees with h(d) = 0 are skipped.
 
 Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A comparison has
@@ -476,18 +479,22 @@ def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) 
 
 
 def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_PRIME):
-    """First degree d where {g : f*g in I} is strictly bigger than I_d,
-    or None if I : f = I holds through the horizon.  The multiples f*mu
-    of the degree-d monomials mu map onto their residual modulo
-    I_{d+deg f}; the kernel, of dimension ring_dim minus the residual's
-    rank, is (I : f)_d."""
+    """First degree d <= dmax where {g : f*g in I} is strictly bigger than
+    I_d, or None if I : f = I holds through the horizon.  (I : f)_d = I_d
+    exactly when multiplication by f is injective on (R/I)_d, whose basis
+    is the h(d) standard monomials mu (the free columns of I_d's basis):
+    the rows f*mu must leave a residual of rank h(d) modulo I_{d+deg f}.
+    Degrees with h(d) = 0 hold trivially and are skipped.  An f that is
+    zero mod p raises ValueError."""
     df = poly_degree(f)
-    if df < 0:
+    if not poly_normalize(f, p):
         raise ValueError("zero multiplier")
     for d in range(dmax + 1):
-        residual = _basis(gens, d + df, N, p).residual(_degree_rows([f], d + df, N, p))
-        sol_dim = ring_dim(N, d) - rank_mod_p(residual, p)
-        if sol_dim != graded_dim(gens, d, N, p):
+        free = _basis(gens, d, N, p).free
+        if not free.size:
+            continue
+        multiples = _degree_rows([f], d + df, N, p)[free]
+        if rank_mod_p(_basis(gens, d + df, N, p).residual(multiples), p) != free.size:
             return d
     return None
 

@@ -153,6 +153,9 @@ _BAD_NUMBERS = {
     "coefficient-true": ("matrix", ("rows", 0, 0, 0), True),
     "ambient_n-3.0": ("matrix", ("ambient_n",), 3.0),
     "t-true": ("matrix", ("t",), True),
+    "seed-1.5": ("matrix", ("kind", "seed"), 1.5),
+    "seed-true": ("matrix", ("kind", "seed"), True),
+    "seed-string": ("matrix", ("kind", "seed"), "7"),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from liaison import linkage, oracle
 from liaison.hilbert import HVector, lex_ideal_from_hvector
+from liaison.layers import decompose
 from liaison.lifting import (
     MatrixError,
     canonical_json,
@@ -32,7 +33,13 @@ from liaison.monomials import (
     is_cm_borel,
     monomials_of_degree,
 )
-from liaison.oracle import DEFAULT_PRIME, linear_form_poly, poly_degree
+from liaison.oracle import (
+    DEFAULT_PRIME,
+    hilbert_oracle,
+    linear_form_poly,
+    poly_degree,
+    poly_normalize,
+)
 
 P = DEFAULT_PRIME
 
@@ -104,23 +111,35 @@ class TestBasicDoubleLink:
         with pytest.raises(LinkageError, match="hilbert-identity"):
             basic_double_link(curve, divisor, form, 8, P, result_hilbert=wrong)
 
+
+def worked_flag(prime):
+    """The worked example's flag V_r >= ... >= V_1 (given descending) and
+    forms F_1..F_r at ``prime``, as its Artinian certificate builds them."""
+    A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+    D = decompose(WORKED_J)
+    Ap = A.drop_first_row()
+    vees = [
+        PolyIdeal.from_lifted(lift_ideal(D.layers[j], Ap), 2, prime, f"I{j}")
+        for j in range(D.alpha)
+    ]
+    forms = [
+        linear_form_poly(A.rows[0][D.alpha - i].coeffs, prime)
+        for i in range(1, D.alpha + 1)
+    ]
+    return vees, forms
+
+
+def sections(vees, forms, prime):
+    """Generators of W_1..W_r, W_i = I_{V_i} + (F_i), as the chain builds them."""
+    return [tuple(v.gens) + (poly_normalize(f, prime),)
+            for v, f in zip(reversed(vees), forms)]
+
+
 class TestHypersurfaceChain:
     def test_worked_example_chain(self):
-        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
-        from liaison.layers import decompose
-
-        D = decompose(WORKED_J)
-        Ap = A.drop_first_row()
-        vees = [
-            lifted_poly_ideal(D.layers[j], Ap, codim=2, label=f"I{j}")
-            for j in range(D.alpha)
-        ]
-        forms = [
-            linear_form_poly(A.rows[0][D.alpha - i].coeffs, P)
-            for i in range(1, D.alpha + 1)
-        ]
+        vees, forms = worked_flag(P)
         chain = hypersurface_chain(vees, forms, 9, P)
-        assert len(chain.links) == D.alpha - 1
+        assert len(chain.links) == len(vees) - 1
         assert all(c.passed for c in chain.checks)
         for link in chain.links:
             assert all(c.passed for c in link.checks)
@@ -128,6 +147,56 @@ class TestHypersurfaceChain:
     def test_requires_matching_lengths(self):
         with pytest.raises(LinkageError):
             hypersurface_chain([], [], 5, P)
+
+    @pytest.mark.parametrize("prime", [P, 65537])
+    def test_section_hilbert_is_the_oracles(self, prime):
+        vees, forms = worked_flag(prime)
+        hypersurface_chain(vees, forms, 9, prime)  # the colon checks pass here
+        for v, f, w in zip(reversed(vees), forms, sections(vees, forms, prime)):
+            assert linkage._section_hilbert(v, f, 9, prime) == hilbert_oracle(w, 9, v.N, prime)
+
+    def test_section_hilbert_read_only_after_colon_checks(self, monkeypatch):
+        read = []
+        real_section = linkage._section_hilbert
+        real_oracle = linkage.hilbert_oracle
+
+        def section(*args):
+            read.append("section")
+            return real_section(*args)
+
+        def hilbert(*args):
+            read.append("oracle")
+            return real_oracle(*args)
+
+        monkeypatch.setattr(linkage, "_section_hilbert", section)
+        monkeypatch.setattr(linkage, "hilbert_oracle", hilbert)
+        vees, forms = worked_flag(P)
+        hypersurface_chain(vees, forms, 9, P)
+        assert "section" in read
+        del read[:]
+        monkeypatch.setattr(linkage, "colon_stability_failure", lambda *args: 0)
+        with pytest.raises(LinkageError, match="colon-stable"):
+            hypersurface_chain(vees, forms, 9, P)
+        assert read == []
+
+    def test_sections_after_the_first_not_eliminated(self, monkeypatch):
+        # Each h_{W_i} is read off h_{V_i}; only W_1, the first link's
+        # divisor, is eliminated, in the build and in the replay.
+        calls = []
+        real = oracle._degree_rows
+
+        def recording(gens, d, N, p):
+            calls.append(oracle._gens_key(gens))
+            return real(gens, d, N, p)
+
+        monkeypatch.setattr(oracle, "_degree_rows", recording)
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        cert = glicci_certificate_artinian(WORKED_J, A)
+        assert verify_certificate(cert).ok
+        [step] = cert.steps
+        ws = [oracle._gens_key(w) for w in sections(step.chain.vees, step.chain.forms, P)]
+        assert len(ws) >= 3 and ws[0] in calls
+        assert not set(ws[1:]) & set(calls)
 
 
 class TestStripX1:

@@ -476,6 +476,43 @@ def test_one_elimination_takes_both_product_branches(monkeypatch):
     assert 16 * (MIXED_P - 1) ** 2 < 2**53 <= 17 * (MIXED_P - 1) ** 2
 
 
+# --- colon stability on the standard monomials -----------------------------
+
+def colon_edge_cases(p):
+    """(label, generators of I, f, expected first failing degree) in three
+    variables, the answers holding at every prime."""
+    x, y, z = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
+    square = [poly_mul(a, b, p) for a, b in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))]
+    xx_xy = [poly_mul(x, x, p), poly_mul(x, y, p)]  # (x) meet (x^2, y)
+    return [
+        # I_d = R_d from degree 2: those degrees are skipped
+        ("unit f, I_d = R_d from degree 2", square, {(0, 0, 0): p + 1}, None),
+        ("unit ideal", [{(0, 0, 0): 1}], x, None),
+        # (x, y, z)^2 : x = (x, y, z), with h(1) = 3
+        ("fails where h(d) > 0", square, x, 1),
+        ("degree-2 f, regular", xx_xy, {(0, 2, 0): 1, (0, 0, 2): 1}, None),
+        # x (x^2 + yz) lies in I, and x does not
+        ("degree-2 f, fails", xx_xy, {(2, 0, 0): 1, (0, 1, 1): 1}, 1),
+        ("degree-2 f, binomial I", BINOMIALS, {(0, 0, 2): 1, (1, 1, 0): 3}, None),
+    ]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_colon_edge_cases_match_reference(p):
+    dmax = 4
+    for label, gens, f, want in colon_edge_cases(p):
+        got = colon_stability_failure(gens, f, dmax, 3, p)
+        assert got == ref_colon_failure(gens, f, dmax, 3, p) == want, (label, got)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_colon_by_zero_mod_p_raises(p):
+    gens = [{(2, 0, 0): 1}]
+    for f in ({(1, 0, 0): p}, {(0, 2, 0): 2 * p, (1, 0, 1): -p}):
+        with pytest.raises(ValueError, match="zero multiplier"):
+            colon_stability_failure(gens, f, 4, 3, p)
+
+
 # --- containment and equality in the generators' degrees -------------------
 
 def awkward_pair(rng, p):
