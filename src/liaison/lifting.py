@@ -10,12 +10,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .hilbert import difference, hilbert_function
+from .hilbert import difference, hilbert_function, hilbert_function_artinian
 from .monomials import Monomial, MonomialIdeal, is_artinian, json_int, standard_monomials
 from .oracle import (DEFAULT_PRIME, check_dmax, check_prime, expand,
-                     graded_dim, hilbert_oracle, rank_mod_p, scope)
-
-import numpy as np
+                     graded_dim, hilbert_oracle, scope)
 
 
 class MatrixError(ValueError):
@@ -84,7 +82,10 @@ class LiftingMatrix:
     def from_json(cls, data: dict) -> "LiftingMatrix":
         """The matrix a ``matrix/1`` document stores: ``ambient_n`` and
         ``t`` must be integers >= 0, and every coefficient and a t-lift's
-        ``seed``, unless null, an integer (``json_int``)."""
+        ``seed``, unless null, an integer (``json_int``).  A t-lift's kind
+        must name its ``t``.  A ``bf`` matrix, and a t-lift with a seed,
+        must be the last rows of the ``default_matrix`` its kind, seed and
+        row length name (MatrixError otherwise)."""
         spec = data["kind"]
         if spec == "bf":
             kind, seed = "bf", None
@@ -109,11 +110,76 @@ class LiftingMatrix:
             raise MatrixError(
                 f"every linear form needs ambient_n + t = {matrix.N} coefficients"
             )
+        if kind == "t-lift" and json_int(spec.get("t"), "kind t", None) != matrix.t:
+            raise MatrixError(f"kind names t = {spec['t']}, the matrix has t = {matrix.t}")
+        if kind == "bf" or seed is not None:
+            _check_default(matrix)
         return matrix
 
     def content_hash(self) -> str:
-        blob = canonical_json(self.to_json()).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return _digest(self.to_json())
+
+
+def _digest(document: dict) -> str:
+    return hashlib.sha256(canonical_json(document).encode()).hexdigest()[:16]
+
+
+def _default_rows(n: int, kind: str, seed: int | None, ncols: int, t: int,
+                  first: int = 0):
+    """The coefficient tuples of rows ``first``..n-1 of
+    ``default_matrix(n, kind, seed, ncols, t)``, one list per row.  No row
+    before ``first`` is built; a t-lift only draws their vectors."""
+    if kind == "bf":
+        for j in range(first, n):
+            row = []
+            for i in range(ncols):
+                coeffs = [0] * n
+                if j == 0:
+                    coeffs[0] = i + 1
+                else:
+                    coeffs[j], coeffs[0] = 1, i
+                row.append(tuple(coeffs))
+            yield row
+        return
+    rng = random.Random(seed)
+    for j in range(n):
+        drawn: dict = {}  # an ordered set
+        while len(drawn) < ncols:
+            drawn.setdefault(tuple(rng.randrange(1, 3000) for _ in range(t)))
+        if j >= first:
+            unit = tuple(int(k == j) for k in range(n))
+            yield [unit + cs for cs in drawn]
+
+
+def _check_default(A: LiftingMatrix) -> None:
+    """Raise MatrixError unless A's rows are the last n_source rows of
+    ``default_matrix(ambient_n, kind, seed, ncols, t)``.  Each stored
+    entry is compared with its formula, and the rows before them are not
+    built.  A t-lift still draws their coefficients, so one whose dropped
+    rows draw more than its stored rows hold is refused: the cost stays
+    linear in the document."""
+    ncols = len(A.rows[0]) if A.rows else 0
+    skip = A.ambient_n - A.n_source
+    if skip < 0 or any(len(row) != ncols for row in A.rows):
+        raise MatrixError("a default matrix has at most ambient_n rows, "
+                          "all of one length")
+    if ncols == 0:
+        return
+    if A.kind == "t-lift":
+        if skip * A.t > A.n_source * A.N:
+            raise MatrixError(f"{skip} dropped rows with t = {A.t} draw more "
+                              f"coefficients than the {A.n_source} stored rows hold")
+        # 2999^ncols >= ncols, so the exponent can stop at ncols.
+        if ncols > 2999 ** min(A.t, ncols):
+            raise MatrixError(f"{ncols} columns of distinct coefficient vectors "
+                              f"in [1, 2999]^{A.t} do not exist")
+    name = "bf matrix" if A.kind == "bf" else f"t-lift matrix of seed {A.seed}"
+    want = _default_rows(A.ambient_n, A.kind, A.seed, ncols, A.t, skip)
+    for j, (row, coeffs) in enumerate(zip(A.rows, want)):
+        for i, (form, c) in enumerate(zip(row, coeffs)):
+            if form.coeffs != c:
+                raise MatrixError(f"row {j + 1}, column {i + 1} differs from "
+                                  f"the default {name}")
 
 
 def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
@@ -130,51 +196,27 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
     row; more than 2999^t columns is a LiftError.
     """
     if style == "bf":
-        rows = []
-        for j in range(n):
-            row = []
-            for i in range(ncols):
-                coeffs = [0] * n
-                if j == 0:
-                    coeffs[0] = i + 1
-                else:
-                    coeffs[j] = 1
-                    coeffs[0] = i
-                row.append(LinearForm(tuple(coeffs)))
-            rows.append(tuple(row))
-        return LiftingMatrix(tuple(rows), n, 0, "bf")
-    if style == "t-lift":
-        if ncols > 2999 ** t:
-            raise LiftError(f"{ncols} columns of distinct coefficient vectors "
-                            f"in [1, 2999]^{t}: at most {2999 ** t} exist")
-        rng = random.Random(seed)
-        N = n + t
-        rows = []
-        for j in range(n):
-            seen = set()
-            row = []
-            for _ in range(ncols):
-                while True:
-                    cs = tuple(rng.randrange(1, 3000) for _ in range(t))
-                    if cs not in seen:
-                        seen.add(cs)
-                        break
-                coeffs = [0] * N
-                coeffs[j] = 1
-                for k, c in enumerate(cs):
-                    coeffs[n + k] = c
-                row.append(LinearForm(tuple(coeffs)))
-            rows.append(tuple(row))
-        return LiftingMatrix(tuple(rows), n, t, "t-lift", seed)
-    raise ValueError(f"unknown style {style!r}")
+        t, seed = 0, None
+    elif style != "t-lift":
+        raise ValueError(f"unknown style {style!r}")
+    elif ncols > 2999 ** t:
+        raise LiftError(f"{ncols} columns of distinct coefficient vectors "
+                        f"in [1, 2999]^{t}: at most {2999 ** t} exist")
+    rows = tuple(tuple(map(LinearForm, row))
+                 for row in _default_rows(n, style, seed, ncols, t))
+    return LiftingMatrix(rows, n, t, style, seed)
 
 
 @dataclass
 class ValidationReport:
+    """What ``validate_matrix`` found.  ``selections_checked`` is the
+    number of selections of one used entry per row, which the shape rule
+    proves independent at once."""
+
     ok: bool
     used_cols: tuple[int, ...]
     proportional_pairs: list  # (row, col, col) entries proportional in a row
-    dependent_selections: list  # tuples of (row, col) choices with a rank drop
+    singular_entries: list  # (row, col) used entries without a lifting's shape
     selections_checked: int
     prime: int
 
@@ -183,7 +225,7 @@ class ValidationReport:
             "ok": self.ok,
             "used_cols": list(self.used_cols),
             "proportional_pairs": self.proportional_pairs,
-            "dependent_selections": [list(map(list, s)) for s in self.dependent_selections],
+            "singular_entries": [list(e) for e in self.singular_entries],
             "selections_checked": self.selections_checked,
             "prime": self.prime,
         }
@@ -198,40 +240,40 @@ def _proportional(a: LinearForm, b: LinearForm, prime: int) -> bool:
     return True
 
 
-SELECTION_LIMIT = 10**6
-
-
 def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
                     prime: int = DEFAULT_PRIME) -> ValidationReport:
-    """Check, modulo ``prime``, the genericity conditions a "sufficiently
-    general" matrix of linear forms is assumed to satisfy over the field
-    the lift is computed in.
+    """Check, modulo ``prime``, the conditions under which A lifts J over
+    the field the lift is computed in.
 
     (a) for t-lifting matrices, no two used entries of a row are
         proportional mod ``prime`` (some 2x2 minor of their coefficient
         vectors is nonzero mod ``prime``), so their point slices are
         distinct;
-    (b) every selection of one used entry per row is linearly independent
-        mod ``prime``, which makes the row products cut out a
-        codimension-n complete intersection.
+    (b) every used entry of row j has the shape of a lifting.  Its own
+        variable is x_v, v = ambient_n - n_source + j (so a matrix with
+        its first rows dropped keeps its variables).  A t-lift entry has
+        no x-part outside x_v, a bf entry none outside {x_v, x_1}, and
+        the coefficient of x_v is nonzero mod ``prime``.  Then the x-part
+        of any selection of one used entry per row is diagonal (t-lift)
+        or triangular (bf) with a nonzero diagonal: every selection is
+        linearly independent, and the row products cut out a
+        codimension-n complete intersection.  No rank is taken.
 
-    Every pair and every selection is checked.  More than SELECTION_LIMIT
-    selections is a MatrixError, raised before any rank is taken.
+    A matrix with more rows than x-variables is a MatrixError.
     """
     if J.n != A.n_source:
         raise MatrixError(
             f"ideal in {J.n} variables vs matrix with {A.n_source} rows"
         )
+    offset = A.ambient_n - A.n_source
+    if offset < 0:
+        raise MatrixError(f"{A.n_source} rows for {A.ambient_n} x-variables")
     used = tuple(
         max((g.exps[j] for g in J.gens), default=0) for j in range(A.n_source)
     )
     for j, u in enumerate(used):
         if u > len(A.rows[j]):
             raise MatrixError(f"row {j + 1} has {len(A.rows[j])} columns, needs {u}")
-    active = [j for j, u in enumerate(used) if u > 0]
-    total = math.prod(used[j] for j in active)
-    if total > SELECTION_LIMIT:
-        raise MatrixError(f"{total} selections to check, more than {SELECTION_LIMIT}")
 
     proportional_pairs = []
     if A.kind == "t-lift":
@@ -240,20 +282,19 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
                 if _proportional(A.rows[j][c1], A.rows[j][c2], prime):
                     proportional_pairs.append((j, c1, c2))
 
-    dependent = []
-    checked = 0
-    choices = [range(used[j]) for j in active]
-    for combo in (itertools.product(*choices) if choices else ()):
-        checked += 1
-        sel = tuple(zip(active, combo))
-        M = np.array([A.rows[j][c].coeffs for j, c in sel], dtype=np.int64)
-        if rank_mod_p(M, prime) < len(sel):
-            dependent.append(sel)
-            if len(dependent) >= 20:
-                break
+    singular = []
+    for j, u in enumerate(used):
+        v = offset + j
+        own = {v, 0} if A.kind == "bf" else {v}
+        for c in range(u):
+            x = A.rows[j][c].coeffs[:A.ambient_n]
+            if x[v] % prime == 0 or any(a % prime for k, a in enumerate(x)
+                                        if k not in own):
+                singular.append((j, c))
 
-    ok = not proportional_pairs and not dependent
-    return ValidationReport(ok, used, proportional_pairs, dependent, checked, prime)
+    selections = math.prod(u for u in used if u) if any(used) else 0
+    ok = not proportional_pairs and not singular
+    return ValidationReport(ok, used, proportional_pairs, singular, selections, prime)
 
 
 @dataclass(frozen=True)
@@ -310,12 +351,13 @@ class LiftedIdeal:
 
     @classmethod
     def from_json(cls, data: dict) -> "LiftedIdeal":
-        matrix = LiftingMatrix.from_json(data["matrix"])
-        if matrix.content_hash() != data["matrix_hash"]:
+        """The stored matrix document must have the stored hash before it
+        is decoded."""
+        if _digest(data["matrix"]) != data["matrix_hash"]:
             raise MatrixError("matrix hash mismatch: tampered lifted ideal")
         return cls(
             MonomialIdeal.from_json(data["source"]),
-            matrix,
+            LiftingMatrix.from_json(data["matrix"]),
             tuple(
                 LiftedGenerator(
                     Monomial(tuple(g["source"])),
@@ -354,6 +396,9 @@ class PointConfiguration:
         }
 
 
+POINT_LIMIT = 10**6
+
+
 def point_model(J: MonomialIdeal, A: LiftingMatrix,
                 prime: int = DEFAULT_PRIME) -> PointConfiguration:
     """Explicit zero-scheme of a 1-lifting of an Artinian ideal.
@@ -361,11 +406,17 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     The point for a standard monomial x^c solves L_{j, c_j + 1} = 0 for
     every j on the chart u = 1.  Verifies that the points are pairwise
     distinct and that every lifted generator vanishes on every point.
+    The number of points, the sum of J's Hilbert function, is read from
+    its closed form first: more than POINT_LIMIT is a MatrixError, raised
+    before any point is built.
     """
     if not is_artinian(J):
         raise ValueError("point model requires an Artinian source ideal")
     if A.kind != "t-lift" or A.t != 1:
         raise MatrixError("point model requires a t-lifting matrix with t = 1")
+    count = sum(hilbert_function_artinian(J).values)
+    if count > POINT_LIMIT:
+        raise MatrixError(f"{count} points in the point model, more than {POINT_LIMIT}")
     n = J.n
     std = []
     d = 0

@@ -252,7 +252,19 @@ class TestLiftAndVerify:
         code, out, err = run(capsys, "lift", str(path))
         assert code == 3
         assert out == ""
-        assert err.startswith("error: 1048576 selections") and err.count("\n") == 1
+        assert err.startswith("error: 1048576 points") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("matrix", ["t:1", "t:2", "bf"])
+    def test_lift_takes_no_rank(self, worked_ideal, capsys, monkeypatch, matrix):
+        argv = ("lift", worked_ideal, "--seed", "7", "--matrix", matrix)
+        want = run(capsys, *argv)
+        assert want[0] == 0
+
+        def no_rank(*args):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr(oracle, "rank_mod_p", no_rank)
+        assert run(capsys, *argv) == want
 
     def test_bad_matrix_spec(self, worked_ideal, capsys):
         code, _, err = run(capsys, "lift", worked_ideal, "--matrix", "q:9")
@@ -332,6 +344,23 @@ class TestVerifyLiftReplay:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_matrix_seed_edited_is_input_error(self, tmp_path, capsys):
+        # The default lift of (x1, x2, x3)^2 draws its matrix from seed 0.
+        path, lifted = tmp_path / "sq.json", tmp_path / "L.json"
+        path.write_text(json.dumps(SQUARE))
+        code, _, _ = run(capsys, "lift", str(path), "--out", str(lifted))
+        assert code == 0
+        data = json.loads(lifted.read_text())
+        assert data["matrix"]["kind"] == {"t": 1, "seed": 0}
+        data["matrix"]["kind"]["seed"] = 8
+        _rehash(data)
+        lifted.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-lift", str(lifted))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: malformed lifted ideal: row 1, column 1 differs "
+                       "from the default t-lift matrix of seed 8\n")
 
     def test_lift_at_another_prime_verifies_at_the_default(
             self, worked_ideal, tmp_path, capsys):

@@ -1,9 +1,17 @@
+import itertools
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
-from liaison.hilbert import HVector, hilbert_function_artinian, lex_ideal_from_hvector
+from liaison.hilbert import (
+    HVector,
+    hilbert_function_artinian,
+    lex_ideal_from_hvector,
+    macaulay_bound,
+)
 from liaison.lifting import (
     LiftError,
     LiftedIdeal,
@@ -18,12 +26,19 @@ from liaison.lifting import (
     validate_matrix,
     verify_lift,
 )
-from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
+from liaison.monomials import (
+    Monomial,
+    MonomialIdeal,
+    enumerate_borel_ideals,
+    is_cm_borel,
+    monomials_of_degree,
+)
 from liaison.oracle import (
     DEFAULT_PRIME,
     expand,
     hilbert_oracle,
     ideals_equal_up_to,
+    rank_mod_p,
 )
 
 P = DEFAULT_PRIME
@@ -90,6 +105,58 @@ class TestMatrices:
         with pytest.raises(MatrixError, match="unknown matrix kind"):
             LiftingMatrix.from_json(data)
 
+    @pytest.mark.parametrize("A", [
+        default_matrix(4, "t-lift", seed=3, ncols=4, t=2),
+        default_matrix(4, "bf", ncols=4),
+    ], ids=["t-lift", "bf"])
+    def test_json_keeps_the_rows_of_a_default_matrix(self, A):
+        # Chain steps store the matrix with its first rows dropped.
+        for B in (A, A.drop_first_row(), A.drop_first_row().drop_first_row()):
+            assert LiftingMatrix.from_json(B.to_json()) == B
+
+    def test_json_seed_is_tied_to_the_rows(self):
+        data = default_matrix(3, "t-lift", seed=3, ncols=4, t=1).to_json()
+        data["kind"]["seed"] = 4
+        with pytest.raises(MatrixError, match="row 1, column 1 differs from "
+                                              "the default t-lift matrix of seed 4"):
+            LiftingMatrix.from_json(data)
+
+    def test_json_rows_are_tied_to_their_variables(self):
+        # The rows of x2 and x3, moved to x1 and x2 of a smaller ring.
+        data = default_matrix(3, "t-lift", seed=3, ncols=4, t=1).to_json()
+        data["ambient_n"] = 2
+        data["rows"] = [[form[1:] for form in row] for row in data["rows"][1:]]
+        with pytest.raises(MatrixError, match="row 1, column 1 differs"):
+            LiftingMatrix.from_json(data)
+
+    def test_json_kind_must_name_t(self):
+        data = default_matrix(3, "t-lift", seed=3, ncols=4, t=1).to_json()
+        data["kind"]["t"] = 2
+        with pytest.raises(MatrixError, match="kind names t = 2"):
+            LiftingMatrix.from_json(data)
+
+    def test_json_bf_rows_are_the_formula(self):
+        data = default_matrix(3, "bf", ncols=4).to_json()
+        data["rows"][2][1] = [2, 0, 1]
+        with pytest.raises(MatrixError, match="row 3, column 2 differs from "
+                                              "the default bf matrix"):
+            LiftingMatrix.from_json(data)
+
+    def test_json_check_stays_linear_in_the_document(self):
+        # One stored row of one column in 1500 + 1500 variables: the 1499
+        # rows before it would draw 1499 * 1500 coefficients.
+        a = t = 1500
+        form = [0] * (a - 1) + [1] + [1] * t
+        data = {"schema": "matrix/1", "kind": {"t": t, "seed": 0},
+                "ambient_n": a, "t": t, "rows": [[form]]}
+        with pytest.raises(MatrixError, match="1499 dropped rows with t = 1500"):
+            LiftingMatrix.from_json(data)
+
+    def test_json_unseeded_t_lift_is_taken_as_stored(self):
+        A = LiftingMatrix(((LinearForm((1, 5)), LinearForm((1, 6))),), 1, 1,
+                          "t-lift", None)
+        assert LiftingMatrix.from_json(A.to_json()) == A
+
 
 class TestValidation:
     def test_valid_t_lift(self):
@@ -129,7 +196,7 @@ class TestValidation:
         A = default_matrix(3, "bf", ncols=3)
         report = validate_matrix(A, J, prime=3)
         assert not report.ok and report.prime == 3
-        assert report.dependent_selections
+        assert report.singular_entries == [(0, 2)]
         assert validate_matrix(A, J).ok
 
     def test_proportional_entries_are_found_at_the_working_prime(self):
@@ -144,18 +211,25 @@ class TestValidation:
         assert validate_matrix(A, J, prime=5).ok
 
     def test_too_many_selections_is_an_error(self, monkeypatch):
-        # 32^4 selections: the limit is checked before any rank is taken.
+        # 32^4 points: the point bound is checked before any point is built.
         J = ideal(4, (32, 0, 0, 0), (0, 32, 0, 0), (0, 0, 32, 0), (0, 0, 0, 32))
         A = default_matrix(4, "t-lift", seed=0, ncols=32, t=1)
 
-        def no_rank(*args):
-            raise AssertionError("rank taken")
+        def no_points(*args):
+            raise AssertionError("point built")
 
-        monkeypatch.setattr("liaison.lifting.rank_mod_p", no_rank)
-        with pytest.raises(MatrixError, match="1048576 selections"):
-            validate_matrix(A, J)
-        with pytest.raises(MatrixError, match="1048576 selections"):
-            lift_ideal(J, A)
+        monkeypatch.setattr("liaison.lifting.standard_monomials", no_points)
+        with pytest.raises(MatrixError, match="1048576 points"):
+            point_model(J, A)
+        with pytest.raises(MatrixError, match="1048576 points"):
+            lift_record(J, A)
+
+    def test_more_rows_than_variables_is_an_error(self):
+        # Row 2 would have no variable of its own.
+        row = (LinearForm((1, 1)), LinearForm((1, 2)))
+        A = LiftingMatrix((row, row), 1, 1, "t-lift", None)
+        with pytest.raises(MatrixError, match="2 rows for 1 x-variables"):
+            validate_matrix(A, ideal(2, (1, 0), (0, 1)))
 
     def test_lift_requires_valid_matrix(self):
         rows = (
@@ -165,6 +239,128 @@ class TestValidation:
         A = LiftingMatrix(rows, 2, 1, "t-lift", None)
         with pytest.raises(MatrixError):
             lift_ideal(ideal(2, (1, 0), (0, 1)), A)
+
+
+def ref_selections_independent(A, J, prime):
+    """The enumeration ``validate_matrix`` once made: every selection of
+    one used entry per row is linearly independent mod ``prime``, one
+    rank per selection."""
+    used = [max((g.exps[j] for g in J.gens), default=0) for j in range(A.n_source)]
+    active = [j for j, u in enumerate(used) if u]
+    choices = [range(used[j]) for j in active]
+    for combo in (itertools.product(*choices) if choices else ()):
+        M = np.array([A.rows[j][c].coeffs for j, c in zip(active, combo)],
+                     dtype=np.int64)
+        if rank_mod_p(M, prime) < len(active):
+            return False
+    return True
+
+
+def criterion_8_ideals():
+    """(J, seed, t) for the 20 seeded differentiable O-sequences of
+    acceptance criterion 8."""
+    for seed in range(20):
+        rng = random.Random(1000 + seed)
+        t = seed % 3 + 1
+        n = 2 if t == 3 else rng.choice([2, 3])
+        values = [1, n]
+        for deg in range(1, 4 if t < 3 else 3):
+            values.append(rng.randint(0, min(macaulay_bound(values[deg], deg), 5)))
+            if values[-1] == 0:
+                break
+        while values[-1] == 0:
+            values.pop()
+        yield lex_ideal_from_hvector(HVector.artinian(values), n), seed, t
+
+
+def sweep_ideals():
+    """The 94 proper nonzero CM Borel-fixed ideals with n <= 4 and
+    generator degree <= 3."""
+    return [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 3)
+            if not (J.is_zero or J.is_unit) and is_cm_borel(J)[0]]
+
+
+def _random_case(rng, p):
+    """A random matrix and a monomial ideal using its columns.  Half the
+    entries have a lifting's shape, with an own coefficient that is 0 mod
+    p one time in three."""
+    ambient_n = rng.randint(1, 3)
+    n = rng.randint(1, ambient_n)
+    t = rng.randint(0, 2)
+    kind = rng.choice(["bf", "t-lift"])
+    ncols = rng.randint(1, 3)
+    rows = []
+    for j in range(n):
+        v = ambient_n - n + j
+        row = []
+        while len(row) < ncols:
+            coeffs = [rng.randint(-p, p) for _ in range(ambient_n + t)]
+            if rng.random() < 0.5:
+                own = {v, 0} if kind == "bf" else {v}
+                coeffs[:ambient_n] = [c if k in own else 0
+                                      for k, c in enumerate(coeffs[:ambient_n])]
+                coeffs[v] = rng.choice([0, p, 1, p - 1, 2 * p + 1])
+            if any(coeffs):
+                row.append(LinearForm(tuple(coeffs)))
+        rows.append(tuple(row))
+    A = LiftingMatrix(tuple(rows), ambient_n, t, kind, None)
+    gens = [Monomial(tuple(rng.randint(0, ncols) for _ in range(n)))
+            for _ in range(rng.randint(1, 3))]
+    return A, MonomialIdeal.from_gens(n, gens)
+
+
+class TestShapeRule:
+    """``validate_matrix`` decides independence of selections by the shape
+    of each used entry; the enumeration is kept here as the reference."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_shape_implies_the_reference(self, p):
+        rng = random.Random(p)
+        shaped = 0
+        for _ in range(600):
+            A, J = _random_case(rng, p)
+            report = validate_matrix(A, J, prime=p)
+            if not report.singular_entries:
+                shaped += 1
+                assert ref_selections_independent(A, J, p), (A, J)
+        assert shaped >= 100
+
+    @pytest.mark.parametrize("p", [3, 5, 32003])
+    def test_default_matrices_agree_with_the_reference(self, p):
+        cases = [(J, "t-lift", seed, t) for J, seed, t in criterion_8_ideals()]
+        cases += [(J, "t-lift", 0, 1) for J in sweep_ideals()]
+        cases += [(J, "bf", 0, 0) for J, *_ in cases]
+        assert len(cases) == 2 * (20 + 94)
+        for J, style, seed, t in cases:
+            A = default_matrix(J.n, style, seed=seed,
+                               ncols=max(J.max_gen_degree, 1), t=t)
+            report = validate_matrix(A, J, prime=p)
+            assert (not report.singular_entries) == ref_selections_independent(A, J, p)
+            assert report.selections_checked == math.prod(
+                u for u in report.used_cols if u)
+
+    def test_an_entry_without_its_own_variable_is_singular(self):
+        # Row (x1 + u, u): each selection is one nonzero form, so the
+        # reference passes; u alone is not a lifting's entry.
+        A = LiftingMatrix(((LinearForm((1, 1)), LinearForm((0, 1))),), 1, 1,
+                          "t-lift", None)
+        J = ideal(1, (2,))
+        assert ref_selections_independent(A, J, P)
+        report = validate_matrix(A, J)
+        assert not report.ok and report.singular_entries == [(0, 1)]
+        assert not report.proportional_pairs
+
+    def test_lift_takes_no_rank(self, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr("liaison.oracle.rank_mod_p", no_rank)
+        J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 3))
+        A = default_matrix(3, "bf", ncols=3)
+        assert validate_matrix(A, J, prime=3).singular_entries == [(0, 2)]
+        with pytest.raises(MatrixError, match="failed validation"):
+            lift_ideal(J, A, prime=3)
+        assert len(lift_ideal(J, A).generators) == 10
 
 
 class TestBar:

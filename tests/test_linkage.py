@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liaison import linkage, oracle
+from liaison.cli import main
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.layers import decompose
 from liaison.lifting import (
@@ -361,6 +362,25 @@ class TestCertificateSerialization:
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = GlicciCertificate.from_json(json.loads(blob))
         assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+    def test_chain_matrix_seed_is_tied_to_its_rows(self, tmp_path, capsys):
+        # Every chain step's matrix relabelled with seed 8: the replay
+        # would rebuild the same steps, so decoding must refuse the label.
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        data = glicci_certificate_artinian(WORKED_J, A).to_json()
+        chains = [step for step in data["steps"] if step["kind"] == "chain"]
+        assert chains
+        for step in chains:
+            step["matrix"]["kind"]["seed"] = 8
+        with pytest.raises(MatrixError, match="default t-lift matrix of seed 8"):
+            GlicciCertificate.from_json(data)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed certificate: row 1, column 1 "
+                                "differs from the default t-lift matrix of seed 8\n")
 
 
 class TestTamperDetection:
