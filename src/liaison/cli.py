@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .hilbert import (
@@ -32,7 +31,6 @@ from .lifting import (
 from .linkage import (
     GlicciCertificate,
     LinkageError,
-    check_horizon,
     glicci_certificate_artinian,
     glicci_certificate_borel,
     verify_certificate,
@@ -48,7 +46,7 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_dmax, check_prime, hilbert_oracle
+from .oracle import DEFAULT_PRIME, check_prime, hilbert_oracle, horizon
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -243,8 +241,7 @@ def cmd_lift(args) -> int:
 
 def cmd_verify_lift(args) -> int:
     try:
-        report = verify_lift(_load_json(args.lifted), prime=args.prime,
-                             dmax=args.dmax)
+        report = verify_lift(_load_json(args.lifted), prime=args.prime)
     except LiftError as exc:
         raise InputError(str(exc))
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
@@ -260,14 +257,14 @@ def cmd_glicci(args) -> int:
     prime = args.prime
     try:
         A = _t_lift_matrix(J, args.seed) if args.mode == "artinian" else None
-        check_horizon(J, args.dmax, A)
-    except (LiftError, LinkageError) as exc:
+        horizon(J, J.n, J.n if A is None else A.N)
+    except ValueError as exc:
         raise InputError(str(exc))
     try:
         if A is not None:
-            cert = glicci_certificate_artinian(J, A, dmax=args.dmax, prime=prime)
+            cert = glicci_certificate_artinian(J, A, prime=prime)
         else:
-            cert = glicci_certificate_borel(J, dmax=args.dmax, prime=prime)
+            cert = glicci_certificate_borel(J, prime=prime)
     except (LinkageError, NotBorelFixedError, MatrixError) as exc:
         raise VerifyError(str(exc))
     lines = [
@@ -287,7 +284,7 @@ def cmd_verify(args) -> int:
         cert = GlicciCertificate.from_json(_load_json(args.cert))
     except (KeyError, TypeError, ValueError, MatrixError) as exc:
         raise InputError(f"malformed certificate: {exc}")
-    report = verify_certificate(cert, dmax=args.dmax)
+    report = verify_certificate(cert)
     lines = []
     for step_idx, name, passed, witness in report.entries:
         lines.append(
@@ -304,6 +301,7 @@ def cmd_verify(args) -> int:
 GOLDEN_H = (1, 3, 6, 10, 4, 2)
 GOLDEN_LAYER_H = ((1, 2, 3, 4, 4, 2), (1, 2, 3), (1, 2), (1,))
 GOLDEN_POINTS = 26
+GOLDEN_DMAX = 8  # horizon of the golden first-difference check
 
 
 def cmd_worked_example(args) -> int:
@@ -311,9 +309,6 @@ def cmd_worked_example(args) -> int:
     table compared against embedded golden values."""
     prime = args.prime
     seed = args.seed
-    dmax = args.dmax if args.dmax is not None else 8
-    if dmax < 0:
-        raise InputError(f"horizon dmax {dmax} is negative")
     diffs: list[str] = []
     lines: list[str] = []
 
@@ -338,10 +333,6 @@ def cmd_worked_example(args) -> int:
 
     A = _t_lift_matrix(J, seed)
     try:
-        check_dmax(dmax, 0, A.N)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    try:
         L = lift_ideal(J, A, prime=prime)
         pts = point_model(J, A, prime=prime)
     except MatrixError as exc:
@@ -350,22 +341,18 @@ def cmd_worked_example(args) -> int:
     if len(pts.points) != GOLDEN_POINTS:
         diffs.append(f"points: got {len(pts.points)}, want {GOLDEN_POINTS}")
 
+    hf = hilbert_oracle(L.polynomials(prime), GOLDEN_DMAX, A.N, prime)
+    want = GOLDEN_H + (0,) * (GOLDEN_DMAX + 1 - len(GOLDEN_H))
     try:
-        hf = hilbert_oracle(L.polynomials(prime), dmax, A.N, prime)
-        diff1 = difference(hf, 1)
-        want = GOLDEN_H + (0,) * max(0, len(diff1.values) - len(GOLDEN_H))
-        if diff1.values != want[: len(diff1.values)]:
-            diffs.append(
-                f"first difference: got {diff1.values}, want {want[:len(diff1.values)]}"
-            )
-        lines.append(f"oracle h (quotient): {hf.values}")
-        if hf.at(dmax) != hf.at(dmax - 1) or hf.at(dmax) != GOLDEN_POINTS:
-            raise VerifyError(
-                f"horizon too small: Hilbert values {hf.values[-2:]} have not "
-                f"stabilized at {GOLDEN_POINTS} by degree {dmax}; increase --dmax"
-            )
+        diff1 = difference(hf, 1).values
     except ValueError as exc:
-        raise VerifyError(f"horizon too small: {exc}")
+        diff1 = str(exc)
+    if diff1 != want:
+        diffs.append(f"first difference: got {diff1}, want {want}")
+    lines.append(f"oracle h (quotient): {hf.values}")
+    if hf.at(GOLDEN_DMAX) != hf.at(GOLDEN_DMAX - 1) or hf.at(GOLDEN_DMAX) != GOLDEN_POINTS:
+        diffs.append(f"oracle h: values {hf.values[-2:]} have not stabilized "
+                     f"at {GOLDEN_POINTS} by degree {GOLDEN_DMAX}")
 
     cert = glicci_certificate_artinian(J, A, prime=prime)
     report = verify_certificate(cert)
@@ -415,16 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prime=False, seed=False, dmax=False):
+    def common(p, prime=False, seed=False):
         # Each subcommand takes only the options it reads.
         if prime:
-            # A string default goes through type=_prime when parsed.
-            p.add_argument("--prime", type=_prime,
-                           default=os.environ.get("LIAISON_PRIME") or str(DEFAULT_PRIME))
+            p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if dmax:
-            p.add_argument("--dmax", type=int, default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
 
@@ -447,25 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lift", help="oracle suite on a lifted ideal")
     p.add_argument("lifted")
-    common(p, prime=True, dmax=True)
+    common(p, prime=True)
     p.set_defaults(func=cmd_verify_lift)
 
     p = sub.add_parser("glicci", help="build a linkage certificate")
     p.add_argument("ideal")
     p.add_argument("--mode", choices=("artinian", "borel"), required=True)
-    common(p, prime=True, seed=True, dmax=True)
+    common(p, prime=True, seed=True)
     p.set_defaults(func=cmd_glicci)
 
     p = sub.add_parser("verify", help="replay a certificate")
     p.add_argument("cert")
-    common(p, dmax=True)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "worked-example",
         help="end-to-end run of the standard example against golden values",
     )
-    common(p, prime=True, seed=True, dmax=True)
+    common(p, prime=True, seed=True)
     p.set_defaults(func=cmd_worked_example)
 
     return parser

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .hilbert import difference, hilbert_function, hilbert_function_artinian
 from .monomials import Monomial, MonomialIdeal, is_artinian, json_int, standard_monomials
-from .oracle import (DEFAULT_PRIME, check_dmax, check_prime, expand,
-                     graded_dim, hilbert_oracle, scope)
+from .oracle import (DEFAULT_PRIME, check_prime, expand, graded_dim,
+                     hilbert_oracle, horizon, scope)
 
 
 class MatrixError(ValueError):
@@ -23,7 +23,7 @@ class MatrixError(ValueError):
 class LiftError(ValueError):
     """A lift that is refused: a zero or unit source, a lifted-ideal record
     that is malformed or not what ``lift_record`` makes from its own source
-    and matrix, or a horizon ``check_dmax`` refuses."""
+    and matrix, or a source whose horizon ``horizon`` refuses as too wide."""
 
 
 @dataclass(frozen=True)
@@ -478,11 +478,11 @@ def canonical_json(value) -> str:
 
 
 @scope()
-def verify_lift(data: dict, prime: int = DEFAULT_PRIME,
-                dmax: int | None = None) -> dict:
+def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     """The ``lift-report/1`` of a stored lift record: its checks, made
-    modulo ``prime`` through ``dmax`` (by default the floor, max generator
-    degree + number of lifted variables).
+    modulo ``prime`` through the horizon ``horizon`` derives from the
+    source with k the number of lifted variables, which for an Artinian
+    source reaches two degrees past its socle degree.
 
     The record must be exactly what ``lift_record`` makes from its own
     source and matrix, with the points rebuilt at the prime they record;
@@ -501,7 +501,7 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME,
         raise LiftError("lifted ideal differs from the lift of its own source "
                         f"and matrix in: {', '.join(differ)}")
     try:
-        dmax = check_dmax(dmax, J.max_gen_degree + A.N, A.N)
+        dmax = horizon(J, A.N, A.N)
     except ValueError as exc:
         raise LiftError(str(exc))
 

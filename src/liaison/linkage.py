@@ -7,13 +7,13 @@ attached to each step has been verified modulo the working prime through
 the degree horizon.
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
-The verifier reruns it from the certificate's inputs (mode, root, prime,
-horizon and, for the Artinian builder, the matrix of step 0) and requires
-each stored step to be the canonical JSON text of the step it builds, so
+The verifier reruns it from the certificate's inputs (mode, root, prime
+and, for the Artinian builder, the matrix of step 0) and requires each
+stored step to be the canonical JSON text of the step it builds, so
 nothing stored is trusted.  The mode must be known, the root acceptable to
 the mode's builder, each stored step's source and kind and the leaf what
-that builder makes there; the prime must pass ``check_prime`` and the
-horizon ``check_horizon``.
+that builder makes there; the prime must pass ``check_prime``, and the
+stored horizon must be the one ``oracle.horizon`` derives from the root.
 """
 from __future__ import annotations
 
@@ -40,11 +40,11 @@ from .monomials import (
 from .oracle import (
     DEFAULT_PRIME,
     check_prime,
-    check_dmax,
     colon_stability_failure,
     containment_failure,
     expand,
     hilbert_oracle,
+    horizon,
     ideals_equal_up_to,
     linear_form_poly,
     poly_degree,
@@ -437,16 +437,20 @@ def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
     return J
 
 
-def check_horizon(J: MonomialIdeal, dmax: int | None,
-                  A: LiftingMatrix | None = None) -> int:
-    """The degree horizon of a certificate for J: ``dmax``, or the floor
-    max generator degree + number of variables when ``dmax`` is None.
-    Raises LinkageError for a horizon below that floor or above the
-    ``check_dmax`` ceiling in the variables of the matrix ``A``, or J's."""
-    try:
-        return check_dmax(dmax, J.max_gen_degree + J.n, J.n if A is None else A.N)
-    except ValueError as exc:
-        raise LinkageError(str(exc))
+def _horizon(J: MonomialIdeal, A: LiftingMatrix | None) -> int:
+    """The degree horizon of a certificate for J: ``horizon`` with k = J.n,
+    its width measured in the variables of the matrix ``A``, or J's."""
+    return horizon(J, J.n, J.n if A is None else A.N)
+
+
+def _check_stored_horizon(dmax, J: MonomialIdeal, A: LiftingMatrix | None) -> int:
+    """The stored horizon ``dmax`` if it is the one derived from J; raises
+    ValueError otherwise."""
+    derived = _horizon(J, A)
+    if type(dmax) is not int or dmax != derived:
+        raise ValueError(f"horizon dmax {dmax!r} is not {derived}, "
+                         "the horizon derived from the root")
+    return dmax
 
 
 # --- Artinian certificate ---------------------------------------------------
@@ -487,12 +491,11 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, dmax: int,
 
 
 def glicci_certificate_artinian(J: MonomialIdeal, A: LiftingMatrix,
-                                dmax: int | None = None,
                                 prime: int = DEFAULT_PRIME) -> GlicciCertificate:
     """Certificate for the lift of an Artinian monomial ideal: induction
     on the codimension via layer decomposition and hypersurface chains,
     terminating at a codimension-2 licci leaf."""
-    return _build_certificate("artinian", J, A, dmax, prime)
+    return _build_certificate("artinian", J, A, prime)
 
 
 # --- Borel certificate ------------------------------------------------------
@@ -623,13 +626,13 @@ def _build_cone_step(source: MonomialIdeal) -> DescentStep:
     return DescentStep("cone-descent", source, j0, tuple(checks))
 
 
-def glicci_certificate_borel(J: MonomialIdeal, dmax: int | None = None,
+def glicci_certificate_borel(J: MonomialIdeal,
                              prime: int = DEFAULT_PRIME) -> GlicciCertificate:
     """Certificate for a Cohen-Macaulay Borel-fixed ideal: bilinks strip
     x_1 until the initial degree reaches one, then a hyperplane section
     and a cone descent drop to one fewer variable; leaves at height <= 2
     or a principal ideal."""
-    return _build_certificate("borel", J, None, dmax, prime)
+    return _build_certificate("borel", J, None, prime)
 
 
 # --- the induction ----------------------------------------------------------
@@ -690,12 +693,15 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
 
 @scope()
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
-                       dmax: int | None, prime: int) -> GlicciCertificate:
-    """Collect the steps of the induction from J and its leaf.  The build
-    runs in one oracle scope."""
+                       prime: int) -> GlicciCertificate:
+    """Collect the steps of the induction from J, at the horizon derived
+    from J, and its leaf.  The build runs in one oracle scope."""
     _check_root(mode, J)
     check_prime(prime)
-    dmax = check_horizon(J, dmax, A)
+    try:
+        dmax = _horizon(J, A)
+    except ValueError as exc:
+        raise LinkageError(str(exc))
     steps: list = []
     induction = _induction(mode, J, A, dmax, prime)
     for _, move in induction:
@@ -758,22 +764,20 @@ def _contract(name: str, check, *args) -> tuple:
 
 
 @scope()
-def verify_certificate(cert: GlicciCertificate,
-                       dmax: int | None = None) -> VerificationReport:
+def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     """Rerun the builder's induction from the certificate's inputs,
     report each rebuilt step's checks, and require every stored step's
     JSON to be the canonical JSON text of its rebuild; failures become
     report entries, never exceptions.  The replay runs in one oracle
     scope; opened outside any scope, it reuses nothing the build computed.
 
-    ``dmax`` overrides the stored horizon.  An unknown mode, an invalid
-    prime, a horizon ``check_horizon`` refuses or a root the mode's builder
+    An unknown mode, an invalid prime, a stored horizon other than the one
+    ``oracle.horizon`` derives from the root, or a root the mode's builder
     refuses fails the report before any step is replayed.  Each stored
     step's source and kind, and the leaf, must be where the builder stands
     and what it makes next.  The replay follows the builder, not the
     stored steps, and ends where the builder stops or raises.
     """
-    dmax = cert.dmax if dmax is None else dmax
     prime = cert.prime
     # The induction reruns from the certificate's inputs: the root and,
     # for the Artinian builder, the matrix stored step 0 lifts by.
@@ -782,14 +786,14 @@ def verify_certificate(cert: GlicciCertificate,
     entries: list = [
         _contract("mode", _check_mode, cert.mode),
         _contract("prime", check_prime, prime),
-        _contract("horizon", check_horizon, cert.root, dmax, A),
+        _contract("horizon", _check_stored_horizon, cert.dmax, cert.root, A),
     ]
     if entries[0][2]:  # the root's precondition depends on the mode
         entries.append(_contract("root", _check_root, cert.mode, cert.root))
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    induction = _induction(cert.mode, cert.root, A, dmax, prime)
+    induction = _induction(cert.mode, cert.root, A, cert.dmax, prime)
     idx = 0
     try:
         for idx, step in enumerate(cert.steps):

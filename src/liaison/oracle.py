@@ -58,8 +58,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .hilbert import HVector
-from .monomials import monomials_of_degree
+from .hilbert import HVector, hilbert_function_artinian
+from .monomials import MonomialIdeal, is_artinian, monomials_of_degree
 
 DEFAULT_PRIME = 32003
 # Largest modulus whose square fits int64: elimination multiplies two
@@ -77,8 +77,10 @@ _ROW_BLOCK = 256
 
 MAX_WIDTH = 10**5
 """Sanity ceiling on a horizon: the width C(N - 1 + dmax, N - 1) of its
-top-degree Macaulay matrix.  It stops absurd horizons before any matrix or
-monomial table is built, but does not guarantee memory to those below."""
+top-degree Macaulay matrix.  ``horizon`` derives the horizon from the
+ideal, so only an ideal of high degree in many variables reaches it; it
+stops such an input before any matrix or monomial table is built, but
+does not guarantee memory to those below."""
 
 # A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 # Coefficients are ints; reduced mod p by the routines that consume them.
@@ -94,13 +96,16 @@ def check_prime(p) -> int:
     return p
 
 
-def check_dmax(dmax, floor: int, N: int) -> int:
-    """``dmax``, or ``floor`` when None, if it is an int from ``floor`` up to
-    the MAX_WIDTH ceiling in ``N`` variables; raise ValueError otherwise."""
-    dmax = floor if dmax is None else dmax
-    if not isinstance(dmax, int) or dmax < floor:
-        raise ValueError(f"horizon dmax {dmax!r} is below the floor {floor} "
-                         "(max generator degree + number of variables)")
+def horizon(J: MonomialIdeal, k: int, N: int) -> int:
+    """The degree horizon of a check on J: max generator degree + ``k``,
+    raised to s + 2 when J is Artinian and proper of socle degree s, so
+    that a Hilbert function read through it has stabilized over its last
+    two degrees.  A certificate passes k = J.n, a lift the number of its
+    variables.  Raises ValueError when the horizon's top-degree Macaulay
+    matrix in ``N`` variables is wider than MAX_WIDTH."""
+    dmax = J.max_gen_degree + k
+    if is_artinian(J) and not J.is_unit:
+        dmax = max(dmax, len(hilbert_function_artinian(J).values) + 1)
     width = ring_dim(N, dmax)
     if width > MAX_WIDTH:
         raise ValueError(f"horizon dmax {dmax} needs Macaulay matrices {width} "
@@ -504,9 +509,7 @@ def stable_value(h: HVector) -> int:
     stabilized over the final two degrees."""
     if len(h.values) < 2 or h.values[-1] != h.values[-2]:
         raise ValueError(
-            f"Hilbert values not stable at horizon: {h.values[-3:]}; "
-            "increase dmax"
-        )
+            f"Hilbert values not stable at horizon: {h.values[-3:]}")
     return h.values[-1]
 
 

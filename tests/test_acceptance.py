@@ -316,6 +316,12 @@ def _zero_horizon(certs):
     return dataclasses.replace(certs[2], dmax=0), (0, "horizon")
 
 
+def _horizon_past_derived(certs):
+    # One degree more than the worked root's derived horizon replays
+    # cleanly, but a certificate's horizon is a function of its root.
+    return dataclasses.replace(certs[0], dmax=certs[0].dmax + 1), (0, "horizon")
+
+
 def _foreign_matrix(certs):
     # Step 1 rebuilt consistently with a matrix that is not step 0's
     # matrix with its first row dropped.
@@ -363,8 +369,8 @@ def _non_cm_root(certs):
 
 class TestCriterion9NegativeControls:
     @pytest.mark.parametrize("forge", [
-        _link_swapped, _extra_check, _zero_horizon, _foreign_matrix, _prime_four,
-        _mode_unknown, _mode_relabelled, _descent_relabelled, _non_cm_root,
+        _link_swapped, _extra_check, _zero_horizon, _horizon_past_derived,
+        _foreign_matrix, _prime_four, _mode_unknown, _mode_relabelled, _descent_relabelled, _non_cm_root,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_forged_certificate_rejected_at_step(self, generated_certificates,
                                                  forge):

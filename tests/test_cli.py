@@ -212,18 +212,20 @@ class TestLiftAndVerify:
         code, out, _ = run(capsys, "verify-lift", str(lifted))
         assert code == 0
 
-    # The default horizon of the worked lift is max generator degree 6 +
-    # 4 variables; below it the difference check passed vacuously.
-    @pytest.mark.parametrize("dmax", ["-1", "0", "9"])
-    def test_horizon_below_floor_is_input_error(self, worked_ideal, tmp_path,
-                                                 capsys, dmax):
-        lifted = tmp_path / "L.json"
-        run(capsys, "lift", worked_ideal, "--seed", "7", "--out", str(lifted))
-        code, out, err = run(capsys, "verify-lift", str(lifted), "--dmax", dmax)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "below the floor 10" in err
+    def test_lift_past_its_socle_degree(self, tmp_path, capsys):
+        # (x1^5, x2^5) has socle degree 8: its lift's Hilbert function
+        # settles at 25 in degree 8, past max generator degree 5 + 2.
+        path, lifted = tmp_path / "J.json", tmp_path / "L.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2,
+                                    "gens": [[5, 0], [0, 5]]}))
+        code, _, _ = run(capsys, "lift", str(path), "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["saturation-spot-check"] == {
+            "name": "saturation-spot-check", "passed": True,
+            "detail": "tail values (25, 25, 25)"}
 
     def test_bf_lift_fails_validation_at_the_working_prime(self, tmp_path, capsys):
         # The bf row-1 entry 3*x1 is zero mod 3.
@@ -397,6 +399,11 @@ class TestVerifyLiftReplay:
     ["verify-lift", "L.json", "--seed", "1"],
     ["verify", "cert.json", "--prime", "65537"],
     ["verify", "cert.json", "--seed", "1"],
+    # The horizon is derived from the ideal, never chosen.
+    ["glicci", "J.json", "--mode", "borel", "--dmax", "9"],
+    ["verify", "cert.json", "--dmax", "9"],
+    ["verify-lift", "L.json", "--dmax", "9"],
+    ["worked-example", "--dmax", "9"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_unread_option_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -440,26 +447,35 @@ class TestGlicciAndVerify:
         assert code == 3
         assert "Cohen-Macaulay" in err
 
-    @pytest.mark.parametrize("argv,env", [
-        (["--prime", "4"], None),
-        (["--prime", "1"], None),
-        (["--dmax", "0"], None),
-        ([], "abc"),
-    ])
-    def test_bad_prime_or_horizon_is_input_error(self, tmp_path, capsys,
-                                                 monkeypatch, argv, env):
+    @pytest.mark.parametrize("prime", ["4", "1"])
+    def test_bad_prime_is_input_error(self, tmp_path, capsys, prime):
         path = tmp_path / "sq.json"
         path.write_text(json.dumps(
             {"schema": "ideal/1", "n": 3,
              "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
                       [0, 2, 0], [0, 1, 1], [0, 0, 2]]}
         ))
-        if env is not None:
-            monkeypatch.setenv("LIAISON_PRIME", env)
-        code, out, err = run(capsys, "glicci", str(path), "--mode", "borel", *argv)
+        code, out, err = run(capsys, "glicci", str(path), "--mode", "borel",
+                             "--prime", prime)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # At max generator degree + 3 these roots' Hilbert functions had not
+    # settled: their socle degrees are 12 and 7.
+    @pytest.mark.parametrize("gens", [
+        [[5, 0, 0], [0, 5, 0], [0, 0, 5]],
+        [[4, 0, 0], [0, 4, 0], [0, 0, 2]],
+    ], ids=["x1^5,x2^5,x3^5", "x1^4,x2^4,x3^2"])
+    def test_artinian_root_past_its_socle_degree(self, tmp_path, capsys, gens):
+        path, cert = tmp_path / "J.json", tmp_path / "cert.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 3, "gens": gens}))
+        code, _, _ = run(capsys, "glicci", str(path), "--mode", "artinian",
+                         "--out", str(cert))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 0
+        assert "certificate VERIFIED" in out
 
     def test_tampered_certificate_rejected(self, tmp_path, capsys):
         path = tmp_path / "sq.json"
@@ -506,25 +522,34 @@ class TestUnboundedInputs:
         assert (code, out) == (2, "")
         assert err.startswith("error: 3000 columns") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["glicci", "verify-lift", "worked-example"])
+    # Horizons derived from ideals of high degree: 119 in 4 variables for
+    # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).
+    @pytest.mark.parametrize("command", ["glicci", "verify-lift"])
     def test_absurd_horizon_is_input_error(self, tmp_path, capsys, command):
-        square, lifted = str(tmp_path / "sq.json"), str(tmp_path / "L.json")
-        Path(square).write_text(json.dumps(SQUARE))
-        run(capsys, "lift", square, "--matrix", "bf", "--out", lifted)
-        argv = {"glicci": [square, "--mode", "borel"], "verify-lift": [lifted],
-                "worked-example": []}[command]
-        code, out, err = run_bounded(command, *argv, "--dmax", 10**6)
+        cube, line = str(tmp_path / "cube.json"), str(tmp_path / "line.json")
+        lifted = str(tmp_path / "L.json")
+        Path(cube).write_text(json.dumps(
+            {"schema": "ideal/1", "n": 3, "gens": [[40, 0, 0], [0, 40, 0], [0, 0, 40]]}))
+        Path(line).write_text(json.dumps(
+            {"schema": "ideal/1", "n": 4, "gens": [[200, 0, 0, 0]]}))
+        argv = {"glicci": [cube, "--mode", "artinian"], "verify-lift": [lifted]}[command]
+        if command == "verify-lift":
+            code, _, _ = run(capsys, "lift", line, "--matrix", "bf", "--out", lifted)
+            assert code == 0
+        code, out, err = run_bounded(command, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: horizon dmax ") and err.count("\n") == 1
         assert "columns wide" in err
 
     def test_out_of_memory_is_input_error(self, tmp_path):
-        # dmax 200 is below the width ceiling, but its Macaulay matrices
-        # outgrow 512 MiB of address space within seconds.
-        square = tmp_path / "sq.json"
-        square.write_text(json.dumps(SQUARE))
-        code, out, err = run_bounded("glicci", square, "--mode", "borel",
-                                     "--dmax", 200, limit=512 << 20)
+        # The horizon 74 of the lift of (x1^25, x2^25, x3^25) is below the
+        # width ceiling, but its Macaulay matrices outgrow 512 MiB of
+        # address space within seconds.
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps(
+            {"schema": "ideal/1", "n": 3, "gens": [[25, 0, 0], [0, 25, 0], [0, 0, 25]]}))
+        code, out, err = run_bounded("glicci", cube, "--mode", "artinian",
+                                     limit=512 << 20)
         assert (code, out) == (2, "")
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
@@ -555,13 +580,6 @@ class TestWorkedExampleCommand:
         assert data["layer_table"] == [
             [1, 2, 3, 4, 4, 2], [1, 2, 3], [1, 2], [1]]
         assert data["points"] == 26
-
-    def test_env_prime_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("LIAISON_PRIME", "65537")
-        from liaison.cli import build_parser
-
-        args = build_parser().parse_args(["worked-example"])
-        assert args.prime == 65537
 
     def test_coincident_points_are_a_verification_failure(self, capsys):
         code, out, err = run(capsys, "worked-example", "--prime", "3")
@@ -597,18 +615,6 @@ class TestWorkedExampleCommand:
         code, _, _ = run(capsys, "worked-example")
         assert code == 0
         assert phases["build"] > 0 and phases["verify"] == phases["build"]
-
-    def test_dmax_too_small(self, capsys):
-        code, _, err = run(capsys, "worked-example", "--dmax", "3")
-        assert code == 3
-        assert "horizon too small" in err
-
-    @pytest.mark.parametrize("dmax", ["-1", "-3"])
-    def test_negative_dmax_is_input_error(self, capsys, dmax):
-        code, out, err = run(capsys, "worked-example", "--dmax", dmax)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: horizon dmax {dmax} is negative\n"
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "worked-example", "--json")

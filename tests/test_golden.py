@@ -34,9 +34,7 @@ def _digest(data: bytes) -> tuple:
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
-def test_cli_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LIAISON_PRIME", raising=False)
-
+def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     def stdout(*argv):
         assert main([str(a) for a in argv]) == 0
         return capsys.readouterr().out.encode()

@@ -475,7 +475,7 @@ class TestVerifyLift:
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=2)
         data = json.loads(json.dumps(lift_record(WORKED_J, A)))
         assert "points" not in data
-        report = verify_lift(data, dmax=11)
+        report = verify_lift(data)
         assert report["ok"]
         assert [c["name"] for c in report["checks"]] == [
             "matrix-validation", "hilbert-difference-t2",

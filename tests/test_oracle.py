@@ -5,20 +5,34 @@ import numpy as np
 import pytest
 
 from liaison import oracle
-from liaison.hilbert import difference, hilbert_function
+from liaison.hilbert import (
+    HVector,
+    difference,
+    hilbert_function,
+    hilbert_function_artinian,
+    lex_ideal_from_hvector,
+    macaulay_bound,
+)
 from liaison.linkage import glicci_certificate_borel, verify_certificate
-from liaison.monomials import Monomial, MonomialIdeal, monomials_of_degree
+from liaison.monomials import (
+    Monomial,
+    MonomialIdeal,
+    enumerate_borel_ideals,
+    is_artinian,
+    is_cm_borel,
+    monomials_of_degree,
+)
 from liaison.oracle import (
     DEFAULT_PRIME,
     MAX_PRIME,
     MAX_WIDTH,
     _degree_rows,
     check_prime,
-    check_dmax,
     colon_stability_failure,
     containment_failure,
     graded_dim,
     hilbert_oracle,
+    horizon,
     ideals_equal_up_to,
     linear_form_poly,
     poly_degree,
@@ -132,7 +146,7 @@ class TestStableValues:
         from liaison.hilbert import HVector
 
         assert stable_value(HVector.truncated((1, 3, 4, 4), 3)) == 4
-        with pytest.raises(ValueError, match="increase dmax"):
+        with pytest.raises(ValueError, match="not stable at horizon"):
             stable_value(HVector.truncated((1, 3, 4, 5), 3))
 
     def test_scheme_degree_of_points(self):
@@ -206,10 +220,75 @@ def test_largest_accepted_prime():
 
 
 def test_widest_accepted_horizon():
-    # In two variables the degree-d Macaulay matrix has d + 1 columns.
-    assert check_dmax(MAX_WIDTH - 1, 0, 2) == MAX_WIDTH - 1
+    # In two variables the degree-d Macaulay matrix has d + 1 columns;
+    # (x1) is not Artinian, so its horizon is 1 + k.
+    J = ideal(2, (1, 0))
+    assert horizon(J, MAX_WIDTH - 2, 2) == MAX_WIDTH - 1
     with pytest.raises(ValueError, match=f"{MAX_WIDTH + 1} columns"):
-        check_dmax(MAX_WIDTH, 0, 2)
+        horizon(J, MAX_WIDTH - 1, 2)
+
+
+def _old_floor(J, k):
+    """The horizon before it was derived from the socle degree."""
+    return J.max_gen_degree + k
+
+
+class TestHorizon:
+    """The derived horizon is the old floor, max generator degree + k,
+    on every input the golden pins, the sweep and the benchmark use, and
+    larger only where the floor fell short of the socle degree + 2."""
+
+    def test_worked_root(self):
+        J = lex_ideal_from_hvector(HVector.artinian((1, 3, 6, 10, 4, 2)), 3)
+        assert horizon(J, 3, 4) == _old_floor(J, 3) == 9
+        assert horizon(J, 4, 4) == _old_floor(J, 4) == 10
+
+    def test_sweep_roots(self):
+        roots = [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 3)
+                 if not (J.is_zero or J.is_unit) and is_cm_borel(J)[0]]
+        assert len(roots) == 94
+        for J in roots:
+            assert horizon(J, J.n, J.n) == _old_floor(J, J.n), J
+
+    def test_artinian_borel_ideals(self, borel_ideals):
+        # Borel-fixed and Artinian: the socle degree is the max generator
+        # degree - 1.
+        checked = 0
+        for J in borel_ideals:
+            if is_artinian(J) and not J.is_unit:
+                s = len(hilbert_function_artinian(J).values) - 1
+                assert s == J.max_gen_degree - 1, J
+                assert horizon(J, J.n, J.n) == _old_floor(J, J.n), J
+                checked += 1
+        assert checked > 0
+
+    def test_lift_roundtrip_sequences(self):
+        # The worked h-vector and the twenty differentiable O-sequences of
+        # acceptance criterion 8, lifted with t = 1..3.
+        seqs = [(3, (1, 3, 6, 10, 4, 2), 1)]
+        for k in range(20):
+            rng = random.Random(1000 + k)
+            t = k % 3 + 1
+            n = 2 if t == 3 else rng.choice([2, 3])
+            values = [1, n]
+            for deg in range(1, 4 if t < 3 else 3):
+                values.append(rng.randint(0, min(macaulay_bound(values[deg], deg), 5)))
+                if values[-1] == 0:
+                    break
+            while values[-1] == 0:
+                values.pop()
+            seqs.append((n, tuple(values), t))
+        for n, h, t in seqs:
+            J = lex_ideal_from_hvector(HVector.artinian(h), n)
+            assert horizon(J, n + t, n + t) == J.max_gen_degree + n + t, (h, t)
+
+    @pytest.mark.parametrize("gens,want", [
+        (((5, 0, 0), (0, 5, 0), (0, 0, 5)), 14),
+        (((4, 0, 0), (0, 4, 0), (0, 0, 2)), 9),
+    ], ids=["x1^5,x2^5,x3^5", "x1^4,x2^4,x3^2"])
+    def test_past_the_socle_degree(self, gens, want):
+        J = ideal(3, *gens)
+        assert horizon(J, 3, 4) == want > _old_floor(J, 3)
 
 
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
