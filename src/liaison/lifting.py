@@ -349,24 +349,6 @@ class LiftedIdeal:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LiftedIdeal":
-        """The stored matrix document must have the stored hash before it
-        is decoded."""
-        if _digest(data["matrix"]) != data["matrix_hash"]:
-            raise MatrixError("matrix hash mismatch: tampered lifted ideal")
-        return cls(
-            MonomialIdeal.from_json(data["source"]),
-            LiftingMatrix.from_json(data["matrix"]),
-            tuple(
-                LiftedGenerator(
-                    Monomial(tuple(g["source"])),
-                    tuple(tuple(f) for f in g["factors"]),
-                )
-                for g in data["generators"]
-            ),
-        )
-
 
 def lift_ideal(J: MonomialIdeal, A: LiftingMatrix,
                prime: int = DEFAULT_PRIME) -> LiftedIdeal:
@@ -486,11 +468,14 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
 
     The record must be exactly what ``lift_record`` makes from its own
     source and matrix, with the points rebuilt at the prime they record;
-    otherwise LiftError names the keys that differ.
+    otherwise LiftError names the keys that differ.  Only the source and
+    the matrix are decoded: every other key, the generators and the
+    matrix hash included, is compared with the replay, and the checks
+    expand the generators from the source and the matrix.
     """
     try:
-        L = LiftedIdeal.from_json(data)
-        J, A = L.source, L.matrix
+        J = MonomialIdeal.from_json(data["source"])
+        A = LiftingMatrix.from_json(data["matrix"])
         at = check_prime(data["points"]["prime"]) if "points" in data else prime
         replay = lift_record(J, A, prime=at)
     except (KeyError, TypeError, ValueError) as exc:
@@ -507,7 +492,7 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
 
     report = validate_matrix(A, J, prime=prime)
     checks = [("matrix-validation", report.ok, f"prime {report.prime}")]
-    polys = L.polynomials(prime)
+    polys = [expand(bar(g, A), A, prime) for g in J.gens]
     hf = hilbert_oracle(polys, dmax, A.N, prime)
     source_h = hilbert_function(J, dmax)
     try:

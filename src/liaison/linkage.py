@@ -695,13 +695,12 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        prime: int) -> GlicciCertificate:
     """Collect the steps of the induction from J, at the horizon derived
-    from J, and its leaf.  The build runs in one oracle scope."""
+    from J, and its leaf.  The build runs in one oracle scope.  A root the
+    mode refuses is a LinkageError; a root whose horizon ``horizon``
+    refuses as too wide, checked after it, is ``horizon``'s ValueError."""
     _check_root(mode, J)
     check_prime(prime)
-    try:
-        dmax = _horizon(J, A)
-    except ValueError as exc:
-        raise LinkageError(str(exc))
+    dmax = _horizon(J, A)
     steps: list = []
     induction = _induction(mode, J, A, dmax, prime)
     for _, move in induction:

@@ -32,11 +32,11 @@ Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A comparison has
 no such direction: a containment or colon residual can vanish mod p when
 it does not over Q, so those checks can pass spuriously at one prime.
-Replay at a second prime is still to come (the open item "Two primes
-and stated horizons" of ROADMAP.md).  The horizon, on the other hand,
-truncates neither containment nor equality when every generator they
-compare has degree at most dmax: both then decide the ideals themselves,
-in every degree.  A test pins this on the worked example's certificate
+Replay at a second prime is still to come (open item 3 of ROADMAP.md,
+"Exact containment and Hilbert-series identities").  The horizon, on the
+other hand, truncates neither containment nor equality when every
+generator they compare has degree at most dmax: both then decide the
+ideals themselves, in every degree.  A test pins this on the worked example's certificate
 and on the 94 certificates of the Borel sweep.
 
 Inside ``scope()`` the basis of each (generators, degree, variables,
@@ -164,7 +164,10 @@ def expand(gen, matrix, p: int | None = DEFAULT_PRIME) -> Poly:
 
 
 def ring_dim(N: int, d: int) -> int:
-    return comb(N - 1 + d, d) if d >= 0 else 0
+    """The number of monomials of degree d in N variables."""
+    if d < 0:
+        return 0
+    return comb(N - 1 + d, d) if N else int(d == 0)
 
 
 @lru_cache(maxsize=None)

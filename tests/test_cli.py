@@ -73,6 +73,11 @@ class TestLexBuild:
         code, _, err = run(capsys, "lex-build", "--h", "1,two", "--n", "3")
         assert code == 2
 
+    def test_negative_entry(self, capsys):
+        code, out, err = run(capsys, "lex-build", "--h", "1,-2", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: bad h-vector '1,-2': negative entry in (1, -2)\n"
+
 
 class TestAnalyze:
     def test_worked_example_table(self, worked_ideal, capsys):
@@ -447,6 +452,24 @@ class TestGlicciAndVerify:
         assert code == 3
         assert "Cohen-Macaulay" in err
 
+    def test_unit_root_in_no_variables(self, tmp_path, capsys):
+        # The root check comes before the horizon, as for every unit root;
+        # replay derives the horizon 0 of the ring with no variables.
+        path, cert = tmp_path / "one.json", tmp_path / "cert.json"
+        root = {"schema": "ideal/1", "n": 0, "gens": [[]]}
+        path.write_text(json.dumps(root))
+        code, out, err = run(capsys, "glicci", str(path), "--mode", "borel")
+        assert (code, out, err) == (3, "", "error: root ideal must be proper and nonzero\n")
+        data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
+        data.update(root=root, dmax=0, steps=[], leaf="principal")
+        cert.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 3
+        assert out.splitlines()[2:] == [
+            "PASS  step 0  horizon",
+            "FAIL  step 0  root  [root ideal must be proper and nonzero]",
+            "certificate REJECTED"]
+
     @pytest.mark.parametrize("prime", ["4", "1"])
     def test_bad_prime_is_input_error(self, tmp_path, capsys, prime):
         path = tmp_path / "sq.json"
@@ -572,6 +595,25 @@ class TestWorkedExampleCommand:
         assert code == 0
         assert "26 points" in out
         assert "all golden comparisons pass" in out
+
+    @pytest.mark.parametrize("prime", ["32003", "65537"])
+    def test_lift_checks_are_the_verify_lift_checks(self, worked_ideal, tmp_path,
+                                                     capsys, prime):
+        lifted = tmp_path / "L.json"
+        code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "0",
+                         "--prime", prime, "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--prime", prime, "--json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        code, out, _ = run(capsys, "worked-example", "--prime", prime, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["schema"] == "worked-example/2" and data["ok"]
+        assert data["lift_checks"] == checks
+        assert [c["name"] for c in checks] == [
+            "matrix-validation", "hilbert-difference-t1", "saturation-spot-check",
+            "non-degeneracy-dim-I1", "point-model"]
 
     def test_prime_override_same_combinatorics(self, capsys):
         code, out, _ = run(capsys, "worked-example", "--prime", "65537", "--json")

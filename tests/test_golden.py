@@ -22,7 +22,7 @@ PINNED = {
     "verify-lift --json, worked lift file": (
         "c6d39f95e589033339520c11fe5e7ad52e4a21e030151e982a7f09b071946ea6", 578),
     "worked-example --json": (
-        "256427d1e7334ddf91c12fb2d782f8fbca39b32b0cf18ab9bd3ccfa3672f0364", 325),
+        "7e3b898b783101f33111902efb1aba48c44fa65117b945afabbbc5d8160031bb", 764),
 }
 
 SQUARE = {"schema": "ideal/1", "n": 3,

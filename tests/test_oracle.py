@@ -99,6 +99,8 @@ class TestGradedDims:
     def test_ring_dim(self):
         assert ring_dim(3, 2) == 6
         assert ring_dim(3, -1) == 0
+        # No variables: the field itself, one monomial in degree 0.
+        assert [ring_dim(0, d) for d in (-1, 0, 1, 2)] == [0, 1, 0, 0]
 
     def test_monomial_ideal_matches_combinatorics(self):
         rng = random.Random(11)
