@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, prime=True, seed=True)
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("verify-lift", help="oracle suite on a lifted ideal")
+    p = sub.add_parser("verify-lift", help="replay a lift, prove its Hilbert function")
     p.add_argument("lifted")
     common(p, prime=True)
     p.set_defaults(func=cmd_verify_lift)

@@ -32,22 +32,29 @@ Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A comparison has
 no such direction: a containment or colon residual can vanish mod p when
 it does not over Q, so those checks can pass spuriously at one prime.
-Replay at a second prime is still to come (open item 3 of ROADMAP.md,
-"Exact containment and Hilbert-series identities").  The horizon, on the
-other hand, truncates neither containment nor equality when every
-generator they compare has degree at most dmax: both then decide the
-ideals themselves, in every degree.  A test pins this on the worked example's certificate
-and on the 94 certificates of the Borel sweep.
+Certificates still trust one prime; replay at a second is open item 3 of
+ROADMAP.md, "Exact containment and Hilbert-series identities".  The
+horizon, on the other hand, truncates neither containment nor equality
+when every generator they compare has degree at most dmax: both then
+decide the ideals themselves, in every degree.  A test pins this on the
+worked example's certificate and on the 94 certificates of the Borel
+sweep.
+
+``verify_lift`` builds no Macaulay matrix.  Its Hilbert rows are exact over
+Q, in every degree, read off a Gröbner basis that Buchberger's criterion
+proves over Z (``lifting.py``); only its ``matrix-validation`` and its
+point replay work mod p.  A tier-1 test compares those rows with
+``hilbert_oracle`` at 32003 and at 65537.
 
 Inside ``scope()`` the basis of each (generators, degree, variables,
 prime) is computed once and kept until the outermost scope exits; the
 scope holds nothing else, and outside any scope nothing is cached.  The
-certificate builders, ``verify_certificate`` and ``verify_lift`` each
-open a scope, so nothing carries from one call to the next, nor from a
-build to its replay.  A proven equality caches no answer for the other
-side: a caller that has proven its ideal equal to a monomial ideal reads
-that ideal's Hilbert function in closed form instead, as the Borel
-bilink does for bar I_0 + x_1 I' = J.
+certificate builders and ``verify_certificate`` each open a scope, so
+nothing carries from one call to the next, nor from a build to its
+replay.  A proven equality caches no answer for the other side: a caller
+that has proven its ideal equal to a monomial ideal reads that ideal's
+Hilbert function in closed form instead, as the Borel bilink does for
+bar I_0 + x_1 I' = J.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liaison import cli, oracle
+from liaison import cli, lifting, oracle
 from liaison.cli import main
 from liaison.linkage import glicci_certificate_borel
 from liaison.monomials import MonomialIdeal
@@ -216,6 +216,47 @@ class TestLiftAndVerify:
         assert code == 0
         code, out, _ = run(capsys, "verify-lift", str(lifted))
         assert code == 0
+
+    def test_bf_lift_with_powers_of_x1(self, worked_ideal, tmp_path, capsys):
+        # Row 1 of the bf matrix is x1, 2*x1, 3*x1, ...: x1^4 lifts to
+        # 24*x1^4, so the Gröbner check must reduce without dividing.
+        lifted = tmp_path / "L.json"
+        code, _, _ = run(capsys, "lift", worked_ideal, "--matrix", "bf",
+                         "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 0
+        assert [(c["name"], c["passed"], c["detail"])
+                for c in json.loads(out)["checks"]] == [
+            ("matrix-validation", True, "prime 32003"),
+            ("hilbert-difference-t0", True, "difference (1, 3, 6, 10, 4, 2, 0, 0, 0, 0)"),
+            ("saturation-spot-check", True, "tail values (0, 0, 0)")]
+
+    def test_non_groebner_generators_fail_the_hilbert_rows(
+            self, worked_ideal, tmp_path, capsys, monkeypatch):
+        lifted = tmp_path / "L.json"
+        code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "7", "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+
+        def perturbed(gen, matrix, p):
+            # One added to the revlex-smallest term of x1^4's lift.
+            f = oracle.expand(gen, matrix, p)
+            if gen.source.exps == (4, 0, 0):
+                f[max(f, key=lambda e: e[::-1])] += 1
+            return f
+
+        monkeypatch.setattr(lifting, "expand", perturbed)
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 3
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == names
+        failed = {c["name"]: c["detail"] for c in checks if not c["passed"]}
+        assert set(failed) == {"hilbert-difference-t1", "saturation-spot-check",
+                               "non-degeneracy-dim-I1"}
+        assert failed["hilbert-difference-t1"].startswith("S-pair of generators ")
 
     def test_lift_past_its_socle_degree(self, tmp_path, capsys):
         # (x1^5, x2^5) has socle degree 8: its lift's Hilbert function

@@ -8,6 +8,7 @@ import pytest
 
 from liaison.hilbert import (
     HVector,
+    difference,
     hilbert_function_artinian,
     lex_ideal_from_hvector,
     macaulay_bound,
@@ -17,6 +18,7 @@ from liaison.lifting import (
     LiftingMatrix,
     LinearForm,
     MatrixError,
+    _buchberger_failure,
     bar,
     default_matrix,
     lift_ideal,
@@ -445,8 +447,6 @@ class TestLiftHilbert:
     def test_first_difference_recovers_h(self):
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         L = lift_ideal(WORKED_J, A)
-        from liaison.hilbert import difference
-
         h = hilbert_oracle(L.polynomials(P), 8, A.N, P)
         assert difference(h, 1).values == (1, 3, 6, 10, 4, 2, 0, 0, 0)
 
@@ -490,3 +490,84 @@ class TestVerifyLift:
         A = default_matrix(2, "t-lift", seed=0, ncols=1, t=1)
         with pytest.raises(LiftError, match="zero or unit"):
             lift_record(ideal(2, (0, 0)), A)
+
+
+def hand_built_lift(J, t=1):
+    """An unseeded t-lift of J whose entries have x_v coefficient 2 or 3,
+    alternating along a row, so no leading coefficient is 1."""
+    n, ncols = J.n, max(J.max_gen_degree, 1)
+    rows = tuple(
+        tuple(LinearForm(tuple(2 + i % 2 if k == j else 0 for k in range(n))
+                         + tuple(7 * i + 3 * q + j + 1 for q in range(t)))
+              for i in range(ncols))
+        for j in range(n))
+    return LiftingMatrix(rows, n, t, "t-lift", None)
+
+
+NON_BOREL = [ideal(2, (2, 0), (0, 2)),
+             ideal(3, (1, 1, 0), (0, 0, 2), (3, 0, 0)),
+             ideal(3, (0, 2, 0), (1, 0, 1), (2, 1, 0)),
+             ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))]
+
+
+def exact_row_cases():
+    yield "worked-t1", WORKED_J, default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+    yield "worked-t2", WORKED_J, default_matrix(3, "t-lift", seed=7, ncols=6, t=2)
+    for J, seed, t in criterion_8_ideals():
+        yield f"criterion8-{seed}", J, default_matrix(
+            J.n, "t-lift", seed=seed, ncols=max(J.max_gen_degree, 1), t=t)
+    for k, J in enumerate(NON_BOREL + [WORKED_J]):
+        yield f"bf-{k}", J, default_matrix(J.n, "bf", ncols=J.max_gen_degree)
+    # Leading coefficients 2^a 3^b: the reduction must not divide.
+    yield "hand-built-t1", WORKED_J, hand_built_lift(WORKED_J)
+    yield "hand-built-t2", NON_BOREL[3], hand_built_lift(NON_BOREL[3], t=2)
+
+
+class TestExactHilbertRows:
+    """``verify_lift`` reads its Hilbert rows off a Gröbner basis over Z; the
+    mod-p Macaulay oracle stays an independent cross-check of them."""
+
+    @pytest.mark.parametrize("p", [P, 65537])
+    def test_rows_agree_with_the_oracle(self, p):
+        for name, J, A in exact_row_cases():
+            report = verify_lift(json.loads(json.dumps(lift_record(J, A, prime=p))), p)
+            assert report["ok"], name
+            polys = [expand(bar(g, A), A, p) for g in J.gens]
+            hf = hilbert_oracle(polys, report["dmax"], A.N, p)
+            rows = {c["name"]: c["detail"] for c in report["checks"]}
+            assert rows[f"hilbert-difference-t{A.t}"] == \
+                f"difference {difference(hf, A.t).values}", name
+            assert rows["saturation-spot-check"] == f"tail values {hf.values[-3:]}", name
+            if A.kind == "t-lift":
+                assert hf.at(1) == A.N, name
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_every_perturbed_generator_names_an_s_pair(self, t):
+        # One added to the revlex-smallest term (the largest exponents read
+        # from the last variable) keeps each leading term.
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=t)
+        polys = [expand(bar(g, A), A, None) for g in WORKED_J.gens]
+        leads = [g.exps + (0,) * t for g in WORKED_J.gens]
+        last = tuple(range(3, 3 + t))
+        assert _buchberger_failure(polys, leads, last) is None
+        for k, f in enumerate(polys):
+            f = dict(f)
+            f[max(f, key=lambda e: e[::-1])] += 1
+            failure = _buchberger_failure(polys[:k] + [f] + polys[k + 1:], leads, last)
+            assert failure is not None and failure.startswith("S-pair of generators "), k
+
+    def test_off_variable_multiple_of_the_prime_is_not_proven(self):
+        # 32003*x1 in an x2 entry vanishes mod p, so the matrix validates,
+        # but over Q that generator leads with x1: the exact rows fail.
+        rows = ((LinearForm((1, 0, 1)), LinearForm((1, 0, 2))),
+                (LinearForm((P, 1, 3)), LinearForm((0, 1, 5))))
+        A = LiftingMatrix(rows, 2, 1, "t-lift", None)
+        report = verify_lift(json.loads(json.dumps(
+            lift_record(ideal(2, (2, 0), (1, 1), (0, 2)), A))))
+        assert [(c["name"], c["passed"], c["detail"]) for c in report["checks"]] == [
+            ("matrix-validation", True, f"prime {P}"),
+            *((name, False, "generator 2 does not lead with its source monomial")
+              for name in ("hilbert-difference-t1", "saturation-spot-check",
+                           "non-degeneracy-dim-I1")),
+            ("point-model", True, "3 points, expected 3"),
+        ]
