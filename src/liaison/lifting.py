@@ -386,8 +386,10 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     """Explicit zero-scheme of a 1-lifting of an Artinian ideal.
 
     The point for a standard monomial x^c solves L_{j, c_j + 1} = 0 for
-    every j on the chart u = 1.  Verifies that the points are pairwise
-    distinct and that every lifted generator vanishes on every point.
+    every j on the chart u = 1, in the rows' own variables and u (a matrix
+    with its first rows dropped lifts to the cone over these points).
+    Verifies that the points are pairwise distinct and that every lifted
+    generator vanishes on every point.
     The number of points, the sum of J's Hilbert function, is read from
     its closed form first: more than POINT_LIMIT is a MatrixError, raised
     before any point is built.
@@ -409,14 +411,15 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
         std.extend(layer)
         d += 1
 
+    offset = A.ambient_n - n  # row j's own variable is x_{offset + j}
     generators = [bar(m, A) for m in J.gens]
     points = []
     for m in std:
         coords = []
         for j in range(n):
             form = A.rows[j][m.exps[j]]
-            xc = form.coeffs[j] % prime
-            uc = form.coeffs[n] % prime
+            xc = form.coeffs[offset + j] % prime
+            uc = form.coeffs[A.ambient_n] % prime
             if xc == 0:
                 raise MatrixError(f"singular slice for {m} in row {j + 1}")
             coords.append((-uc * pow(xc, prime - 2, prime)) % prime)
@@ -432,7 +435,7 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
             for r, c in g.factors:
                 form = A.rows[r][c]
                 value = (value * sum(
-                    fc * pc for fc, pc in zip(form.coeffs, pt)
+                    fc * pc for fc, pc in zip(form.coeffs[offset:], pt)
                 )) % prime
             if value != 0:
                 raise MatrixError(
@@ -470,24 +473,33 @@ def _subtract_multiple(r: dict, c: int, f: dict, shift) -> None:
             r.pop(key, None)
 
 
-def _buchberger_failure(polys, leads, last) -> str | None:
-    """None when ``polys``, homogeneous over Z, are a Gröbner basis over Q
-    in revlex with the variables ``last`` smallest and leading monomials
-    ``leads``; else which generator or S-pair fails, by index from 1.
+def _residues(r: dict, prime: int | None) -> dict:
+    """r mod ``prime``, zeros dropped; r itself without a prime."""
+    return r if prime is None else {e: v % prime for e, v in r.items() if v % prime}
+
+
+def _buchberger_failure(polys, leads, last, prime=None) -> str | None:
+    """None when the forms ``polys`` are a Gröbner basis in revlex with
+    the variables ``last`` smallest (and, unless ``leads`` is None, lead
+    with ``leads``); else which generator or S-pair fails, from 1.
 
     A term is keyed by its exponents read from the smallest variable up,
     so the revlex-largest term of a form is its least key.  Pairs with
     coprime leading monomials are skipped; every other S-polynomial is
-    top-reduced without division (multiplied by the divisor's leading
-    coefficient, then freed of its content), so the remainder is exact
-    over Q for any nonzero leading coefficients."""
-    order = list(last)[::-1] + [v for v in range(len(leads[0])) if v not in last][::-1]
+    top-reduced.  Over Q (no prime) this never divides: a remainder is
+    multiplied by the divisor's leading coefficient, then freed of its
+    content.  Given a prime, it reduces with monic divisors mod p."""
+    N = len(next(iter(polys[0]))) if polys else 0
+    order = list(last)[::-1] + [v for v in range(N) if v not in last][::-1]
     basis = []
-    for k, (f, want) in enumerate(zip(polys, leads)):
-        g = {tuple(e[v] for v in order): c for e, c in f.items()}
+    for k, f in enumerate(polys):
+        g = _residues({tuple(e[v] for v in order): c for e, c in f.items()}, prime)
         lead = min(g)
-        if lead != tuple(want[v] for v in order):
+        if leads is not None and lead != tuple(leads[k][v] for v in order):
             return f"generator {k + 1} does not lead with its source monomial"
+        if prime is not None:
+            unit = pow(g[lead], -1, prime)
+            g = {e: c * unit % prime for e, c in g.items()}
         basis.append((lead, g[lead], g))
     for i, j in itertools.combinations(range(len(basis)), 2):
         (a, ca, f), (b, cb, g) = basis[i], basis[j]
@@ -497,7 +509,7 @@ def _buchberger_failure(polys, leads, last) -> str | None:
         r: dict = {}
         _subtract_multiple(r, -cb, f, [x - y for x, y in zip(lcm, a)])
         _subtract_multiple(r, ca, g, [x - y for x, y in zip(lcm, b)])
-        while r:
+        while r := _residues(r, prime):
             lead = min(r)
             divisor = next((item for item in basis
                             if all(x <= y for x, y in zip(item[0], lead))), None)
@@ -535,10 +547,11 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     that Hilbert function through the horizon ``horizon`` derives from
     the source with k the number of lifted variables, which for an
     Artinian source reaches two degrees past its socle degree:
-    ``hilbert-difference-t{t}`` its t-th difference, which must be J's,
-    ``saturation-spot-check`` its last three values, equal for a 1-lift
-    of an Artinian source, and, for a t-lift, ``non-degeneracy-dim-I1``
-    that it is N in degree 1.  An S-pair that does not reduce to 0 fails
+    ``hilbert-difference-t{t}`` its difference once per new variable (t,
+    plus the x's of dropped rows), which must be J's,
+    ``saturation-spot-check`` its last three values, equal for an Artinian
+    source with one new variable, and, for a t-lift,
+    ``non-degeneracy-dim-I1`` that it is N in degree 1.  An S-pair that does not reduce to 0 fails
     all three, named in their detail, and so does a generator that leads
     with another monomial (an x-coefficient off its own variable that
     vanishes mod the prime, not over Z).  Only ``matrix-validation`` and
@@ -573,11 +586,12 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     failure = _buchberger_failure([expand(bar(g, A), A, None) for g in J.gens],
                                   leads, last)
     source_h = hilbert_function(J, dmax)
-    hf = partial_sum(source_h, A.N - J.n, dmax)
-    diff = difference(hf, A.t).values
+    new = A.N - J.n  # t, plus the x's of the rows a matrix has dropped
+    hf = partial_sum(source_h, new, dmax)
+    diff = difference(hf, new).values
     rows = [(f"hilbert-difference-t{A.t}", diff == source_h.values, f"difference {diff}"),
             ("saturation-spot-check",
-             not (is_artinian(J) and A.t == 1)
+             not (is_artinian(J) and new == 1)
              or hf.at(dmax) == hf.at(dmax - 1) == hf.at(dmax - 2),
              f"tail values {hf.values[-3:]}")]
     if A.kind == "t-lift":

@@ -4,7 +4,8 @@ builders, and the verifier.
 A certificate never constructs the intermediate arithmetically Gorenstein
 ideals; its meaning is that every arithmetic precondition and identity
 attached to each step has been verified modulo the working prime through
-the degree horizon.
+the degree horizon.  Colon stability, I : f = I, is proven in every
+degree (``_colon_failure``).
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime
@@ -25,6 +26,7 @@ from .lifting import (
     LiftedIdeal,
     LiftingMatrix,
     MatrixError,
+    _buchberger_failure,
     canonical_json,
     default_matrix,
     lift_ideal,
@@ -40,7 +42,6 @@ from .monomials import (
 from .oracle import (
     DEFAULT_PRIME,
     check_prime,
-    colon_stability_failure,
     containment_failure,
     expand,
     hilbert_oracle,
@@ -51,7 +52,6 @@ from .oracle import (
     poly_mul,
     poly_normalize,
     poly_to_json,
-    scope,
     stable_value,
 )
 
@@ -140,7 +140,41 @@ class PolyIdeal(_FieldCodec):
         return self.N - 1 - self.codim
 
     def hilbert(self, dmax: int, prime: int) -> HVector:
-        return hilbert_oracle(self.gens, dmax, self.N, prime)
+        """The oracle's Hilbert function through dmax, remembered on this
+        object (outside its fields, so JSON and equality ignore it)."""
+        memo = self.__dict__.setdefault("_hilbert", {})
+        if (dmax, prime) not in memo:
+            memo[dmax, prime] = hilbert_oracle(self.gens, dmax, self.N, prime)
+        return memo[dmax, prime]
+
+
+def _colon_failure(gens, f: dict, prime: int) -> str | None:
+    """None when I : f = I is proven over F_p, in every degree, for the
+    ideal I of the forms ``gens``; else why the proof does not apply.
+
+    (A) f has a term c x_v^{deg f}, c nonzero mod p, and no generator
+        involves x_v: R/I is a polynomial ring in x_v, f monic in it.
+    (B) f = c x_v^k, and the generators are a Gröbner basis over F_p in
+        revlex with x_v last whose leading monomials avoid x_v: then
+        in(I) : x_v = in(I), so I : x_v = I (Bayer and Stillman, 1987)."""
+    f = poly_normalize(f, prime)
+    gens = [g for g in (poly_normalize(g, prime) for g in gens) if g]
+    poly_degree(f)  # (A) reads deg f off a term
+    involved = {v for g in gens for e in g for v, a in enumerate(e) if a}
+    supports = [[v for v, a in enumerate(e) if a] for e in f]
+    if any(len(s) == 1 and s[0] not in involved for s in supports):  # (A)
+        return None
+    if len(supports) == 1 and len(supports[0]) == 1:  # (B)
+        v = supports[0][0]
+        for k, g in enumerate(gens):
+            poly_degree(g)  # revlex orders the terms of a form
+            lead = min(g, key=lambda e: (e[v],) + e[::-1])
+            if lead[v]:
+                return (f"leading monomial {Monomial(lead)} of generator {k + 1} "
+                        f"involves x{v + 1}")
+        return _buchberger_failure(gens, None, (v,), prime)
+    return ("neither case applies: the multiplier is neither monic in a "
+            "variable the generators avoid nor a power of one variable")
 
 
 @dataclass(frozen=True)
@@ -159,9 +193,10 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
                       dmax: int, prime: int = DEFAULT_PRIME, *,
                       result_hilbert: HVector | None = None) -> BasicDoubleLink:
     """Build I + A*J and verify every recorded side condition; raises
-    LinkageError naming the first failure.  ``result_hilbert``, when
-    given, stands for the oracle's Hilbert function of I + A*J through
-    dmax: the Borel bilink passes J's, once I + A*J = J is proven."""
+    LinkageError naming the first failure; ``colon-stable`` is proven in
+    every degree.  ``result_hilbert``, when given, stands for the oracle's
+    Hilbert function of I + A*J through dmax: the Borel bilink passes J's,
+    once I + A*J = J is proven."""
     result_gens = tuple(base.gens) + tuple(
         poly_mul(multiplier, g, prime) for g in divisor.gens
     )
@@ -190,12 +225,8 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
         None if fail is None else f"base not inside divisor at degree {fail}",
     ))
 
-    fail = colon_stability_failure(base.gens, multiplier, dmax, N, prime)
-    checks.append(Check(
-        "colon-stable",
-        fail is None,
-        None if fail is None else f"I : A != I at degree {fail}",
-    ))
+    fail = _colon_failure(base.gens, multiplier, prime)
+    checks.append(Check("colon-stable", fail is None, fail))
 
     h_base = base.hilbert(dmax, prime)
     h_div = divisor.hilbert(dmax, prime)
@@ -241,9 +272,9 @@ class HypersurfaceChain(_FieldCodec):
 def _section_hilbert(v: PolyIdeal, form: dict, dmax: int, prime: int) -> HVector:
     """Hilbert function of W = I_V + (F) through dmax, read off V's as
     h_W(t) = h_V(t) - h_V(t - deg F), with no elimination of W.  The
-    sequence 0 -> R/(V : F)(-deg F) -> R/V -> R/W -> 0 is exact, so this
-    is exact over F_p for t <= dmax once V : F = V is checked through dmax
-    (``colon_stability_failure``); the caller must have checked it."""
+    sequence 0 -> R/(V : F)(-deg F) -> R/V -> R/W -> 0 is exact, so the
+    identity holds over F_p in every degree once V : F = V is proven
+    (``_colon_failure``); the caller must have proven it."""
     h_v = v.hilbert(dmax, prime)
     d = poly_degree(form)
     return HVector.truncated([h_v.at(t) - h_v.at(t - d) for t in range(dmax + 1)], dmax)
@@ -255,9 +286,9 @@ def hypersurface_chain(vees, forms, dmax: int,
     forms F_1..F_r: the union of the hypersurface sections F_i on V_i,
     with the full Hilbert bookkeeping verified.  The sections'
     W_i = I_{V_i} + (F_i) are never eliminated for the Hilbert formula:
-    once every colon check has passed, each h_{W_i} is read off h_{V_i}
-    (``_section_hilbert``), whose bases those checks have built.  W_1 is
-    still eliminated as the first link's divisor."""
+    once every colon check is proven, in every degree, each h_{W_i} is
+    read off h_{V_i} (``_section_hilbert``), which ``PolyIdeal.hilbert``
+    computes once.  W_1 is still eliminated as the first link's divisor."""
     vees = tuple(vees)
     forms = tuple(forms)
     r = len(vees)
@@ -278,12 +309,8 @@ def hypersurface_chain(vees, forms, dmax: int,
 
     for i in range(1, r + 1):
         for j in range(1, i + 1):
-            fail = colon_stability_failure(asc[j - 1].gens, forms[i - 1], dmax, N, prime)
-            checks.append(Check(
-                f"colon-stable-F{i}-V{j}",
-                fail is None,
-                None if fail is None else f"failed at degree {fail}",
-            ))
+            fail = _colon_failure(asc[j - 1].gens, forms[i - 1], prime)
+            checks.append(Check(f"colon-stable-F{i}-V{j}", fail is None, fail))
     _require(checks)
 
     # W_i = I_{V_i} + (F_i); Z_1 = W_1, then Z_k = I_{V_k} + F_k * Z_{k-1}.
@@ -691,13 +718,12 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
     yield cur, move
 
 
-@scope()
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        prime: int) -> GlicciCertificate:
     """Collect the steps of the induction from J, at the horizon derived
-    from J, and its leaf.  The build runs in one oracle scope.  A root the
-    mode refuses is a LinkageError; a root whose horizon ``horizon``
-    refuses as too wide, checked after it, is ``horizon``'s ValueError."""
+    from J, and its leaf.  A root the mode refuses is a LinkageError; a
+    root whose horizon ``horizon`` refuses as too wide, checked after it,
+    is ``horizon``'s ValueError."""
     _check_root(mode, J)
     check_prime(prime)
     dmax = _horizon(J, A)
@@ -762,13 +788,12 @@ def _contract(name: str, check, *args) -> tuple:
         return (0, name, False, str(exc))
 
 
-@scope()
 def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     """Rerun the builder's induction from the certificate's inputs,
     report each rebuilt step's checks, and require every stored step's
     JSON to be the canonical JSON text of its rebuild; failures become
-    report entries, never exceptions.  The replay runs in one oracle
-    scope; opened outside any scope, it reuses nothing the build computed.
+    report entries, never exceptions.  The replay builds its own objects,
+    so it reuses nothing the build computed.
 
     An unknown mode, an invalid prime, a stored horizon other than the one
     ``oracle.horizon`` derives from the root, or a root the mode's builder

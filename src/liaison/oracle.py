@@ -26,19 +26,20 @@ monomials, exactly, as the degree-d monomials some generator divides.
 - colon stability (I : f = I in degree d) ranks only the multiples f*mu
   of the h(d) standard monomials mu, the free columns of I_d's basis:
   their residual modulo I_{d+deg f} must have full row rank h(d), and
-  degrees with h(d) = 0 are skipped.
+  degrees with h(d) = 0 are skipped.  It is the tier-1 reference for the
+  exact proof of I : f = I that the certificates run (``linkage.py``);
+  no library code calls it.
 
 Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
-can only be too small, so a dimension is a lower bound.  A comparison has
-no such direction: a containment or colon residual can vanish mod p when
-it does not over Q, so those checks can pass spuriously at one prime.
-Certificates still trust one prime; replay at a second is open item 3 of
-ROADMAP.md, "Exact containment and Hilbert-series identities".  The
-horizon, on the other hand, truncates neither containment nor equality
-when every generator they compare has degree at most dmax: both then
-decide the ideals themselves, in every degree.  A test pins this on the
-worked example's certificate and on the 94 certificates of the Borel
-sweep.
+can only be too small, so a dimension is a lower bound.  A containment
+has no such direction: its residual can vanish mod p when it does not
+over Q, so it can pass spuriously at one prime.  Certificates still
+trust one prime; replay at a second is open item 3 of ROADMAP.md, "Exact
+containment and Hilbert-series identities".  The horizon, on the other
+hand, truncates neither containment nor equality when every generator
+they compare has degree at most dmax: both then decide the ideals
+themselves, in every degree.  A test pins this on the worked example's
+certificate and on the 94 certificates of the Borel sweep.
 
 ``verify_lift`` builds no Macaulay matrix.  Its Hilbert rows are exact over
 Q, in every degree, read off a Gröbner basis that Buchberger's criterion
@@ -46,20 +47,11 @@ proves over Z (``lifting.py``); only its ``matrix-validation`` and its
 point replay work mod p.  A tier-1 test compares those rows with
 ``hilbert_oracle`` at 32003 and at 65537.
 
-Inside ``scope()`` the basis of each (generators, degree, variables,
-prime) is computed once and kept until the outermost scope exits; the
-scope holds nothing else, and outside any scope nothing is cached.  The
-certificate builders and ``verify_certificate`` each open a scope, so
-nothing carries from one call to the next, nor from a build to its
-replay.  A proven equality caches no answer for the other side: a caller
-that has proven its ideal equal to a monomial ideal reads that ideal's
-Hilbert function in closed form instead, as the Borel bilink does for
-bar I_0 + x_1 I' = J.
+No basis is kept from one call to the next; ``PolyIdeal.hilbert``
+remembers its answer on the ideal that owns it.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -73,7 +65,7 @@ DEFAULT_PRIME = 32003
 # residues before reducing.  A product of matrices of residues sums k
 # terms below (p - 1)^2 each: in float64 when k (p - 1)^2 < 2^53, where
 # every partial sum is an exact integer, else in int64 chunks of at most
-# (2^63 - 1) // (p - 1)^2 terms.  Cached bases are stored as uint32,
+# (2^63 - 1) // (p - 1)^2 terms.  Bases are stored as uint32,
 # which every prime up to it fits.
 MAX_PRIME = 3_037_000_499
 _INT64_MAX = 2**63 - 1
@@ -237,7 +229,8 @@ def _row_echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank over F_p: the pivot count of ``_row_echelon``."""
+    """Rank over F_p: the pivot count of ``_row_echelon``.  No library code
+    calls it outside ``colon_stability_failure``, the tier-1 reference."""
     return len(_row_echelon(M, p)[0])
 
 
@@ -379,49 +372,13 @@ class _Basis:
         return _sub_mul(A[:, self.free], A[:, self.pivots], self.reduced, self.p)
 
 
-# The open scope's bases by key (generators, degree, variables, prime), or
-# None outside any scope.
-_SCOPE: ContextVar[dict | None] = ContextVar("liaison_oracle_scope", default=None)
-
-
-@contextmanager
-def scope():
-    """Keep every echelon basis the oracle computes until the outermost
-    scope exits.  Re-entrant: a nested scope shares the open cache.  Also
-    a decorator, opening a scope around each call."""
-    if _SCOPE.get() is not None:
-        yield
-        return
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def _new_basis(gens, d: int, N: int, p: int) -> _Basis:
-    """Read off the basis of a monomial ideal, every generator one term
-    with a coefficient nonzero mod p; else eliminate the Macaulay matrix."""
+def _basis(gens, d: int, N: int, p: int) -> _Basis:
+    """Echelon basis of the degree-d piece of (gens): read off the
+    monomials when every generator is one term with a coefficient nonzero
+    mod p; else eliminated from the Macaulay matrix."""
     if all(len(g) == 1 and next(iter(g.values())) % p for g in gens):
         return _Basis.of_monomials([next(iter(g)) for g in gens], d, N, p)
     return _Basis.of_matrix(_degree_rows(gens, d, N, p), p)
-
-
-def _gens_key(gens) -> tuple:
-    return tuple(tuple(sorted(g.items())) for g in gens)
-
-
-def _basis(gens, d: int, N: int, p: int) -> _Basis:
-    """Echelon basis of the degree-d piece of (gens), from the open scope
-    when it holds one."""
-    bases = _SCOPE.get()
-    if bases is None:
-        return _new_basis(gens, d, N, p)
-    key = (_gens_key(gens), d, N, p)
-    basis = bases.get(key)
-    if basis is None:
-        basis = bases[key] = _new_basis(gens, d, N, p)
-    return basis
 
 
 def _degree_rows(gens, d: int, N: int, p: int) -> np.ndarray:
@@ -487,8 +444,7 @@ def containment_failure(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME)
 
 def ideals_equal_up_to(gensA, gensB, dmax: int, N: int, p: int = DEFAULT_PRIME) -> bool:
     """Whether (gensA)_d = (gensB)_d for every d <= dmax: containment both
-    ways, in the generators' degrees.  Only the bases the two containments
-    build are cached in an open scope; the answer itself is not."""
+    ways, in the generators' degrees."""
     return (_first_outside(gensA, gensB, dmax, N, p) is None
             and _first_outside(gensB, gensA, dmax, N, p) is None)
 
@@ -500,7 +456,8 @@ def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_P
     is the h(d) standard monomials mu (the free columns of I_d's basis):
     the rows f*mu must leave a residual of rank h(d) modulo I_{d+deg f}.
     Degrees with h(d) = 0 hold trivially and are skipped.  An f that is
-    zero mod p raises ValueError."""
+    zero mod p raises ValueError.  No library code calls it: it is the
+    tier-1 reference for the exact proof the certificates run."""
     df = poly_degree(f)
     if not poly_normalize(f, p):
         raise ValueError("zero multiplier")

@@ -478,6 +478,25 @@ class TestVerifyLift:
             "matrix-validation", "hilbert-difference-t2",
             "saturation-spot-check", "non-degeneracy-dim-I1"]
 
+    @pytest.mark.parametrize("kind,t", [("t-lift", 1), ("t-lift", 2), ("bf", 0)],
+                             ids=["t:1", "t:2", "bf"])
+    def test_lift_with_its_first_row_dropped(self, kind, t):
+        # The lifts a chain step makes for its layers: rows 2..3 of a
+        # 3-row matrix, so x1 is a new variable besides the t u's.  Four
+        # columns, since the source has x2^4.
+        h = (1, 2, 3, 1)
+        J = lex_ideal_from_hvector(HVector.artinian(h), 2)
+        A = default_matrix(3, kind, seed=7, ncols=4, t=t).drop_first_row()
+        data = json.loads(json.dumps(lift_record(J, A)))
+        assert ("points" in data) == (t == 1)
+        report = verify_lift(data)
+        assert report["ok"], report
+        diff = difference(hilbert_oracle(lift_ideal(J, A).polynomials(P), 6, A.N, P),
+                          A.N - 2)
+        assert diff.values == h + (0, 0, 0)
+        assert report["checks"][1] == {"name": f"hilbert-difference-t{t}", "passed": True,
+                                       "detail": f"difference {h + (0,) * (report['dmax'] - 3)}"}
+
     def test_record_differing_from_its_replay_is_refused(self):
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         data = json.loads(json.dumps(lift_record(WORKED_J, A)))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -55,6 +56,11 @@ SQUARE = MonomialIdeal.from_gens(3, monomials_of_degree(3, 2))
 
 def lifted_poly_ideal(J, A, codim, label=""):
     return PolyIdeal.from_lifted(lift_ideal(J, A), codim, label=label)
+
+
+def gens_key(gens) -> tuple:
+    """A hashable key of a generator list."""
+    return tuple(tuple(sorted(g.items())) for g in gens)
 
 
 def sweep_ideals():
@@ -175,7 +181,7 @@ class TestHypersurfaceChain:
         hypersurface_chain(vees, forms, 9, P)
         assert "section" in read
         del read[:]
-        monkeypatch.setattr(linkage, "colon_stability_failure", lambda *args: 0)
+        monkeypatch.setattr(linkage, "_colon_failure", lambda *args: "refused")
         with pytest.raises(LinkageError, match="colon-stable"):
             hypersurface_chain(vees, forms, 9, P)
         assert read == []
@@ -187,7 +193,7 @@ class TestHypersurfaceChain:
         real = oracle._degree_rows
 
         def recording(gens, d, N, p):
-            calls.append(oracle._gens_key(gens))
+            calls.append(gens_key(gens))
             return real(gens, d, N, p)
 
         monkeypatch.setattr(oracle, "_degree_rows", recording)
@@ -195,9 +201,108 @@ class TestHypersurfaceChain:
         cert = glicci_certificate_artinian(WORKED_J, A)
         assert verify_certificate(cert).ok
         [step] = cert.steps
-        ws = [oracle._gens_key(w) for w in sections(step.chain.vees, step.chain.forms, P)]
+        ws = [gens_key(w) for w in sections(step.chain.vees, step.chain.forms, P)]
         assert len(ws) >= 3 and ws[0] in calls
         assert not set(ws[1:]) & set(calls)
+
+
+def worked_certificate(prime=P):
+    A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+    return glicci_certificate_artinian(WORKED_J, A, prime=prime)
+
+
+# Leading monomials x1^2 and x1 x2 in revlex with x3 last, but the S-pair
+# leaves x3 (x2^2 - x1 x3): no Gröbner basis, and x2^2 - x1 x3 lies in
+# I : x3 and not in I.
+NOT_A_BASIS = ({(2, 0, 0): 1, (0, 1, 1): 1}, {(1, 1, 0): 1, (0, 0, 2): 1})
+
+
+class TestColonProof:
+    """``_colon_failure`` proves I : f = I exactly; the oracle's ranks are
+    its independent reference."""
+
+    @pytest.mark.parametrize("prime", [P, 65537])
+    def test_agrees_with_the_oracle_on_every_certificate_check(self, prime, monkeypatch):
+        made = []
+        real = linkage._colon_failure
+
+        def recording(gens, f, p):
+            made.append((gens, f, p))
+            return real(gens, f, p)
+
+        monkeypatch.setattr(linkage, "_colon_failure", recording)
+        checked = 0
+        for build in [lambda: worked_certificate(prime)] + [
+                functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
+            del made[:]
+            cert = build()
+            for gens, f, p in made:
+                N = len(next(iter(f)))
+                assert p == prime
+                assert ((real(gens, f, p) is None)
+                        == (oracle.colon_stability_failure(gens, f, cert.dmax, N, p) is None))
+            checked += len(made)
+        assert checked == 13 + 45  # the worked chain's checks, then one per bilink
+
+    def test_power_of_a_leading_variable_fails(self):
+        x1 = {(1, 0, 0): 1}
+        assert (linkage._colon_failure([{(2, 0, 0): 1}], x1, P)
+                == "leading monomial x1^2 of generator 1 involves x1")
+
+    def test_base_that_is_not_a_basis_fails(self):
+        x3 = {(0, 0, 1): 1}
+        assert (linkage._colon_failure(NOT_A_BASIS, x3, P)
+                == "S-pair of generators 1 and 2 does not reduce to 0")
+        assert oracle.colon_stability_failure(list(NOT_A_BASIS), x3, 4, 3, P) == 2
+        base = PolyIdeal(3, NOT_A_BASIS, 2, "lifted-generic")
+        divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(LinkageError, match="colon-stable: S-pair of generators 1 and 2"):
+            basic_double_link(base, divisor, x3, 5, P)
+
+    def test_multiplier_in_neither_case_fails(self):
+        f = {(1, 0, 0): 1, (0, 1, 0): 1}
+        assert linkage._colon_failure([{(1, 1, 0): 1}], f, P).startswith("neither case applies")
+
+    def test_sweep_certificates_at_three(self):
+        for J in sweep_ideals():
+            cert = glicci_certificate_borel(J, prime=3)
+            assert verify_certificate(cert).ok, J
+
+
+class TestOracleLeavesTheCertificates:
+    def test_certificates_take_no_rank(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rank was taken")
+
+        assert not hasattr(linkage, "colon_stability_failure")
+        monkeypatch.setattr(oracle, "colon_stability_failure", refuse)
+        monkeypatch.setattr(oracle, "rank_mod_p", refuse)
+        assert verify_certificate(worked_certificate()).ok
+        for J in sweep_ideals():
+            assert verify_certificate(glicci_certificate_borel(J)).ok, J
+
+    def test_each_generator_set_is_read_once(self, monkeypatch):
+        calls = []
+        real = linkage.hilbert_oracle
+
+        def recording(gens, *args):
+            calls.append(gens_key(gens))
+            return real(gens, *args)
+
+        monkeypatch.setattr(linkage, "hilbert_oracle", recording)
+        cert = worked_certificate()
+        built = calls[:]
+        del calls[:]
+        assert verify_certificate(cert).ok
+        assert len(built) == len(set(built)) == 8
+        assert calls == built  # the replay recomputes what the build computed
+
+    def test_memo_is_not_a_field(self):
+        v = PolyIdeal.from_monomial(SQUARE)
+        fresh = PolyIdeal.from_monomial(SQUARE)
+        assert v.hilbert(4, P) is v.hilbert(4, P)
+        assert v == fresh and v.to_json() == fresh.to_json()
+        assert "_hilbert" not in dataclasses.replace(v).__dict__
 
 
 class TestStripX1:
@@ -256,7 +361,7 @@ class TestBorelCertificate:
         real = oracle._degree_rows
 
         def recording(gens, d, N, p):
-            calls.append((oracle._gens_key(gens), d))
+            calls.append((gens_key(gens), d))
             return real(gens, d, N, p)
 
         monkeypatch.setattr(oracle, "_degree_rows", recording)
@@ -267,7 +372,7 @@ class TestBorelCertificate:
             assert verify_certificate(cert).ok  # the replay too
             for step in cert.steps:
                 if step.kind == "bilink":
-                    key = oracle._gens_key(step.link.result.gens)
+                    key = gens_key(step.link.result.gens)
                     degrees = {d for k, d in calls if k == key}
                     assert degrees <= {g.degree for g in step.source.gens}, step.source
                     eliminated += len(degrees)

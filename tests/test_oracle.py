@@ -1,4 +1,3 @@
-import contextlib
 import random
 
 import numpy as np
@@ -13,7 +12,7 @@ from liaison.hilbert import (
     lex_ideal_from_hvector,
     macaulay_bound,
 )
-from liaison.linkage import glicci_certificate_borel, verify_certificate
+from liaison.linkage import _colon_failure, glicci_certificate_borel, verify_certificate
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,
@@ -39,7 +38,6 @@ from liaison.oracle import (
     poly_mul,
     rank_mod_p,
     ring_dim,
-    scope,
     stable_value,
 )
 
@@ -293,52 +291,81 @@ class TestHorizon:
         assert horizon(J, 3, 4) == want > _old_floor(J, 3)
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("p,cases", [(DEFAULT_PRIME, 25), (BIG_P, 12)])
-def test_oracle_agrees_with_stacked_ranks(p, cases, scoped):
+def test_oracle_agrees_with_stacked_ranks(p, cases):
     rng = random.Random(p)
     dmax = 4
     outcomes, equalities = set(), set()
     for _ in range(cases):
         N, gens, other = random_pair(rng, p)
         f = random_form(rng, N, rng.randint(1, 2), p)
-        with scope() if scoped else contextlib.nullcontext():
-            for _ in range(2):  # in a scope, the second round reads the cache
-                for d in range(dmax + 1):
-                    assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
-                for A, B in ((gens, other), (other, gens)):
-                    got = containment_failure(A, B, dmax, N, p)
-                    assert got == ref_containment_failure(A, B, dmax, N, p)
-                    outcomes.add(got is None)
-                equal = ideals_equal_up_to(gens, other, dmax, N, p)
-                assert equal == (
-                    ref_containment_failure(gens, other, dmax, N, p) is None
-                    and ref_containment_failure(other, gens, dmax, N, p) is None)
-                equalities.add(equal)
-                assert (colon_stability_failure(gens, f, dmax, N, p)
-                        == ref_colon_failure(gens, f, dmax, N, p))
+        for d in range(dmax + 1):
+            assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
+        for A, B in ((gens, other), (other, gens)):
+            got = containment_failure(A, B, dmax, N, p)
+            assert got == ref_containment_failure(A, B, dmax, N, p)
+            outcomes.add(got is None)
+        equal = ideals_equal_up_to(gens, other, dmax, N, p)
+        assert equal == (
+            ref_containment_failure(gens, other, dmax, N, p) is None
+            and ref_containment_failure(other, gens, dmax, N, p) is None)
+        equalities.add(equal)
+        assert (colon_stability_failure(gens, f, dmax, N, p)
+                == ref_colon_failure(gens, f, dmax, N, p))
     assert outcomes == equalities == {True, False}  # both answers occur
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def form_in(rng, variables, N, d, p):
+    """A form of degree d whose terms involve only ``variables``."""
+    monos = [m for m in monomials_of_degree(N, d)
+             if all(a == 0 or v in variables for v, a in enumerate(m.exps))]
+    terms = rng.sample(monos, rng.randint(1, min(3, len(monos))))
+    return {m.exps: rng.randrange(1, p) for m in terms}
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 3])
+def test_colon_proof_is_sound(p):
+    # Generators in some of the variables; f a linear form or a power of
+    # one variable x_v.  Wherever the exact proof passes, the reference
+    # finds no failing degree.
+    rng = random.Random(p + 29)
+    outcomes = set()
+    for _ in range(80):
+        N = rng.choice([3, 4])
+        used = rng.sample(range(N), rng.randint(1, N))
+        gens = [form_in(rng, used, N, rng.randint(1, 2), p) for _ in range(rng.randint(1, 2))]
+        v = None
+        if rng.random() < 0.5:
+            f = form_in(rng, range(N), N, 1, p)
+        else:
+            v = rng.randrange(N)
+            f = {tuple(rng.randint(1, 2) * (k == v) for k in range(N)): rng.randrange(1, p)}
+        proven = _colon_failure(gens, f, p) is None
+        if proven:
+            assert ref_colon_failure(gens, f, 4, N, p) is None, (gens, f)
+        outcomes.add((proven, v is not None and any(e[v] for g in gens for e in g)))
+    # Both answers occur, and some proof is case (B)'s: a power of a
+    # variable that the generators involve.
+    assert {(True, False), (False, False), (True, True)} <= outcomes
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
-def test_failing_degrees_match_reference(p, scoped):
+def test_failing_degrees_match_reference(p):
     x, y, z = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
     I = [poly_mul(x, x, p), poly_mul(x, y, p)]  # (x^2, xy)
-    with scope() if scoped else contextlib.nullcontext():
-        # (x^2, xy) : x = (x, y), bigger than I in degree 1
-        assert colon_stability_failure(I, x, 4, 3, p) == 1
-        assert ref_colon_failure(I, x, 4, 3, p) == 1
-        assert colon_stability_failure(I, z, 4, 3, p) is None
-        # (x) is not inside (x^2, xy) from degree 1; the other way holds
-        assert containment_failure([x], I, 4, 3, p) == 1
-        assert containment_failure(I, [x], 4, 3, p) is None
-        # (x^2, xy, y^3) differs from I first in degree 3
-        bigger = I + [poly_mul(y, poly_mul(y, y, p), p)]
-        assert containment_failure(bigger, I, 4, 3, p) == 3
-        assert ref_containment_failure(bigger, I, 4, 3, p) == 3
-        assert not ideals_equal_up_to(bigger, I, 4, 3, p)
-        assert ideals_equal_up_to(bigger, I, 2, 3, p)
+    # (x^2, xy) : x = (x, y), bigger than I in degree 1
+    assert colon_stability_failure(I, x, 4, 3, p) == 1
+    assert ref_colon_failure(I, x, 4, 3, p) == 1
+    assert colon_stability_failure(I, z, 4, 3, p) is None
+    # (x) is not inside (x^2, xy) from degree 1; the other way holds
+    assert containment_failure([x], I, 4, 3, p) == 1
+    assert containment_failure(I, [x], 4, 3, p) is None
+    # (x^2, xy, y^3) differs from I first in degree 3
+    bigger = I + [poly_mul(y, poly_mul(y, y, p), p)]
+    assert containment_failure(bigger, I, 4, 3, p) == 3
+    assert ref_containment_failure(bigger, I, 4, 3, p) == 3
+    assert not ideals_equal_up_to(bigger, I, 4, 3, p)
+    assert ideals_equal_up_to(bigger, I, 2, 3, p)
 
 
 # --- Macaulay matrix assembly and the monomial basis ----------------------
@@ -428,7 +455,7 @@ def test_monomial_basis_equals_elimination(p):
     rng = random.Random(5)
     for gens, dmax, N in monomial_basis_cases():
         for d in range(dmax + 1):
-            fast = oracle._new_basis(gens, d, N, p)
+            fast = oracle._basis(gens, d, N, p)
             slow = oracle._Basis.of_matrix(_degree_rows(gens, d, N, p), p)
             assert fast.monomial and not slow.monomial
             assert np.array_equal(fast.pivots, slow.pivots)
@@ -441,7 +468,7 @@ def test_monomial_basis_equals_elimination(p):
 def test_term_with_coefficient_p_is_eliminated(degree_row_calls):
     # p * x1^2 is zero mod p: the ideal is (x2^2) there, not (x1^2, x2^2).
     gens = [{(2, 0): P}, {(0, 2): 1}]
-    basis = oracle._new_basis(gens, 2, 2, P)
+    basis = oracle._basis(gens, 2, 2, P)
     assert not basis.monomial and len(basis.pivots) == 1
     assert len(degree_row_calls) == 1
 
@@ -616,27 +643,24 @@ def awkward_pair(rng, p):
     return N, gens, other
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_generator_degree_checks_match_reference(p, scoped):
+def test_generator_degree_checks_match_reference(p):
     rng = random.Random(p + 13)
     outcomes, equalities = set(), set()
     for _ in range(24):
         N, gens, other = awkward_pair(rng, p)
         dmax = rng.randint(0, 4)
-        with scope() if scoped else contextlib.nullcontext():
-            for _ in range(2):  # in a scope, the second round reads cached bases
-                for A, B in ((gens, other), (other, gens)):
-                    got = containment_failure(A, B, dmax, N, p)
-                    assert got == ref_containment_failure(A, B, dmax, N, p), (A, B, dmax)
-                    outcomes.add(got is None)
-                equal = ideals_equal_up_to(gens, other, dmax, N, p)
-                assert equal == (
-                    ref_containment_failure(gens, other, dmax, N, p) is None
-                    and ref_containment_failure(other, gens, dmax, N, p) is None)
-                equalities.add(equal)
-                for d in range(dmax + 2):
-                    assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
+        for A, B in ((gens, other), (other, gens)):
+            got = containment_failure(A, B, dmax, N, p)
+            assert got == ref_containment_failure(A, B, dmax, N, p), (A, B, dmax)
+            outcomes.add(got is None)
+        equal = ideals_equal_up_to(gens, other, dmax, N, p)
+        assert equal == (
+            ref_containment_failure(gens, other, dmax, N, p) is None
+            and ref_containment_failure(other, gens, dmax, N, p) is None)
+        equalities.add(equal)
+        for d in range(dmax + 2):
+            assert graded_dim(gens, d, N, p) == ref_dim(gens, d, N, p)
     assert outcomes == equalities == {True, False}  # both answers occur
 
 
@@ -651,7 +675,7 @@ def test_checks_reject_non_homogeneous_generators():
             ideals_equal_up_to(A, B, 3, 2, P)
 
 
-# --- scopes -----------------------------------------------------------------
+# --- no cache -------------------------------------------------------------
 
 # (x1^2 - x2 x3, x2^2 + 2 x1 x3): not monomial, so each basis is eliminated
 # from a Macaulay matrix.
@@ -665,57 +689,23 @@ class TestScope:
         graded_dim(gens, 3, 3, P)
         assert len(degree_row_calls) == 2
 
-    def test_nested_scopes_share_one_cache(self, degree_row_calls):
-        gens = BINOMIALS
-        with scope():
-            with scope():
-                graded_dim(gens, 3, 3, P)
-            assert oracle._SCOPE.get() is not None
-            with scope():
-                graded_dim(gens, 3, 3, P)
-                hilbert_oracle(gens, 3, 3, P)
-        assert len(degree_row_calls) == 4  # degrees 0..3, each built once
-        assert oracle._SCOPE.get() is None
-
     def test_monomial_ideal_builds_no_matrix(self, degree_row_calls):
         gens = monomial_polys(SQUARE)
         assert graded_dim(gens, 3, 3, P) == ring_dim(3, 3)
-        with scope():
-            assert hilbert_oracle(gens, 4, 3, P).values == hilbert_function(SQUARE, 4).values
+        assert hilbert_oracle(gens, 4, 3, P).values == hilbert_function(SQUARE, 4).values
         assert degree_row_calls == []
 
     def test_replay_recomputes_what_the_build_computed(self, degree_row_calls):
         cert = glicci_certificate_borel(SQUARE)
-        assert oracle._SCOPE.get() is None
         built = len(degree_row_calls)
         report = verify_certificate(cert)
-        assert oracle._SCOPE.get() is None
         assert report.ok
         assert built > 0 and len(degree_row_calls) == 2 * built
-
-    def test_scope_closes_on_error(self):
-        with pytest.raises(ValueError):
-            with scope():
-                colon_stability_failure(monomial_polys(SQUARE), {}, 2, 3, P)
-        assert oracle._SCOPE.get() is None
 
     # (x^2, xy) from generators that are not all single terms, and the same
     # ideal from its monomials.
     MIXED = [{(2, 0, 0): 1, (1, 1, 0): 1}, {(1, 1, 0): 1}]
     MONOMIAL = [{(2, 0, 0): 1}, {(1, 1, 0): 1}]
-
-    def test_proven_equality_caches_only_bases(self):
-        other = BINOMIALS[::-1] + [poly_mul(BINOMIALS[0], {(0, 0, 1): 1}, P)]
-        with scope():
-            for A, B in ((BINOMIALS, other), (self.MIXED, self.MONOMIAL)):
-                assert ideals_equal_up_to(A, B, 4, 3, P)
-            bases = oracle._SCOPE.get()
-            assert type(bases) is dict and bases
-            for (key, d, N, p), basis in bases.items():
-                fresh = oracle._new_basis([dict(g) for g in key], d, N, p)
-                assert basis.monomial == fresh.monomial
-                assert np.array_equal(basis.pivots, fresh.pivots)
-                assert np.array_equal(basis.reduced, fresh.reduced)
 
     def test_equality_outside_a_scope_caches_nothing(self, degree_row_calls):
         assert ideals_equal_up_to(self.MIXED, self.MONOMIAL, 4, 3, P)
