@@ -263,7 +263,7 @@ def cmd_glicci(args) -> int:
             cert = glicci_certificate_borel(J, prime=prime)
     except (LinkageError, NotBorelFixedError, MatrixError) as exc:
         raise VerifyError(str(exc))
-    except ValueError as exc:  # too wide a lifting matrix or horizon
+    except ValueError as exc:  # too wide a lifting matrix or horizon, or over budget
         raise InputError(str(exc))
     lines = [
         f"certificate: mode {cert.mode}, {len(cert.steps)} steps, "

@@ -3,9 +3,13 @@ builders, and the verifier.
 
 A certificate never constructs the intermediate arithmetically Gorenstein
 ideals; its meaning is that every arithmetic precondition and identity
-attached to each step has been verified modulo the working prime through
-the degree horizon.  Colon stability, I : f = I, is proven in every
-degree (``_colon_failure``).
+attached to each step has been verified over F_p in every degree.  No
+Macaulay matrix is built: a Hilbert function is the closed form of the
+initial ideal of a Gröbner basis (``PolyIdeal.hilbert``), a containment
+or an equality reduces generators to normal form against such a basis
+(``_outside``, ``_ideals_equal``), and colon stability, I : f = I, is
+proven from the generators (``_colon_failure``).  The horizon only bounds
+how far the Hilbert functions are reported.
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime
@@ -23,10 +27,10 @@ from dataclasses import dataclass, fields
 from .hilbert import HVector, difference, hilbert_function
 from .layers import decompose
 from .lifting import (
+    GroebnerBasis,
     LiftedIdeal,
     LiftingMatrix,
     MatrixError,
-    _buchberger_failure,
     canonical_json,
     default_matrix,
     lift_ideal,
@@ -42,11 +46,8 @@ from .monomials import (
 from .oracle import (
     DEFAULT_PRIME,
     check_prime,
-    containment_failure,
     expand,
-    hilbert_oracle,
     horizon,
-    ideals_equal_up_to,
     linear_form_poly,
     poly_degree,
     poly_mul,
@@ -110,6 +111,12 @@ class PolyIdeal(_FieldCodec):
     codimension); ``gorenstein_tag`` records whether the ideal arose from
     a validated generic lifting ("lifted-generic"), is a monomial ideal
     ("monomial"), or has unknown provenance.
+
+    Its Gröbner bases and Hilbert functions are kept on the object,
+    outside its fields, so JSON and equality ignore them.  They are taken
+    in revlex with the variables ``last`` smallest: a lifted ideal's
+    generators are already a basis when ``last`` are the variables its
+    lifting orders last (``LiftingMatrix.lifted_variables``).
     """
 
     N: int
@@ -139,26 +146,52 @@ class PolyIdeal(_FieldCodec):
         # Projective dimension of the cut-out scheme.
         return self.N - 1 - self.codim
 
-    def hilbert(self, dmax: int, prime: int) -> HVector:
-        """The oracle's Hilbert function through dmax, remembered on this
-        object (outside its fields, so JSON and equality ignore it)."""
+    def groebner(self, prime: int, last=()) -> GroebnerBasis:
+        """A Gröbner basis over F_p of this ideal, in revlex with the
+        variables ``last`` smallest, computed once per prime and ``last``."""
+        key = (prime, tuple(last))
+        memo = self.__dict__.setdefault("_groebner", {})
+        if key not in memo:
+            memo[key] = GroebnerBasis(self.gens, self.N, key[1], prime)
+        return memo[key]
+
+    def hilbert(self, dmax: int, prime: int, last=()) -> HVector:
+        """h_{R/I} through dmax, exact in every degree: the closed form of
+        the initial ideal of ``groebner(prime, last)``, remembered per
+        horizon (no order changes it)."""
         memo = self.__dict__.setdefault("_hilbert", {})
         if (dmax, prime) not in memo:
-            memo[dmax, prime] = hilbert_oracle(self.gens, dmax, self.N, prime)
+            initial = self.groebner(prime, last).initial_ideal()
+            memo[dmax, prime] = hilbert_function(initial, dmax)
         return memo[dmax, prime]
 
 
-def _colon_failure(gens, f: dict, prime: int) -> str | None:
+def _outside(gens, ideal: PolyIdeal, prime: int, last=()) -> int | None:
+    """The least degree of a form of ``gens`` outside ``ideal`` over F_p,
+    or None: each form is reduced to normal form against the ideal's
+    Gröbner basis, so the answer holds in every degree."""
+    return ideal.groebner(prime, last).first_outside(gens)
+
+
+def _ideals_equal(a: PolyIdeal, b: PolyIdeal, prime: int, last=()) -> bool:
+    """Whether the two ideals are equal over F_p: containment both ways."""
+    return (_outside(a.gens, b, prime, last) is None
+            and _outside(b.gens, a, prime, last) is None)
+
+
+def _colon_failure(ideal: PolyIdeal, f: dict, prime: int) -> str | None:
     """None when I : f = I is proven over F_p, in every degree, for the
-    ideal I of the forms ``gens``; else why the proof does not apply.
+    ideal I; else why the proof does not apply.
 
     (A) f has a term c x_v^{deg f}, c nonzero mod p, and no generator
         involves x_v: R/I is a polynomial ring in x_v, f monic in it.
     (B) f = c x_v^k, and the generators are a Gröbner basis over F_p in
         revlex with x_v last whose leading monomials avoid x_v: then
-        in(I) : x_v = in(I), so I : x_v = I (Bayer and Stillman, 1987)."""
+        in(I) : x_v = in(I), so I : x_v = I (Bayer and Stillman, 1987).
+        The check is ``ideal.groebner(prime, (v,))``, which a bilink's
+        base also reads its Hilbert function off."""
     f = poly_normalize(f, prime)
-    gens = [g for g in (poly_normalize(g, prime) for g in gens) if g]
+    gens = [g for g in (poly_normalize(g, prime) for g in ideal.gens) if g]
     poly_degree(f)  # (A) reads deg f off a term
     involved = {v for g in gens for e in g for v, a in enumerate(e) if a}
     supports = [[v for v, a in enumerate(e) if a] for e in f]
@@ -172,7 +205,7 @@ def _colon_failure(gens, f: dict, prime: int) -> str | None:
             if lead[v]:
                 return (f"leading monomial {Monomial(lead)} of generator {k + 1} "
                         f"involves x{v + 1}")
-        return _buchberger_failure(gens, None, (v,), prime)
+        return ideal.groebner(prime, (v,)).failure
     return ("neither case applies: the multiplier is neither monic in a "
             "variable the generators avoid nor a power of one variable")
 
@@ -191,12 +224,15 @@ class BasicDoubleLink(_FieldCodec):
 
 def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
                       dmax: int, prime: int = DEFAULT_PRIME, *,
-                      result_hilbert: HVector | None = None) -> BasicDoubleLink:
+                      result_hilbert: HVector | None = None,
+                      last=()) -> BasicDoubleLink:
     """Build I + A*J and verify every recorded side condition; raises
-    LinkageError naming the first failure; ``colon-stable`` is proven in
-    every degree.  ``result_hilbert``, when given, stands for the oracle's
-    Hilbert function of I + A*J through dmax: the Borel bilink passes J's,
-    once I + A*J = J is proven."""
+    LinkageError naming the first failure.  Every check holds over F_p in
+    every degree; dmax bounds only the Hilbert functions compared.  The
+    Gröbner bases are taken in revlex with the variables ``last``
+    smallest (``PolyIdeal``).  ``result_hilbert``, when given, stands for
+    the Hilbert function of I + A*J through dmax: the Borel bilink passes
+    J's, once I + A*J = J is proven."""
     result_gens = tuple(base.gens) + tuple(
         poly_mul(multiplier, g, prime) for g in divisor.gens
     )
@@ -204,7 +240,6 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
         base.N, result_gens, base.codim + 1, base.gorenstein_tag, "bdl-result"
     )
     checks: list[Check] = []
-    N = base.N
     d = poly_degree(multiplier)
 
     checks.append(Check(
@@ -218,19 +253,20 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
         f"tag: {base.gorenstein_tag}",
     ))
 
-    fail = containment_failure(base.gens, divisor.gens, dmax, N, prime)
+    fail = _outside(base.gens, divisor, prime, last)
     checks.append(Check(
         "containment",
         fail is None,
         None if fail is None else f"base not inside divisor at degree {fail}",
     ))
 
-    fail = _colon_failure(base.gens, multiplier, prime)
+    fail = _colon_failure(base, multiplier, prime)
     checks.append(Check("colon-stable", fail is None, fail))
 
-    h_base = base.hilbert(dmax, prime)
-    h_div = divisor.hilbert(dmax, prime)
-    h_res = result.hilbert(dmax, prime) if result_hilbert is None else result_hilbert
+    h_base = base.hilbert(dmax, prime, last)
+    h_div = divisor.hilbert(dmax, prime, last)
+    h_res = (result.hilbert(dmax, prime, last) if result_hilbert is None
+             else result_hilbert)
     bad_deg = None
     for t in range(dmax + 1):
         if h_res.at(t) != h_base.at(t) - h_base.at(t - d) + h_div.at(t - d):
@@ -269,26 +305,28 @@ class HypersurfaceChain(_FieldCodec):
     checks: tuple[Check, ...]
 
 
-def _section_hilbert(v: PolyIdeal, form: dict, dmax: int, prime: int) -> HVector:
+def _section_hilbert(v: PolyIdeal, form: dict, dmax: int, prime: int,
+                     last=()) -> HVector:
     """Hilbert function of W = I_V + (F) through dmax, read off V's as
-    h_W(t) = h_V(t) - h_V(t - deg F), with no elimination of W.  The
+    h_W(t) = h_V(t) - h_V(t - deg F), with no Gröbner basis of W.  The
     sequence 0 -> R/(V : F)(-deg F) -> R/V -> R/W -> 0 is exact, so the
     identity holds over F_p in every degree once V : F = V is proven
     (``_colon_failure``); the caller must have proven it."""
-    h_v = v.hilbert(dmax, prime)
+    h_v = v.hilbert(dmax, prime, last)
     d = poly_degree(form)
     return HVector.truncated([h_v.at(t) - h_v.at(t - d) for t in range(dmax + 1)], dmax)
 
 
-def hypersurface_chain(vees, forms, dmax: int,
-                       prime: int = DEFAULT_PRIME) -> HypersurfaceChain:
+def hypersurface_chain(vees, forms, dmax: int, prime: int = DEFAULT_PRIME,
+                       *, last=()) -> HypersurfaceChain:
     """Z from the flag V_r >= ... >= V_1 (schemes, given descending) and
     forms F_1..F_r: the union of the hypersurface sections F_i on V_i,
     with the full Hilbert bookkeeping verified.  The sections'
-    W_i = I_{V_i} + (F_i) are never eliminated for the Hilbert formula:
+    W_i = I_{V_i} + (F_i) need no Gröbner basis for the Hilbert formula:
     once every colon check is proven, in every degree, each h_{W_i} is
     read off h_{V_i} (``_section_hilbert``), which ``PolyIdeal.hilbert``
-    computes once.  W_1 is still eliminated as the first link's divisor."""
+    computes once.  Gröbner bases are taken in revlex with the variables
+    ``last`` smallest (``PolyIdeal``)."""
     vees = tuple(vees)
     forms = tuple(forms)
     r = len(vees)
@@ -299,7 +337,7 @@ def hypersurface_chain(vees, forms, dmax: int,
     checks: list[Check] = []
 
     for k in range(r - 1):
-        fail = containment_failure(asc[k + 1].gens, asc[k].gens, dmax, N, prime)
+        fail = _outside(asc[k + 1].gens, asc[k], prime, last)
         checks.append(Check(
             f"flag-inclusion-{k + 1}",
             fail is None,
@@ -309,7 +347,7 @@ def hypersurface_chain(vees, forms, dmax: int,
 
     for i in range(1, r + 1):
         for j in range(1, i + 1):
-            fail = _colon_failure(asc[j - 1].gens, forms[i - 1], prime)
+            fail = _colon_failure(asc[j - 1], forms[i - 1], prime)
             checks.append(Check(f"colon-stable-F{i}-V{j}", fail is None, fail))
     _require(checks)
 
@@ -318,15 +356,16 @@ def hypersurface_chain(vees, forms, dmax: int,
     current = PolyIdeal(N, w1, asc[0].codim + 1, asc[0].gorenstein_tag, "W1")
     links: list[BasicDoubleLink] = []
     for k in range(2, r + 1):
-        link = basic_double_link(asc[k - 1], current, forms[k - 1], dmax, prime)
+        link = basic_double_link(asc[k - 1], current, forms[k - 1], dmax, prime,
+                                 last=last)
         links.append(link)
         current = link.result
 
     # Hilbert formula: h_Z(t) = sum_i h_{W_i}(t - d_{i+1} - ... - d_r),
     # each h_{W_i} read off h_{V_i} now that V_i : F_i = V_i is checked.
     degs = [poly_degree(f) for f in forms]
-    h_ws = [_section_hilbert(v, f, dmax, prime) for v, f in zip(asc, forms)]
-    h_z = current.hilbert(dmax, prime)
+    h_ws = [_section_hilbert(v, f, dmax, prime, last) for v, f in zip(asc, forms)]
+    h_z = current.hilbert(dmax, prime, last)
     bad = None
     for t in range(dmax + 1):
         total = 0
@@ -500,14 +539,14 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, dmax: int,
         linear_form_poly(A.rows[0][alpha - i].coeffs, prime)
         for i in range(1, alpha + 1)
     ]
-    chain = hypersurface_chain(layer_lifts, forms, dmax, prime)
+    last = A.lifted_variables
+    chain = hypersurface_chain(layer_lifts, forms, dmax, prime, last=last)
 
     direct = PolyIdeal.from_lifted(
         lift_ideal(J, A, prime=prime), codim=n, prime=prime, label="direct-lift"
     )
     checks = [Check(
-        "chain-equals-direct-lift",
-        ideals_equal_up_to(chain.result.gens, direct.gens, dmax, A.N, prime),
+        "chain-equals-direct-lift", _ideals_equal(chain.result, direct, prime, last),
         None,
     )]
     _require(checks)
@@ -595,13 +634,12 @@ def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
     base = PolyIdeal.from_lifted(bar_i0, codim=c - 1, prime=prime, label="bar-I0")
     divisor = PolyIdeal.from_monomial(iprime, codim=c, label="Iprime")
     multiplier = {x1.exps: 1}
-    link_result_gens = tuple(base.gens) + tuple(
+    link_result = PolyIdeal(n, tuple(base.gens) + tuple(
         poly_mul(multiplier, g, prime) for g in divisor.gens
-    )
+    ), c, base.gorenstein_tag)
     j_polys = PolyIdeal.from_monomial(J, codim=c, label="J")
     checks.append(Check(
-        "bar-j-equals-j",
-        ideals_equal_up_to(link_result_gens, j_polys.gens, dmax, n, prime),
+        "bar-j-equals-j", _ideals_equal(link_result, j_polys, prime, B.lifted_variables),
         None,
     ))
     checks.append(Check(
@@ -614,7 +652,8 @@ def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
     # bar-j-equals-j has passed: the link's result is J, whose Hilbert
     # function is exact in closed form.
     link = basic_double_link(base, divisor, multiplier, dmax, prime,
-                             result_hilbert=hilbert_function(J, dmax))
+                             result_hilbert=hilbert_function(J, dmax),
+                             last=B.lifted_variables)
     return BilinkStep(J, i0, iprime, B, link, tuple(checks))
 
 

@@ -1,7 +1,8 @@
-"""Verification engine over a prime field.
+"""Polynomial helpers, the prime and horizon contracts, and the reference
+oracle over a prime field.
 
-Expands lifted generators into honest polynomials and answers graded
-questions degree by degree from Macaulay matrices, the coefficient rows
+Expands lifted generators into honest polynomials.  The oracle answers
+graded questions degree by degree from Macaulay matrices, the coefficient rows
 of every monomial multiple of the generators in one degree.  A matrix is
 assembled in numpy, one block per generator: the multipliers' exponent
 vectors, shifted by each term, are mapped to their columns by their rank
@@ -33,22 +34,21 @@ monomials, exactly, as the degree-d monomials some generator divides.
 Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
 can only be too small, so a dimension is a lower bound.  A containment
 has no such direction: its residual can vanish mod p when it does not
-over Q, so it can pass spuriously at one prime.  Certificates still
-trust one prime; replay at a second is open item 3 of ROADMAP.md, "Exact
-containment and Hilbert-series identities".  The horizon, on the other
-hand, truncates neither containment nor equality when every generator
-they compare has degree at most dmax: both then decide the ideals
-themselves, in every degree.  A test pins this on the worked example's
-certificate and on the 94 certificates of the Borel sweep.
+over Q, so it can pass spuriously at one prime.  The horizon truncates
+neither containment nor equality when every generator they compare has
+degree at most dmax: both then decide the ideals themselves, in every
+degree.
 
-``verify_lift`` builds no Macaulay matrix.  Its Hilbert rows are exact over
-Q, in every degree, read off a Gröbner basis that Buchberger's criterion
-proves over Z (``lifting.py``); only its ``matrix-validation`` and its
-point replay work mod p.  A tier-1 test compares those rows with
-``hilbert_oracle`` at 32003 and at 65537.
-
-No basis is kept from one call to the next; ``PolyIdeal.hilbert``
-remembers its answer on the ideal that owns it.
+No certificate calls the matrices of this module.  ``linkage.py`` reads
+its Hilbert functions, containments and equalities off Gröbner bases
+over F_p (``lifting.GroebnerBasis``), exact in every degree, and
+``verify_lift`` its Hilbert rows off a Gröbner basis over Z.  The oracle
+is the tier-1 reference for both: tests compare every answer a
+certificate reads off a basis, on the worked certificate and on the 94
+certificates of the Borel sweep, and every ``verify_lift`` row, with it
+at 32003 and at 65537.  The benchmark's gate on the worked lift reads
+its first difference from ``hilbert_oracle``.  No basis is kept from one
+call to the next.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liaison import cli, lifting, oracle
+from liaison import cli, lifting, linkage, oracle
 from liaison.cli import main
 from liaison.linkage import glicci_certificate_borel
 from liaison.monomials import MonomialIdeal
@@ -605,17 +605,41 @@ class TestUnboundedInputs:
         assert err.startswith("error: horizon dmax ") and err.count("\n") == 1
         assert "columns wide" in err
 
-    def test_out_of_memory_is_input_error(self, tmp_path):
-        # The horizon 74 of the lift of (x1^25, x2^25, x3^25) is below the
-        # width ceiling, but its Macaulay matrices outgrow 512 MiB of
-        # address space within seconds.
-        cube = tmp_path / "cube.json"
-        cube.write_text(json.dumps(
-            {"schema": "ideal/1", "n": 3, "gens": [[25, 0, 0], [0, 25, 0], [0, 0, 25]]}))
-        code, out, err = run_bounded("glicci", cube, "--mode", "artinian",
-                                     limit=512 << 20)
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # An input below every ceiling can still need more memory than the
+        # host has: the MemoryError is exit 2 and one line.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate 1 GiB")
+
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps(SQUARE))
+        monkeypatch.setattr(cli, "glicci_certificate_borel", exhausted)
+        code, out, err = run(capsys, "glicci", str(square), "--mode", "borel")
+        assert (code, out, err) == (2, "", "error: out of memory: cannot allocate 1 GiB\n")
+
+    def test_over_budget_is_input_error(self, worked_ideal, capsys, monkeypatch):
+        # The worked build needs more than 1000 units of Gröbner work in one
+        # check: refused before the reduction that would pass the budget.
+        monkeypatch.setattr(lifting, "BUCHBERGER_BUDGET", 1000)
+        code, out, err = run(capsys, "glicci", worked_ideal, "--mode", "artinian")
         assert (code, out) == (2, "")
-        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert err.startswith("error: a Gröbner check over F_32003 of ")
+        assert err.endswith(" forms needs more work than BUCHBERGER_BUDGET = 1000\n")
+        assert err.count("\n") == 1
+
+    # The Macaulay matrices of the horizon of (x1^25, x2^25, x3^25), 74, did
+    # not fit in memory; its Gröbner checks prune the generators of Z_k whose
+    # leading monomials are not minimal and take about 1 s.
+    @pytest.mark.parametrize("e", [8, 25])
+    def test_cube_certifies_and_verifies(self, tmp_path, e):
+        cube, cert = tmp_path / "cube.json", tmp_path / "cert.json"
+        cube.write_text(json.dumps(
+            {"schema": "ideal/1", "n": 3, "gens": [[e, 0, 0], [0, e, 0], [0, 0, e]]}))
+        code, _, err = run_bounded("glicci", cube, "--mode", "artinian", "--out", cert,
+                                   timeout=60, limit=1 << 30)
+        assert (code, err) == (0, "")
+        code, out, err = run_bounded("verify", cert, timeout=60, limit=1 << 30)
+        assert (code, err) == (0, "") and "FAIL" not in out
 
     def test_absurd_horizon_is_refused_before_replay(self, tmp_path):
         data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
@@ -672,13 +696,17 @@ class TestWorkedExampleCommand:
         assert err.count("\n") == 1 and "'proportional_pairs': [(" in err
 
     def test_replay_recomputes_what_the_build_computed(self, capsys, monkeypatch):
-        # The certificate replay shares no echelon basis with its build.
+        # The certificate replay shares no Gröbner basis with its build,
+        # and neither builds a Macaulay matrix.
         calls = []
-        real = oracle._degree_rows
+        real = linkage.GroebnerBasis
 
         def counting(*args):
-            calls.append(args[1:])
+            calls.append(args)
             return real(*args)
+
+        def refuse(*args):
+            raise AssertionError("a Macaulay matrix was built")
 
         phases = {}
 
@@ -690,7 +718,8 @@ class TestWorkedExampleCommand:
                 return result
             return wrapper
 
-        monkeypatch.setattr(oracle, "_degree_rows", counting)
+        monkeypatch.setattr(linkage, "GroebnerBasis", counting)
+        monkeypatch.setattr(oracle, "_degree_rows", refuse)
         monkeypatch.setattr(cli, "glicci_certificate_artinian",
                             counted("build", cli.glicci_certificate_artinian))
         monkeypatch.setattr(cli, "verify_certificate",

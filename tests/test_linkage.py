@@ -37,6 +37,7 @@ from liaison.monomials import (
 )
 from liaison.oracle import (
     DEFAULT_PRIME,
+    containment_failure,
     hilbert_oracle,
     linear_form_poly,
     poly_degree,
@@ -68,6 +69,31 @@ def sweep_ideals():
     generator degree <= 3: the Borel sweep."""
     return [J for n in range(1, 5) for J in enumerate_borel_ideals(n, 3)
             if not (J.is_zero or J.is_unit) and is_cm_borel(J)[0]]
+
+
+def colon_failure(gens, f, p):
+    """``_colon_failure`` on the ideal of the forms ``gens``."""
+    return linkage._colon_failure(PolyIdeal(len(next(iter(f))), tuple(gens), 0), f, p)
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """Every Gröbner basis the certificates compute, as (generator key,
+    basis), in order; a Macaulay matrix is refused."""
+    made = []
+    real = linkage.GroebnerBasis
+
+    def recording(gens, *args):
+        basis = real(gens, *args)
+        made.append((gens_key(gens), basis))
+        return basis
+
+    def refuse(*args):
+        raise AssertionError("a Macaulay matrix was built")
+
+    monkeypatch.setattr(linkage, "GroebnerBasis", recording)
+    monkeypatch.setattr(oracle, "_degree_rows", refuse)
+    return made
 
 
 class TestBasicDoubleLink:
@@ -165,18 +191,18 @@ class TestHypersurfaceChain:
     def test_section_hilbert_read_only_after_colon_checks(self, monkeypatch):
         read = []
         real_section = linkage._section_hilbert
-        real_oracle = linkage.hilbert_oracle
+        real_hilbert = PolyIdeal.hilbert
 
         def section(*args):
             read.append("section")
             return real_section(*args)
 
         def hilbert(*args):
-            read.append("oracle")
-            return real_oracle(*args)
+            read.append("hilbert")
+            return real_hilbert(*args)
 
         monkeypatch.setattr(linkage, "_section_hilbert", section)
-        monkeypatch.setattr(linkage, "hilbert_oracle", hilbert)
+        monkeypatch.setattr(PolyIdeal, "hilbert", hilbert)
         vees, forms = worked_flag(P)
         hypersurface_chain(vees, forms, 9, P)
         assert "section" in read
@@ -186,24 +212,18 @@ class TestHypersurfaceChain:
             hypersurface_chain(vees, forms, 9, P)
         assert read == []
 
-    def test_sections_after_the_first_not_eliminated(self, monkeypatch):
+    def test_sections_after_the_first_not_eliminated(self, bases):
         # Each h_{W_i} is read off h_{V_i}; only W_1, the first link's
-        # divisor, is eliminated, in the build and in the replay.
-        calls = []
-        real = oracle._degree_rows
-
-        def recording(gens, d, N, p):
-            calls.append(gens_key(gens))
-            return real(gens, d, N, p)
-
-        monkeypatch.setattr(oracle, "_degree_rows", recording)
+        # divisor, gets a Gröbner basis, in the build and in the replay,
+        # and no section a Macaulay matrix.
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         cert = glicci_certificate_artinian(WORKED_J, A)
         assert verify_certificate(cert).ok
         [step] = cert.steps
         ws = [gens_key(w) for w in sections(step.chain.vees, step.chain.forms, P)]
-        assert len(ws) >= 3 and ws[0] in calls
-        assert not set(ws[1:]) & set(calls)
+        keys = [key for key, _ in bases]
+        assert len(ws) >= 3 and keys.count(ws[0]) == 2  # build and replay
+        assert not set(ws[1:]) & set(keys)
 
 
 def worked_certificate(prime=P):
@@ -226,9 +246,9 @@ class TestColonProof:
         made = []
         real = linkage._colon_failure
 
-        def recording(gens, f, p):
-            made.append((gens, f, p))
-            return real(gens, f, p)
+        def recording(ideal, f, p):
+            made.append((ideal, f, p))
+            return real(ideal, f, p)
 
         monkeypatch.setattr(linkage, "_colon_failure", recording)
         checked = 0
@@ -236,22 +256,21 @@ class TestColonProof:
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
             del made[:]
             cert = build()
-            for gens, f, p in made:
-                N = len(next(iter(f)))
+            for ideal, f, p in made:
                 assert p == prime
-                assert ((real(gens, f, p) is None)
-                        == (oracle.colon_stability_failure(gens, f, cert.dmax, N, p) is None))
+                assert ((real(ideal, f, p) is None) == (oracle.colon_stability_failure(
+                    ideal.gens, f, cert.dmax, ideal.N, p) is None))
             checked += len(made)
         assert checked == 13 + 45  # the worked chain's checks, then one per bilink
 
     def test_power_of_a_leading_variable_fails(self):
         x1 = {(1, 0, 0): 1}
-        assert (linkage._colon_failure([{(2, 0, 0): 1}], x1, P)
+        assert (colon_failure([{(2, 0, 0): 1}], x1, P)
                 == "leading monomial x1^2 of generator 1 involves x1")
 
     def test_base_that_is_not_a_basis_fails(self):
         x3 = {(0, 0, 1): 1}
-        assert (linkage._colon_failure(NOT_A_BASIS, x3, P)
+        assert (colon_failure(NOT_A_BASIS, x3, P)
                 == "S-pair of generators 1 and 2 does not reduce to 0")
         assert oracle.colon_stability_failure(list(NOT_A_BASIS), x3, 4, 3, P) == 2
         base = PolyIdeal(3, NOT_A_BASIS, 2, "lifted-generic")
@@ -261,7 +280,7 @@ class TestColonProof:
 
     def test_multiplier_in_neither_case_fails(self):
         f = {(1, 0, 0): 1, (0, 1, 0): 1}
-        assert linkage._colon_failure([{(1, 1, 0): 1}], f, P).startswith("neither case applies")
+        assert colon_failure([{(1, 1, 0): 1}], f, P).startswith("neither case applies")
 
     def test_sweep_certificates_at_three(self):
         for J in sweep_ideals():
@@ -271,31 +290,32 @@ class TestColonProof:
 
 class TestOracleLeavesTheCertificates:
     def test_certificates_take_no_rank(self, monkeypatch):
+        # Neither the build nor the replay of any certificate calls the
+        # oracle: no rank, no Macaulay matrix, no graded dimension.
         def refuse(*args):
-            raise AssertionError("a rank was taken")
+            raise AssertionError("the oracle was called")
 
-        assert not hasattr(linkage, "colon_stability_failure")
-        monkeypatch.setattr(oracle, "colon_stability_failure", refuse)
-        monkeypatch.setattr(oracle, "rank_mod_p", refuse)
+        for name in ("hilbert_oracle", "containment_failure", "ideals_equal_up_to",
+                     "colon_stability_failure"):
+            assert not hasattr(linkage, name), name
+        for name in ("colon_stability_failure", "rank_mod_p", "_degree_rows", "graded_dim"):
+            monkeypatch.setattr(oracle, name, refuse)
         assert verify_certificate(worked_certificate()).ok
         for J in sweep_ideals():
             assert verify_certificate(glicci_certificate_borel(J)).ok, J
 
-    def test_each_generator_set_is_read_once(self, monkeypatch):
-        calls = []
-        real = linkage.hilbert_oracle
-
-        def recording(gens, *args):
-            calls.append(gens_key(gens))
-            return real(gens, *args)
-
-        monkeypatch.setattr(linkage, "hilbert_oracle", recording)
+    def test_each_generator_set_is_read_once(self, bases):
+        # One Buchberger run per ideal: the four layer lifts, W_1, Z_2, Z_3,
+        # Z_4 and the direct lift.  Each is already a basis.
         cert = worked_certificate()
-        built = calls[:]
-        del calls[:]
+        built = bases[:]
+        del bases[:]
         assert verify_certificate(cert).ok
-        assert len(built) == len(set(built)) == 8
-        assert calls == built  # the replay recomputes what the build computed
+        keys = [key for key, _ in built]
+        assert len(keys) == len(set(keys)) == 9
+        assert all(basis.failure is None for _, basis in built)
+        # The replay recomputes what the build computed.
+        assert [key for key, _ in bases] == keys
 
     def test_memo_is_not_a_field(self):
         v = PolyIdeal.from_monomial(SQUARE)
@@ -346,37 +366,32 @@ class TestBorelCertificate:
 
     def test_links_only_after_bar_j_equals_j(self, monkeypatch):
         linked = []
-        monkeypatch.setattr(linkage, "ideals_equal_up_to", lambda *args: False)
+        monkeypatch.setattr(linkage, "_ideals_equal", lambda *args: False)
         monkeypatch.setattr(linkage, "basic_double_link",
                             lambda *args, **kwargs: linked.append(args))
         with pytest.raises(LinkageError, match="bar-j-equals-j"):
             glicci_certificate_borel(SQUARE)
         assert linked == []
 
-    def test_link_result_eliminated_only_in_js_generator_degrees(self, monkeypatch):
+    def test_link_result_eliminated_only_in_js_generator_degrees(self, bases):
         # Once bar J = J is proven, the link's Hilbert function is J's, in
-        # closed form; the result's own bases are built only where the
-        # containment of J in it needs them.
-        calls = []
-        real = oracle._degree_rows
-
-        def recording(gens, d, N, p):
-            calls.append((gens_key(gens), d))
-            return real(gens, d, N, p)
-
-        monkeypatch.setattr(oracle, "_degree_rows", recording)
-        eliminated = 0
+        # closed form.  bar I_0 + x1 * I' gets one Gröbner basis, with x1
+        # last, for the containment of J in it, in the build and in the
+        # replay, and is already a basis; bar I_0's basis serves both its
+        # colon check and its Hilbert function.
+        linked = 0
         for J in sweep_ideals():
-            del calls[:]
+            del bases[:]
             cert = glicci_certificate_borel(J)
             assert verify_certificate(cert).ok  # the replay too
             for step in cert.steps:
                 if step.kind == "bilink":
-                    key = gens_key(step.link.result.gens)
-                    degrees = {d for k, d in calls if k == key}
-                    assert degrees <= {g.degree for g in step.source.gens}, step.source
-                    eliminated += len(degrees)
-        assert eliminated > 0
+                    for ideal in (step.link.result, step.link.base):
+                        made = [b for k, b in bases if k == gens_key(ideal.gens)]
+                        assert len(made) == 2, step.source
+                        assert all(b.order[0] == 0 and b.failure is None for b in made)
+                    linked += 1
+        assert linked == 45
 
     def test_deeper_borel_ideal(self):
         J = MonomialIdeal.from_gens(3, monomials_of_degree(3, 3))
@@ -409,35 +424,35 @@ class TestArtinianCertificate:
 
 
 class TestHorizonCoversComparedGenerators:
-    """Every generator that a containment or equality check compares has
-    degree at most the certificate's horizon, so both checks decide the
-    ideals themselves, in every degree, and not only up to dmax."""
+    """Every containment and equality a certificate checks is decided by
+    normal forms against a Gröbner basis, in every degree, and builds no
+    Macaulay matrix.  Every generator compared has degree at most the
+    certificate's horizon, so the oracle's answer through it decides the
+    same question (``TestGroebnerAgreesWithTheOracle``)."""
 
     @pytest.fixture
-    def compared(self, monkeypatch):
+    def compared(self, monkeypatch, bases):
         seen = []
+        real = linkage._outside
 
-        def recording(real):
-            def check(gensA, gensB, dmax, N, p):
-                top = max(map(poly_degree, (*gensA, *gensB)), default=-1)
-                seen.append((real.__name__, dmax, top))
-                return real(gensA, gensB, dmax, N, p)
-            return check
+        def recording(gens, ideal, p, last):
+            top = max(map(poly_degree, (*gens, *ideal.gens)), default=-1)
+            seen.append(top)
+            return real(gens, ideal, p, last)
 
-        for name in ("containment_failure", "ideals_equal_up_to"):
-            monkeypatch.setattr(linkage, name, recording(getattr(linkage, name)))
+        monkeypatch.setattr(linkage, "_outside", recording)
         return seen
 
     @staticmethod
     def assert_within_horizon(cert, seen):
-        assert {name for name, _, _ in seen} == {"containment_failure",
-                                                  "ideals_equal_up_to"}
-        for name, dmax, top in seen:
-            assert dmax == cert.dmax and top <= cert.dmax, (name, dmax, top)
+        assert seen and max(seen) <= cert.dmax
 
     def test_worked_certificate(self, compared):
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         cert = glicci_certificate_artinian(WORKED_J, A)
+        # Three flag inclusions, three links' containments, both ways of
+        # chain-equals-direct-lift.
+        assert len(compared) == 8
         self.assert_within_horizon(cert, compared)
 
     def test_sweep_certificates(self, compared):
@@ -446,10 +461,61 @@ class TestHorizonCoversComparedGenerators:
         for J in ideals:
             del compared[:]
             cert = glicci_certificate_borel(J)
-            if any(s.kind == "bilink" for s in cert.steps):
+            bilinks = sum(s.kind == "bilink" for s in cert.steps)
+            # Each bilink: bar-j-equals-j both ways, the link's containment.
+            assert len(compared) == 3 * bilinks
+            if bilinks:
                 self.assert_within_horizon(cert, compared)
-            else:
-                assert compared == []
+
+
+class TestGroebnerAgreesWithTheOracle:
+    """Every Hilbert function and containment answer a certificate reads
+    off a Gröbner basis over F_p equals the Macaulay oracle's through the
+    certificate's horizon, on the worked certificate and the 94 sweep
+    certificates, at two primes."""
+
+    @pytest.mark.parametrize("prime", [P, 65537])
+    def test_every_answer(self, prime, monkeypatch):
+        hilberts, containments = [], []
+        real_hilbert, real_outside = PolyIdeal.hilbert, linkage._outside
+
+        def hilbert(ideal, dmax, p, last):
+            h = real_hilbert(ideal, dmax, p, last)
+            hilberts.append((ideal, dmax, p, h))
+            return h
+
+        def outside(gens, ideal, p, last):
+            fail = real_outside(gens, ideal, p, last)
+            containments.append((gens, ideal, p, fail))
+            return fail
+
+        monkeypatch.setattr(PolyIdeal, "hilbert", hilbert)
+        monkeypatch.setattr(linkage, "_outside", outside)
+        counted = [0, 0]
+        for build in [lambda: worked_certificate(prime)] + [
+                functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
+            del hilberts[:], containments[:]
+            cert = build()
+            for ideal, dmax, p, h in hilberts:
+                assert p == prime and dmax == cert.dmax
+                assert h == hilbert_oracle(ideal.gens, dmax, ideal.N, p), ideal.label
+            for gens, ideal, p, fail in containments:
+                assert fail == containment_failure(gens, ideal.gens, cert.dmax, ideal.N, p)
+            counted[0] += len(hilberts)
+            counted[1] += len(containments)
+        # The worked chain: 3 per link, 4 sections and Z; 8 containments.
+        # Each of the 45 bilinks: 2 Hilbert functions, 3 containments.
+        assert counted == [3 * 3 + 4 + 1 + 2 * 45, 8 + 3 * 45]
+
+    def test_a_failing_containment_names_the_oracles_degree(self):
+        A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
+        B = default_matrix(2, "t-lift", seed=5, ncols=4, t=1)
+        point = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), B, codim=2)
+        for J in (ideal(2, (2, 0)), ideal(2, (2, 0), (1, 1)), ideal(2, (1, 0), (0, 1))):
+            gens = lifted_poly_ideal(J, A, codim=1).gens
+            fail = linkage._outside(gens, point, P)
+            assert fail is not None
+            assert fail == containment_failure(gens, point.gens, 4, 3, P)
 
 
 class TestCertificateSerialization:

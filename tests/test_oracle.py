@@ -12,7 +12,13 @@ from liaison.hilbert import (
     lex_ideal_from_hvector,
     macaulay_bound,
 )
-from liaison.linkage import _colon_failure, glicci_certificate_borel, verify_certificate
+from liaison import linkage
+from liaison.linkage import (
+    PolyIdeal,
+    _colon_failure,
+    glicci_certificate_borel,
+    verify_certificate,
+)
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,
@@ -324,6 +330,52 @@ def form_in(rng, variables, N, d, p):
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 3])
+def test_groebner_answers_are_the_oracles(p):
+    # Random forms are rarely a Gröbner basis, so completion runs; the
+    # Hilbert function and the containments read off the completed basis
+    # are the oracle's through a horizon above every generator degree.
+    rng = random.Random(p + 41)
+    completed, outcomes = 0, set()
+    for _ in range(40):
+        N, gens, other = random_pair(rng, p)
+        ideal, another = PolyIdeal(N, tuple(gens), 0), PolyIdeal(N, tuple(other), 0)
+        assert ideal.hilbert(5, p) == hilbert_oracle(gens, 5, N, p), gens
+        for A, B in ((ideal, another), (another, ideal)):
+            fail = linkage._outside(A.gens, B, p)
+            assert fail == containment_failure(A.gens, B.gens, 5, N, p), (A.gens, B.gens)
+            outcomes.add(fail is None)
+        completed += ideal.groebner(p).failure is not None
+    assert completed and outcomes == {True, False}
+
+
+def test_generators_all_zero_mod_p_leave_the_polynomial_ring():
+    # p * x1 is zero mod p: no form is left, and R/I is R.
+    ideal = PolyIdeal(3, ({(1, 0, 0): P},), 0)
+    assert ideal.groebner(P).basis == []
+    assert ideal.hilbert(4, P) == hilbert_oracle(list(ideal.gens), 4, 3, P)
+
+
+def test_a_pruned_generator_that_leaves_a_remainder_is_completed():
+    # x1 x2 + x3^2 leads with x1 x2, which x1 divides, and reduces to x3^2:
+    # the forms are no basis, and the completed one is (x1, x3^2).
+    gens = ({(1, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1})
+    basis = PolyIdeal(3, gens, 0).groebner(P)
+    assert basis.failure == "generator 2 does not reduce to 0 by those with minimal leading monomials"
+    assert basis.initial_ideal() == MonomialIdeal.from_gens(
+        3, [Monomial((1, 0, 0)), Monomial((0, 0, 2))])
+    assert PolyIdeal(3, gens, 0).hilbert(4, P) == hilbert_oracle(list(gens), 4, 3, P)
+
+
+def test_pruned_generators_that_reduce_to_zero_keep_the_basis():
+    # x1 (x1 + x2) leads with x1^2, a multiple of x1's lead, and is a
+    # multiple of it: dropped, the forms left are a basis.
+    gens = ({(1, 0, 0): 1, (0, 1, 0): 1}, {(2, 0, 0): 1, (1, 1, 0): 1}, {(0, 0, 2): 1})
+    basis = PolyIdeal(3, gens, 0).groebner(P)
+    assert basis.failure is None and len(basis.basis) == 2
+    assert basis.contains({(2, 0, 0): 1, (1, 1, 0): 1})
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 3])
 def test_colon_proof_is_sound(p):
     # Generators in some of the variables; f a linear form or a power of
     # one variable x_v.  Wherever the exact proof passes, the reference
@@ -340,7 +392,7 @@ def test_colon_proof_is_sound(p):
         else:
             v = rng.randrange(N)
             f = {tuple(rng.randint(1, 2) * (k == v) for k in range(N)): rng.randrange(1, p)}
-        proven = _colon_failure(gens, f, p) is None
+        proven = _colon_failure(PolyIdeal(N, tuple(gens), 0), f, p) is None
         if proven:
             assert ref_colon_failure(gens, f, 4, N, p) is None, (gens, f)
         outcomes.add((proven, v is not None and any(e[v] for g in gens for e in g)))
@@ -695,12 +747,23 @@ class TestScope:
         assert hilbert_oracle(gens, 4, 3, P).values == hilbert_function(SQUARE, 4).values
         assert degree_row_calls == []
 
-    def test_replay_recomputes_what_the_build_computed(self, degree_row_calls):
+    def test_replay_recomputes_what_the_build_computed(self, degree_row_calls, monkeypatch):
+        # Certificates build no Macaulay matrix; the replay computes as
+        # many Gröbner bases as the build, sharing none with it.
+        made = []
+        real = linkage.GroebnerBasis
+
+        def counting(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(linkage, "GroebnerBasis", counting)
         cert = glicci_certificate_borel(SQUARE)
-        built = len(degree_row_calls)
+        built = len(made)
         report = verify_certificate(cert)
         assert report.ok
-        assert built > 0 and len(degree_row_calls) == 2 * built
+        assert built > 0 and len(made) == 2 * built
+        assert degree_row_calls == []
 
     # (x^2, xy) from generators that are not all single terms, and the same
     # ideal from its monomials.
