@@ -18,11 +18,11 @@ from .hilbert import (
 )
 from .layers import decompose, hf_via_layers, layer_hvectors
 from .lifting import (
+    InvalidMatrix,
     LiftError,
     MatrixError,
     default_matrix,
     lift_record,
-    validate_matrix,
     verify_lift,
 )
 from .linkage import (
@@ -214,12 +214,11 @@ def cmd_lift(args) -> int:
     J = _load_ideal(args.ideal)
     try:
         A = _matrix_for(args, J)
-        report = validate_matrix(A, J, prime=args.prime)
-        if not report.ok:
-            print("matrix validation failed:")
-            print(json.dumps(report.to_json(), indent=1, sort_keys=True))
-            return EXIT_VERIFY
         record = lift_record(J, A, prime=args.prime)
+    except InvalidMatrix as exc:
+        print("matrix validation failed:")
+        print(json.dumps(exc.report.to_json(), indent=1, sort_keys=True))
+        return EXIT_VERIFY
     except LiftError as exc:
         raise InputError(str(exc))
     except MatrixError as exc:

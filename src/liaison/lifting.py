@@ -1,6 +1,33 @@
 """Lifting matrices, the bar operator m -> prod L_{j,i}, lifted ideals as
 factor lists, and the explicit point model for one-new-variable liftings
-of Artinian ideals."""
+of Artinian ideals.
+
+The lifting theorem proves a lift's Gröbner basis, so no S-pair of one is
+reduced.  Distractions (Bigatti, Conca and Robbiano, Comm. Algebra 33,
+2005, §2; Hartshorne, Publ. IHES 29, 1966): let L have one row of linear
+forms of R = K[y_1..y_N] per variable, each row ending in its variable,
+and let every selection of one entry per row be linearly independent.
+Then the ideal D_L(I) generated by D_L(y^a) = prod_i prod_{j <= a_i}
+L_{i,j} over the minimal generators y^a of a monomial ideal I has the
+Hilbert function of I.
+
+A matrix with the shape ``validate_matrix`` checks is such an L for
+J·R, where R holds the x's and the u's: continue row j, whose own
+variable is x_v, with x_v past its used columns, and give every other
+variable (the u's, and the x's of dropped rows) the constant row of
+itself.  The coefficients of a selection then form a triangular matrix
+with a nonzero diagonal: an entry of x_v's row has no x-part outside x_v,
+except x_1 for ``bf``, and its coefficient of x_v is nonzero.  So
+bar J = D_L(J·R) has the Hilbert function of J·R.  In revlex with the
+lifted variables last (``LiftingMatrix.lifted_variables``: the u's, or
+x_1 for ``bf``), each entry of x_v's row leads with x_v, so bar(m) leads
+with c·m, c != 0, and J·R ⊆ in(bar J).  Equal Hilbert functions make it
+an equality: the lifted generators are a Gröbner basis, and the lifted
+variables J does not involve are a regular sequence on R/bar J (Bayer
+and Stillman, 1987).  Over Q the shape must hold over Z
+(``ValidationReport.singular_over_z`` empty); over F_p, mod p
+(``singular_entries`` empty, which ``lift_ideal`` requires at its prime).
+"""
 from __future__ import annotations
 
 import hashlib
@@ -9,7 +36,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, le, sub
 
 from .hilbert import difference, hilbert_function, hilbert_function_artinian, partial_sum
@@ -19,6 +46,15 @@ from .oracle import DEFAULT_PRIME, check_prime, expand, horizon, poly_degree
 
 class MatrixError(ValueError):
     """Malformed or insufficient lifting matrix."""
+
+
+class InvalidMatrix(MatrixError):
+    """A lift refused because ``validate_matrix`` rejects its matrix;
+    ``report`` is what it found."""
+
+    def __init__(self, report: "ValidationReport"):
+        super().__init__(f"matrix failed validation: {report.to_json()}")
+        self.report = report
 
 
 class LiftError(ValueError):
@@ -219,14 +255,16 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
 class ValidationReport:
     """What ``validate_matrix`` found.  ``selections_checked`` is the
     number of selections of one used entry per row, which the shape rule
-    proves independent at once."""
+    proves independent at once.  ``singular_over_z`` is not in the JSON:
+    the lifting theorem reads it (``verify_lift``)."""
 
     ok: bool
     used_cols: tuple[int, ...]
     proportional_pairs: list  # (row, col, col) entries proportional in a row
-    singular_entries: list  # (row, col) used entries without a lifting's shape
+    singular_entries: list  # (row, col) used entries without a lifting's shape mod p
     selections_checked: int
     prime: int
+    singular_over_z: list  # (row, col) used entries without a lifting's shape over Z
 
     def to_json(self) -> dict:
         return {
@@ -267,6 +305,11 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
         linearly independent, and the row products cut out a
         codimension-n complete intersection.  No rank is taken.
 
+    The same walk over the used entries checks (b) over Z, with "nonzero"
+    and "no x-part" read exactly, and lists the entries that fail it in
+    ``singular_over_z``: that is the hypothesis of the lifting theorem
+    over Q (``verify_lift``), whatever ``prime`` is.
+
     A matrix with more rows than x-variables is a MatrixError.
     """
     if J.n != A.n_source:
@@ -290,19 +333,22 @@ def validate_matrix(A: LiftingMatrix, J: MonomialIdeal,
                 if _proportional(A.rows[j][c1], A.rows[j][c2], prime):
                     proportional_pairs.append((j, c1, c2))
 
-    singular = []
+    singular, singular_over_z = [], []
     for j, u in enumerate(used):
         v = offset + j
         own = {v, 0} if A.kind == "bf" else {v}
         for c in range(u):
             x = A.rows[j][c].coeffs[:A.ambient_n]
-            if x[v] % prime == 0 or any(a % prime for k, a in enumerate(x)
-                                        if k not in own):
+            off = [a for k, a in enumerate(x) if k not in own]
+            if x[v] % prime == 0 or any(a % prime for a in off):
                 singular.append((j, c))
+            if x[v] == 0 or any(off):
+                singular_over_z.append((j, c))
 
     selections = math.prod(u for u in used if u) if any(used) else 0
     ok = not proportional_pairs and not singular
-    return ValidationReport(ok, used, proportional_pairs, singular, selections, prime)
+    return ValidationReport(ok, used, proportional_pairs, singular, selections, prime,
+                            singular_over_z)
 
 
 @dataclass(frozen=True)
@@ -334,9 +380,13 @@ def bar(m: Monomial, A: LiftingMatrix) -> LiftedGenerator:
 
 @dataclass(frozen=True)
 class LiftedIdeal:
+    """The lift of ``source`` by ``matrix``.  ``validation`` is the
+    report that passed it, at its prime; equality and JSON ignore it."""
+
     source: MonomialIdeal
     matrix: LiftingMatrix
     generators: tuple[LiftedGenerator, ...]
+    validation: ValidationReport = field(compare=False, repr=False)
 
     @property
     def N(self) -> int:
@@ -361,11 +411,11 @@ class LiftedIdeal:
 def lift_ideal(J: MonomialIdeal, A: LiftingMatrix,
                prime: int = DEFAULT_PRIME) -> LiftedIdeal:
     """One lifted generator per minimal generator of J; the matrix must
-    pass validation first."""
+    pass validation at ``prime`` first (InvalidMatrix otherwise)."""
     report = validate_matrix(A, J, prime=prime)
     if not report.ok:
-        raise MatrixError(f"matrix failed validation: {report.to_json()}")
-    return LiftedIdeal(J, A, tuple(bar(g, A) for g in J.gens))
+        raise InvalidMatrix(report)
+    return LiftedIdeal(J, A, tuple(bar(g, A) for g in J.gens), report)
 
 
 @dataclass(frozen=True)
@@ -452,17 +502,23 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     return PointConfiguration(prime, tuple(points), tuple(m.exps for m in std))
 
 
+def _lift(J: MonomialIdeal, A: LiftingMatrix, prime: int) -> tuple[LiftedIdeal, dict]:
+    """The lifted ideal ``lift_record`` encodes, and the record."""
+    if J.is_zero or J.is_unit:
+        raise LiftError("cannot lift a zero or unit ideal")
+    lifted = lift_ideal(J, A, prime=prime)
+    record = lifted.to_json()
+    if A.kind == "t-lift" and A.t == 1 and is_artinian(J):
+        record["points"] = point_model(J, A, prime=prime).to_json()
+    return lifted, record
+
+
 def lift_record(J: MonomialIdeal, A: LiftingMatrix,
                 prime: int = DEFAULT_PRIME) -> dict:
     """The record ``liaison lift`` writes: the lifted ideal's JSON, plus
     its point model under ``"points"`` for a 1-lifting of an Artinian
     source."""
-    if J.is_zero or J.is_unit:
-        raise LiftError("cannot lift a zero or unit ideal")
-    record = lift_ideal(J, A, prime=prime).to_json()
-    if A.kind == "t-lift" and A.t == 1 and is_artinian(J):
-        record["points"] = point_model(J, A, prime=prime).to_json()
-    return record
+    return _lift(J, A, prime)[1]
 
 
 def canonical_json(value) -> str:
@@ -524,33 +580,12 @@ def _s_polynomial(basis: list, i: int, j: int) -> dict:
     return r
 
 
-def _top_reduce(r: dict, basis) -> dict:
-    """The remainder of the integer form ``r`` under top reduction by
-    ``basis`` (as ``_s_polynomial`` takes it): empty, or led by a key no
-    leading key divides.  It never divides: a remainder is multiplied by
-    the divisor's leading coefficient, then freed of its content."""
-    while r:
-        lead = min(r)
-        divisor = _divisor(basis, lead)
-        if divisor is None:
-            return r
-        m, cm, h = divisor
-        shift = tuple(map(sub, lead, m))
-        q = math.gcd(r[lead], cm)
-        scale = cm // q
-        if scale != 1:
-            r = {e: scale * v for e, v in r.items()}
-        _subtract_multiple(r, r[lead] // cm, h, shift)
-        if scale != 1 and r:
-            content = math.gcd(*r.values())
-            r = {e: v // content for e, v in r.items()}
-    return r
-
-
 def _top_reduce_mod_p(r: dict, basis, prime: int) -> dict:
-    """``_top_reduce`` over F_p, in place, of residues ``r`` by monic
-    divisors: only the terms a step touches are reduced mod p, and the
-    keys wait in a heap, so the lead is not searched for."""
+    """The remainder of the residues ``r`` under top reduction by the
+    monic ``basis`` (as ``_s_polynomial`` takes it) over F_p, in place:
+    empty, or led by a key no leading key divides.  Only the terms a step
+    touches are reduced mod p, and the keys wait in a heap, so the lead is
+    not searched for."""
     heap = list(r)
     heapq.heapify(heap)
     while heap:
@@ -596,28 +631,6 @@ def _keyed(f: dict, order) -> dict:
     return {tuple(e[v] for v in order): c for e, c in f.items()}
 
 
-def _buchberger_failure(polys, leads, last) -> str | None:
-    """None when the integer forms ``polys`` are a Gröbner basis over Q in
-    revlex with the variables ``last`` smallest (and, unless ``leads`` is
-    None, lead with ``leads``); else which generator or S-pair fails, from
-    1.  Every S-pair whose leading monomials are not coprime is top-reduced
-    fraction-free (``_top_reduce``)."""
-    N = len(next(iter(polys[0]))) if polys else 0
-    order = _revlex_order(N, last)
-    basis = []
-    for k, f in enumerate(polys):
-        g = _keyed(f, order)
-        lead = min(g)
-        if leads is not None and lead != tuple(leads[k][v] for v in order):
-            return f"generator {k + 1} does not lead with its source monomial"
-        basis.append((lead, g[lead], g))
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        if (not _coprime(basis[i][0], basis[j][0])
-                and _top_reduce(_s_polynomial(basis, i, j), basis)):
-            return f"S-pair of generators {i + 1} and {j + 1} does not reduce to 0"
-    return None
-
-
 def _pairs(basis: list, new: int) -> list:
     """The S-pairs (degree of the lcm, i, new) of item ``new`` of ``basis``
     with those before it, skipping those whose S-polynomial is known to
@@ -661,9 +674,27 @@ class GroebnerBasis:
     0 (``contains``), and the leading monomials generate the initial
     ideal, whose closed-form Hilbert function is the ideal's in every
     degree (Macaulay).  ``work`` counts the work done, in the units of
-    BUCHBERGER_BUDGET; past the budget it is a ValueError."""
+    BUCHBERGER_BUDGET; past the budget it is a ValueError.
+
+    ``proven`` takes forms known to be a basis, such as a lift's
+    generators (the lifting theorem, above), and reduces nothing."""
 
     def __init__(self, polys, N: int, last, prime: int):
+        numbers = self._adopt(polys, N, last, prime)
+        self.failure = self._complete(numbers)
+
+    @classmethod
+    def proven(cls, polys, N: int, last, prime: int) -> "GroebnerBasis":
+        """The forms ``polys``, made monic, as a basis with ``failure``
+        None and no S-pair reduced: the caller has proven them one."""
+        basis = cls.__new__(cls)
+        basis._adopt(polys, N, last, prime)
+        basis.failure = None
+        return basis
+
+    def _adopt(self, polys, N: int, last, prime: int) -> list:
+        """Take the nonzero forms mod p, monic and keyed in the order;
+        return their numbers, from 1, among ``polys``."""
         self.N = N
         self.order = _revlex_order(N, last)
         self.prime = prime
@@ -676,7 +707,7 @@ class GroebnerBasis:
                 basis.append(_monic(g, prime))
         self.basis = basis
         self.work = 0
-        self.failure = self._complete(numbers)
+        return numbers
 
     def _charge(self, work: int) -> None:
         """Count ``work`` more; a ValueError once it passes BUCHBERGER_BUDGET."""
@@ -761,28 +792,28 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     source and matrix, with the points rebuilt at the prime they record;
     otherwise LiftError names the keys that differ.  Only the source and
     the matrix are decoded: every other key, the generators and the
-    matrix hash included, is compared with the replay, and the checks
-    expand the generators from the source and the matrix.
+    matrix hash included, is compared with the replay.
 
-    The Hilbert rows are exact over Q, in every degree.  In revlex with
-    the lifted variables last (the u's of a t-lift, x_1 for ``bf``) each
-    lifted generator leads with the monomial it lifts, so in(I) contains
-    J R; when the generators are a Gröbner basis (Buchberger's criterion
-    over Z) in(I) = J R, h_{R/I} is J's closed form, partial-summed over
-    the new variables, and the lifted variables are a regular sequence on
-    R/I (Bayer and Stillman, 1987), so I is saturated.  The rows report
-    that Hilbert function through the horizon ``horizon`` derives from
-    the source with k the number of lifted variables, which for an
-    Artinian source reaches two degrees past its socle degree:
+    The Hilbert rows are exact over Q, in every degree, and proven by the
+    lifting theorem (module docstring) once every used entry has a
+    lifting's shape over Z: then the generators are a Gröbner basis in
+    revlex with the lifted variables last, in(I) = J R, h_{R/I} is J's
+    closed form, partial-summed over the new variables, and the lifted
+    variables J does not involve are a regular sequence on R/I, so I is
+    saturated.  No generator is expanded.  The rows report that Hilbert
+    function through the horizon ``horizon`` derives from the source with
+    k the number of lifted variables, which for an Artinian source
+    reaches two degrees past its socle degree:
     ``hilbert-difference-t{t}`` its difference once per new variable (t,
     plus the x's of dropped rows), which must be J's,
     ``saturation-spot-check`` its last three values, equal for an Artinian
     source with one new variable, and, for a t-lift,
-    ``non-degeneracy-dim-I1`` that it is N in degree 1.  An S-pair that does not reduce to 0 fails
-    all three, named in their detail, and so does a generator that leads
-    with another monomial (an x-coefficient off its own variable that
-    vanishes mod the prime, not over Z).  Only ``matrix-validation`` and
-    the point replay work modulo a prime.
+    ``non-degeneracy-dim-I1`` that it is N in degree 1.  An entry without
+    the shape over Z fails all three, named in their detail: an
+    x-coefficient off its own variable that is a nonzero multiple of the
+    prime passes validation mod p, but no theorem covers it.  Only
+    ``matrix-validation`` and the point replay work modulo a prime; the
+    replay's validation serves ``matrix-validation`` at its own prime.
 
     The ``point-model`` row restates ``point_model``'s construction, one
     point per standard monomial, so it cannot fail; the replay's
@@ -792,7 +823,7 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
         J = MonomialIdeal.from_json(data["source"])
         A = LiftingMatrix.from_json(data["matrix"])
         at = check_prime(data["points"]["prime"]) if "points" in data else prime
-        replay = lift_record(J, A, prime=at)
+        lifted, replay = _lift(J, A, at)
     except (KeyError, TypeError, ValueError) as exc:
         raise LiftError(f"malformed lifted ideal: {exc}")
     differ = sorted(k for k in data.keys() | replay.keys()
@@ -805,12 +836,8 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     except ValueError as exc:
         raise LiftError(str(exc))
 
-    report = validate_matrix(A, J, prime=prime)
+    report = lifted.validation if at == prime else validate_matrix(A, J, prime=prime)
     checks = [("matrix-validation", report.ok, f"prime {report.prime}")]
-    offset = A.ambient_n - A.n_source
-    leads = [(0,) * offset + g.exps + (0,) * A.t for g in J.gens]
-    failure = _buchberger_failure([expand(bar(g, A), A, None) for g in J.gens],
-                                  leads, A.lifted_variables)
     source_h = hilbert_function(J, dmax)
     new = A.N - J.n  # t, plus the x's of the rows a matrix has dropped
     hf = partial_sum(source_h, new, dmax)
@@ -824,9 +851,11 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
         # A proper lifting of a nonzero ideal spans no linear forms: the
         # lifted scheme is nondegenerate in its ambient space.
         rows.append(("non-degeneracy-dim-I1", hf.at(1) == A.N, ""))
-    if failure is None:
+    if not report.singular_over_z:
         checks += rows
     else:
+        j, c = report.singular_over_z[0]
+        failure = f"row {j + 1}, column {c + 1} has no lifting's shape over Z"
         checks += [(name, False, failure) for name, _, _ in rows]
     if "points" in replay:
         got, want = len(replay["points"]["points"]), sum(source_h.values)

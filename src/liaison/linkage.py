@@ -8,8 +8,11 @@ Macaulay matrix is built: a Hilbert function is the closed form of the
 initial ideal of a Gröbner basis (``PolyIdeal.hilbert``), a containment
 or an equality reduces generators to normal form against such a basis
 (``_outside``, ``_ideals_equal``), and colon stability, I : f = I, is
-proven from the generators (``_colon_failure``).  The horizon only bounds
-how far the Hilbert functions are reported.
+proven from the generators (``_colon_failure``).  A lifted ideal's basis
+is its generators, by the lifting theorem (``lifting``): the layer lifts
+and the direct lift of a chain step, and a bilink's bar I_0, reduce no
+S-pair.  Only the other ideals run Buchberger's criterion.  The horizon
+only bounds how far the Hilbert functions are reported.
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime
@@ -114,9 +117,11 @@ class PolyIdeal(_FieldCodec):
 
     Its Gröbner bases and Hilbert functions are kept on the object,
     outside its fields, so JSON and equality ignore them.  They are taken
-    in revlex with the variables ``last`` smallest: a lifted ideal's
-    generators are already a basis when ``last`` are the variables its
-    lifting orders last (``LiftingMatrix.lifted_variables``).
+    in revlex with the variables ``last`` smallest.  A lifted ideal's
+    generators are a basis when ``last`` are the variables its lifting
+    orders last (``LiftingMatrix.lifted_variables``), by the lifting
+    theorem (``lifting``): ``from_lifted`` keeps them as that basis,
+    with no S-pair reduced, when the matrix was validated at its prime.
     """
 
     N: int
@@ -139,7 +144,12 @@ class PolyIdeal(_FieldCodec):
     @classmethod
     def from_lifted(cls, L: LiftedIdeal, codim: int,
                     prime: int = DEFAULT_PRIME, label: str = "") -> "PolyIdeal":
-        return cls(L.N, tuple(L.polynomials(prime)), codim, "lifted-generic", label)
+        ideal = cls(L.N, tuple(L.polynomials(prime)), codim, "lifted-generic", label)
+        if L.validation.prime == prime:  # the shape holds mod this prime
+            last = L.matrix.lifted_variables
+            ideal.__dict__["_groebner"] = {
+                (prime, last): GroebnerBasis.proven(ideal.gens, L.N, last, prime)}
+        return ideal
 
     @property
     def dim(self) -> int:
@@ -189,7 +199,8 @@ def _colon_failure(ideal: PolyIdeal, f: dict, prime: int) -> str | None:
         revlex with x_v last whose leading monomials avoid x_v: then
         in(I) : x_v = in(I), so I : x_v = I (Bayer and Stillman, 1987).
         The check is ``ideal.groebner(prime, (v,))``, which a bilink's
-        base also reads its Hilbert function off."""
+        base also reads its Hilbert function off; for bar I_0 it is the
+        basis the lifting theorem proves (``PolyIdeal.from_lifted``)."""
     f = poly_normalize(f, prime)
     gens = [g for g in (poly_normalize(g, prime) for g in ideal.gens) if g]
     poly_degree(f)  # (A) reads deg f off a term

@@ -42,7 +42,7 @@ degree.
 No certificate calls the matrices of this module.  ``linkage.py`` reads
 its Hilbert functions, containments and equalities off Gröbner bases
 over F_p (``lifting.GroebnerBasis``), exact in every degree, and
-``verify_lift`` its Hilbert rows off a Gröbner basis over Z.  The oracle
+``verify_lift`` proves its Hilbert rows by the lifting theorem.  The oracle
 is the tier-1 reference for both: tests compare every answer a
 certificate reads off a basis, on the worked certificate and on the 94
 certificates of the Borel sweep, and every ``verify_lift`` row, with it

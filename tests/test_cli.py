@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,7 +220,8 @@ class TestLiftAndVerify:
 
     def test_bf_lift_with_powers_of_x1(self, worked_ideal, tmp_path, capsys):
         # Row 1 of the bf matrix is x1, 2*x1, 3*x1, ...: x1^4 lifts to
-        # 24*x1^4, so the Gröbner check must reduce without dividing.
+        # 24*x1^4, whose own coefficient the lifting theorem needs nonzero
+        # only.
         lifted = tmp_path / "L.json"
         code, _, _ = run(capsys, "lift", worked_ideal, "--matrix", "bf",
                          "--out", str(lifted))
@@ -232,31 +234,27 @@ class TestLiftAndVerify:
             ("hilbert-difference-t0", True, "difference (1, 3, 6, 10, 4, 2, 0, 0, 0, 0)"),
             ("saturation-spot-check", True, "tail values (0, 0, 0)")]
 
-    def test_non_groebner_generators_fail_the_hilbert_rows(
-            self, worked_ideal, tmp_path, capsys, monkeypatch):
+    def test_non_groebner_generators_fail_the_hilbert_rows(self, tmp_path, capsys):
+        # The entry 32003*x1 + x2 + 3u vanishes off x2 mod 32003 only: the
+        # record is what `lift` makes, but no lifting over Z, and the
+        # generator x1*x2 leads with x1^2 over Q.
+        rows = [[[1, 0, 1], [1, 0, 2]], [[32003, 1, 3], [0, 1, 5]]]
+        A = lifting.LiftingMatrix.from_json(
+            {"schema": "matrix/1", "kind": {"t": 1, "seed": None}, "ambient_n": 2,
+             "t": 1, "rows": rows})
+        J = MonomialIdeal.from_json({"schema": "ideal/1", "n": 2,
+                                     "gens": [[2, 0], [1, 1], [0, 2]]})
         lifted = tmp_path / "L.json"
-        code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "7", "--out", str(lifted))
-        assert code == 0
-        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
-        assert code == 0
-        names = [c["name"] for c in json.loads(out)["checks"]]
-
-        def perturbed(gen, matrix, p):
-            # One added to the revlex-smallest term of x1^4's lift.
-            f = oracle.expand(gen, matrix, p)
-            if gen.source.exps == (4, 0, 0):
-                f[max(f, key=lambda e: e[::-1])] += 1
-            return f
-
-        monkeypatch.setattr(lifting, "expand", perturbed)
+        lifted.write_text(json.dumps(lifting.lift_record(J, A)))
         code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
         assert code == 3
         checks = json.loads(out)["checks"]
-        assert [c["name"] for c in checks] == names
+        assert [c["name"] for c in checks if c["passed"]] == ["matrix-validation",
+                                                              "point-model"]
         failed = {c["name"]: c["detail"] for c in checks if not c["passed"]}
-        assert set(failed) == {"hilbert-difference-t1", "saturation-spot-check",
-                               "non-degeneracy-dim-I1"}
-        assert failed["hilbert-difference-t1"].startswith("S-pair of generators ")
+        assert failed == dict.fromkeys(
+            ["hilbert-difference-t1", "saturation-spot-check", "non-degeneracy-dim-I1"],
+            "row 2, column 1 has no lifting's shape over Z")
 
     def test_lift_past_its_socle_degree(self, tmp_path, capsys):
         # (x1^5, x2^5) has socle degree 8: its lift's Hilbert function
@@ -641,6 +639,21 @@ class TestUnboundedInputs:
         code, out, err = run_bounded("verify", cert, timeout=60, limit=1 << 30)
         assert (code, err) == (0, "") and "FAIL" not in out
 
+    # The t = 2 lift of (x1, x2, x3)^8 has 45 generators: Buchberger's
+    # criterion over Z took 13 to 15 s on them (2-core x86-64 host), the
+    # lifting theorem reduces no S-pair.
+    def test_verify_lift_of_a_power_of_the_maximal_ideal(self, tmp_path, capsys):
+        power, lifted = str(tmp_path / "m8.json"), str(tmp_path / "L.json")
+        gens = [[a, b, 8 - a - b] for a in range(9) for b in range(9 - a)]
+        Path(power).write_text(json.dumps({"schema": "ideal/1", "n": 3, "gens": gens}))
+        code, _, _ = run(capsys, "lift", power, "--matrix", "t:2", "--out", lifted)
+        assert code == 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-lift", lifted)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and "FAIL" not in out
+        assert elapsed < 1, f"verify-lift took {elapsed:.2f} s"
+
     def test_absurd_horizon_is_refused_before_replay(self, tmp_path):
         data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
         data["dmax"] = 10**6
@@ -704,6 +717,12 @@ class TestWorkedExampleCommand:
         def counting(*args):
             calls.append(args)
             return real(*args)
+
+        def proven(*args):  # the bases of lifts, by the lifting theorem
+            calls.append(args)
+            return real.proven(*args)
+
+        counting.proven = proven
 
         def refuse(*args):
             raise AssertionError("a Macaulay matrix was built")

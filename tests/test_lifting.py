@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from buchberger_z import buchberger_failure
 
 from liaison.hilbert import (
     HVector,
@@ -18,7 +19,6 @@ from liaison.lifting import (
     LiftingMatrix,
     LinearForm,
     MatrixError,
-    _buchberger_failure,
     bar,
     default_matrix,
     lift_ideal,
@@ -31,6 +31,7 @@ from liaison.monomials import (
     Monomial,
     MonomialIdeal,
     enumerate_borel_ideals,
+    is_borel_fixed,
     is_cm_borel,
     monomials_of_degree,
 )
@@ -537,13 +538,13 @@ def exact_row_cases():
             J.n, "t-lift", seed=seed, ncols=max(J.max_gen_degree, 1), t=t)
     for k, J in enumerate(NON_BOREL + [WORKED_J]):
         yield f"bf-{k}", J, default_matrix(J.n, "bf", ncols=J.max_gen_degree)
-    # Leading coefficients 2^a 3^b: the reduction must not divide.
+    # Own coefficients 2 and 3: the theorem asks only that they be nonzero.
     yield "hand-built-t1", WORKED_J, hand_built_lift(WORKED_J)
     yield "hand-built-t2", NON_BOREL[3], hand_built_lift(NON_BOREL[3], t=2)
 
 
 class TestExactHilbertRows:
-    """``verify_lift`` reads its Hilbert rows off a Gröbner basis over Z; the
+    """``verify_lift`` proves its Hilbert rows by the lifting theorem; the
     mod-p Macaulay oracle stays an independent cross-check of them."""
 
     @pytest.mark.parametrize("p", [P, 65537])
@@ -568,25 +569,101 @@ class TestExactHilbertRows:
         polys = [expand(bar(g, A), A, None) for g in WORKED_J.gens]
         leads = [g.exps + (0,) * t for g in WORKED_J.gens]
         last = tuple(range(3, 3 + t))
-        assert _buchberger_failure(polys, leads, last) is None
+        assert buchberger_failure(polys, leads, last) is None
         for k, f in enumerate(polys):
             f = dict(f)
             f[max(f, key=lambda e: e[::-1])] += 1
-            failure = _buchberger_failure(polys[:k] + [f] + polys[k + 1:], leads, last)
+            failure = buchberger_failure(polys[:k] + [f] + polys[k + 1:], leads, last)
             assert failure is not None and failure.startswith("S-pair of generators "), k
 
     def test_off_variable_multiple_of_the_prime_is_not_proven(self):
         # 32003*x1 in an x2 entry vanishes mod p, so the matrix validates,
-        # but over Q that generator leads with x1: the exact rows fail.
-        rows = ((LinearForm((1, 0, 1)), LinearForm((1, 0, 2))),
-                (LinearForm((P, 1, 3)), LinearForm((0, 1, 5))))
-        A = LiftingMatrix(rows, 2, 1, "t-lift", None)
-        report = verify_lift(json.loads(json.dumps(
-            lift_record(ideal(2, (2, 0), (1, 1), (0, 2)), A))))
+        # but over Q that entry has no lifting's shape (and the generator
+        # x1*x2 leads with x1^2): the exact rows fail.
+        A = off_variable_multiple_of_the_prime()
+        J = ideal(2, (2, 0), (1, 1), (0, 2))
+        report = verify_lift(json.loads(json.dumps(lift_record(J, A))))
         assert [(c["name"], c["passed"], c["detail"]) for c in report["checks"]] == [
             ("matrix-validation", True, f"prime {P}"),
-            *((name, False, "generator 2 does not lead with its source monomial")
+            *((name, False, "row 2, column 1 has no lifting's shape over Z")
               for name in ("hilbert-difference-t1", "saturation-spot-check",
                            "non-degeneracy-dim-I1")),
             ("point-model", True, "3 points, expected 3"),
         ]
+        assert validate_matrix(A, J).singular_over_z == [(1, 0)]
+        leads = [g.exps + (0,) for g in J.gens]
+        polys = [expand(bar(g, A), A, None) for g in J.gens]
+        assert (buchberger_failure(polys, leads, A.lifted_variables)
+                == "generator 2 does not lead with its source monomial")
+
+
+def off_variable_multiple_of_the_prime():
+    """A 1-lift in two variables whose entry (2, 1) is 32003*x1 + x2 + 3u:
+    a lifting mod 32003, not over Z."""
+    rows = ((LinearForm((1, 0, 1)), LinearForm((1, 0, 2))),
+            (LinearForm((P, 1, 3)), LinearForm((0, 1, 5))))
+    return LiftingMatrix(rows, 2, 1, "t-lift", None)
+
+
+def _shape_valid_case(rng):
+    """A random matrix with a lifting's shape over Z and a random monomial
+    ideal of generator degree <= 4 that uses it: a t-lift (t = 1..3) or a
+    ``bf`` matrix, n = 2..4 x-variables, some first rows dropped for
+    ``bf``.  Own coefficients are nonzero, u-parts are zero one time in
+    four, and an entry repeats a multiple of the one before it one time
+    in four.  Also returns which of these it has."""
+    kind = rng.choice(["t-lift", "t-lift", "bf"])
+    ambient_n = rng.randint(2, 4)
+    t = rng.randint(1, 3) if kind == "t-lift" else 0
+    n = rng.randint(1, ambient_n) if kind == "bf" else ambient_n
+    offset = ambient_n - n
+    features = {"dropped": offset > 0, "zero-u": False, "proportional": False}
+    rows = []
+    for j in range(n):
+        v = offset + j
+        row = []
+        for _ in range(4):
+            coeffs = [0] * (ambient_n + t)
+            if row and rng.random() < 0.25:
+                k = rng.choice([-2, -1, 2, 3])
+                coeffs = [k * c for c in row[-1].coeffs]
+                features["proportional"] = True
+            else:
+                coeffs[v] = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+                if kind == "bf" and v:
+                    coeffs[0] = rng.randint(-3, 3)
+                if t and rng.random() < 0.25:
+                    features["zero-u"] = True
+                else:
+                    coeffs[ambient_n:] = [rng.randint(-4, 4) for _ in range(t)]
+            row.append(LinearForm(tuple(coeffs)))
+        rows.append(tuple(row))
+    A = LiftingMatrix(tuple(rows), ambient_n, t, kind, None)
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * n
+        for _ in range(rng.randint(1, 4)):
+            exps[rng.randrange(n)] += 1
+        gens.append(Monomial(tuple(exps)))
+    return A, MonomialIdeal.from_gens(n, gens), features
+
+
+class TestLiftingTheorem:
+    """The lifting theorem (``lifting`` module docstring) replaces
+    Buchberger's criterion over Z; the criterion, kept in
+    ``buchberger_z``, agrees with it on random shape-valid matrices."""
+
+    def test_buchberger_over_z_agrees_on_random_shape_valid_matrices(self):
+        rng = random.Random(22)
+        seen = {"dropped": 0, "zero-u": 0, "proportional": 0, "non-borel": 0}
+        for _ in range(600):
+            A, J, features = _shape_valid_case(rng)
+            assert validate_matrix(A, J).singular_over_z == []
+            offset = A.ambient_n - A.n_source
+            leads = [(0,) * offset + g.exps + (0,) * A.t for g in J.gens]
+            polys = [expand(bar(g, A), A, None) for g in J.gens]
+            assert buchberger_failure(polys, leads, A.lifted_variables) is None, (A, J)
+            for name, present in features.items():
+                seen[name] += present
+            seen["non-borel"] += not is_borel_fixed(J)
+        assert min(seen.values()) >= 100, seen

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liaison import linkage, oracle
+from liaison import lifting, linkage, oracle
 from liaison.cli import main
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.layers import decompose
@@ -78,8 +78,8 @@ def colon_failure(gens, f, p):
 
 @pytest.fixture
 def bases(monkeypatch):
-    """Every Gröbner basis the certificates compute, as (generator key,
-    basis), in order; a Macaulay matrix is refused."""
+    """Every Gröbner basis the certificates compute or take as proven, as
+    (generator key, basis), in order; a Macaulay matrix is refused."""
     made = []
     real = linkage.GroebnerBasis
 
@@ -87,6 +87,13 @@ def bases(monkeypatch):
         basis = real(gens, *args)
         made.append((gens_key(gens), basis))
         return basis
+
+    def proven(gens, *args):
+        basis = real.proven(gens, *args)
+        made.append((gens_key(gens), basis))
+        return basis
+
+    recording.proven = proven
 
     def refuse(*args):
         raise AssertionError("a Macaulay matrix was built")
@@ -305,8 +312,9 @@ class TestOracleLeavesTheCertificates:
             assert verify_certificate(glicci_certificate_borel(J)).ok, J
 
     def test_each_generator_set_is_read_once(self, bases):
-        # One Buchberger run per ideal: the four layer lifts, W_1, Z_2, Z_3,
-        # Z_4 and the direct lift.  Each is already a basis.
+        # One basis per ideal: the four layer lifts and the direct lift,
+        # proven by the lifting theorem, and W_1, Z_2, Z_3 and Z_4, by one
+        # Buchberger run each.  Each is already a basis.
         cert = worked_certificate()
         built = bases[:]
         del bases[:]
@@ -323,6 +331,43 @@ class TestOracleLeavesTheCertificates:
         assert v.hilbert(4, P) is v.hilbert(4, P)
         assert v == fresh and v.to_json() == fresh.to_json()
         assert "_hilbert" not in dataclasses.replace(v).__dict__
+
+
+class TestLiftingTheoremBases:
+    """Every lifted ideal of a certificate takes its generators as its
+    Gröbner basis, by the lifting theorem; a full Buchberger run agrees."""
+
+    @pytest.mark.parametrize("prime", [P, 65537])
+    def test_full_run_agrees_on_every_lifted_ideal(self, prime, monkeypatch):
+        lifted = []
+        real = PolyIdeal.from_lifted.__func__
+
+        def recording(cls, L, *args, **kwargs):
+            ideal = real(cls, L, *args, **kwargs)
+            lifted.append((ideal, L.matrix.lifted_variables))
+            return ideal
+
+        monkeypatch.setattr(PolyIdeal, "from_lifted", classmethod(recording))
+        worked_certificate(prime)
+        for J in sweep_ideals():
+            glicci_certificate_borel(J, prime)
+        # The worked chain's four layer lifts and direct lift, then bar I_0
+        # of each of the 45 bilinks.
+        assert len(lifted) == 5 + 45
+        for ideal, last in lifted:
+            proven = ideal.__dict__["_groebner"][prime, last]
+            assert proven.failure is None and proven.work == 0
+            full = lifting.GroebnerBasis(ideal.gens, ideal.N, last, prime)
+            assert full.failure is None, ideal.label
+            assert full.initial_ideal() == proven.initial_ideal(), ideal.label
+            assert full.basis == proven.basis, ideal.label
+
+    def test_no_basis_is_proven_at_another_prime(self):
+        # The layers are validated at 32003, the basis asked for at 65537.
+        vees, _ = worked_flag(65537)
+        assert all("_groebner" not in v.__dict__ for v in vees)
+        vees, _ = worked_flag(P)
+        assert all(v.__dict__["_groebner"][P, (3,)].work == 0 for v in vees)
 
 
 class TestStripX1:
