@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb
-from operator import le
+from operator import le, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -434,56 +434,55 @@ def is_cm_borel(J: MonomialIdeal) -> tuple[bool, ConePresentation | None]:
 
 
 @lru_cache(maxsize=None)
-def _borel_parents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """For each degree-d monomial, in the order of ``monomials_of_degree``,
-    the positions of its Borel moves (x_j / x_i) * m with j < i."""
-    monos = monomials_of_degree(n, d)
-    index = {m: k for k, m in enumerate(monos)}
-    return tuple(tuple(index[p] for p in set(borel_moves(m))) for m in monos)
+def _borel_masks(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitmasks of positions in ``monomials_of_degree``: for each degree-d
+    monomial m, in that order, those of its Borel moves (x_j / x_i) * m
+    with j < i, and those of its shadow m * x_i among degree d + 1."""
+    here = {m.exps: 1 << k for k, m in enumerate(monomials_of_degree(n, d))}
+    above = {m.exps: 1 << k for k, m in enumerate(monomials_of_degree(n, d + 1))}
+    moves, shadows = [], []
+    for e in here:
+        up = [e[:j] + (e[j] + 1,) + e[j + 1:] for j in range(n)]
+        shadows.append(sum(above[u] for u in up))
+        moves.append(sum(here[u[:i] + (u[i] - 1,) + u[i + 1:]]
+                         for j, u in enumerate(up) for i in range(j + 1, n) if e[i]))
+    return tuple(moves), tuple(shadows)
 
 
-def _borel_closed_supersets(
-    n: int, d: int, forced: frozenset[Monomial]
-) -> Iterator[frozenset[Monomial]]:
-    """All Borel-closed sets of degree-d monomials that contain ``forced``,
-    in a fixed order: each monomial, in descending degree-lex, is first
+def _borel_closed_supersets(n: int, d: int, forced: int) -> Iterator[tuple[int, tuple]]:
+    """Each Borel-closed mask of degree-d positions that contains the
+    Borel-closed mask ``forced``, with its monomials outside ``forced``, in
+    a fixed order: a free position whose moves are all chosen is first
     taken and then left out."""
-    monos = monomials_of_degree(n, d)
-    parents = _borel_parents(n, d)
-    must = [m in forced for m in monos]
-    choice = [False] * len(monos)
-
-    def rec(k: int) -> Iterator[frozenset[Monomial]]:
+    monos, moves = monomials_of_degree(n, d), _borel_masks(n, d)[0]
+    stack = [(0, forced, ())]
+    while stack:
+        k, chosen, fresh = stack.pop()
+        while k < len(monos) and (chosen >> k & 1 or moves[k] & ~chosen):
+            k += 1
         if k == len(monos):
-            yield frozenset(m for m, c in zip(monos, choice) if c)
-            return
-        if all(choice[p] for p in parents[k]):
-            choice[k] = True
-            yield from rec(k + 1)
-        if not must[k]:
-            choice[k] = False
-            yield from rec(k + 1)
-        choice[k] = False
-
-    if sum(must) == len(forced):  # else some forced monomial is not of degree d
-        yield from rec(0)
+            yield chosen, fresh
+        else:
+            stack.append((k + 1, chosen, fresh))
+            stack.append((k + 1, chosen | 1 << k, fresh + (monos[k],)))
 
 
 def enumerate_borel_ideals(n: int, maxdeg: int) -> Iterator[MonomialIdeal]:
     """All nonzero Borel-fixed ideals in n variables whose minimal
-    generators have degree at most maxdeg."""
+    generators have degree at most maxdeg: degree by degree, and in each
+    degree the positions of ``monomials_of_degree`` in order, each taken
+    before it is left out."""
 
-    def shadow(monos: frozenset[Monomial]) -> frozenset[Monomial]:
-        return frozenset(m * variable(n, i) for m in monos for i in range(n))
-
-    def rec(d: int, prev: frozenset[Monomial], gens: list[Monomial]) -> Iterator[MonomialIdeal]:
+    def rec(d: int, forced: int, gens: tuple) -> Iterator[MonomialIdeal]:
         if d > maxdeg:
             if gens:
                 # Minimal already: no generator is in the shadow of a lower degree.
-                yield MonomialIdeal(n, tuple(sorted(gens, key=Monomial.deglex_key, reverse=True)))
+                yield MonomialIdeal(n, gens)
             return
-        forced = shadow(prev)
-        for chosen in _borel_closed_supersets(n, d, forced):
-            yield from rec(d + 1, chosen, gens + list(chosen - forced))
+        shadows = _borel_masks(n, d)[1] if d < maxdeg else ()
+        for chosen, fresh in _borel_closed_supersets(n, d, forced):
+            shadow = reduce(or_, (s for k, s in enumerate(shadows) if chosen >> k & 1), 0)
+            # Degrees from high to low give descending degree-lex.
+            yield from rec(d + 1, shadow, fresh + gens)
 
-    yield from rec(1, frozenset(), [])
+    yield from rec(1, 0, ())

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from timing import budget
 
 from liaison.hilbert import (
     HVector,
@@ -55,11 +56,6 @@ WORKED_H = (1, 3, 6, 10, 4, 2)
 
 def ideal(n, *gens):
     return MonomialIdeal.from_gens(n, [Monomial(tuple(g)) for g in gens])
-
-
-def budget(label, elapsed, limit):
-    assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
-    print(f"PASS {label} ({elapsed:.2f}s < {limit}s)")
 
 
 def test_criterion_1_worked_example_table():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from timing import budget
 
 from liaison.hilbert import (
     _pivot_numerator,
@@ -177,10 +178,6 @@ def pivot_values(J, dmax):
     """h(0..dmax) from Bigatti's pivot recursion, whatever the ideal."""
     num = _pivot_numerator([g.exps for g in J.gens])
     return tuple(hilbert_value(num, J.n, d) for d in range(dmax + 1))
-
-
-def budget(label, elapsed, limit):
-    assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
 
 
 class TestClosedForms:

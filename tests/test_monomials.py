@@ -9,6 +9,8 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_borel import reference_borel_ideals
+from timing import budget
 
 from liaison.monomials import (
     Monomial,
@@ -45,10 +47,6 @@ def scanned_lex_segment_violation(J):
             elif seen_outside is None:
                 seen_outside = m
     return None
-
-
-def budget(label, elapsed, limit):
-    assert elapsed < limit, f"{label}: {elapsed:.1f}s exceeds {limit}s budget"
 
 
 def mono(*exps):
@@ -241,7 +239,7 @@ class TestBorelAndLex:
         # distinct ideals only
         assert len({J.gens for J in ideals}) == len(ideals)
 
-    @pytest.mark.parametrize("n, maxdeg", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n, maxdeg", [(2, 3), (3, 2), (2, 4)])
     def test_enumerate_borel_complete(self, n, maxdeg):
         monos = [m for d in range(1, maxdeg + 1) for m in monomials_of_degree(n, d)]
         brute = set()
@@ -250,6 +248,13 @@ class TestBorelAndLex:
             if is_borel_fixed(J):
                 brute.add(J.gens)
         assert {J.gens for J in enumerate_borel_ideals(n, maxdeg)} == brute
+
+    @pytest.mark.parametrize("n, maxdeg, count", [(5, 3, 2429), (3, 5, 2429), (2, 8, 510)])
+    def test_enumeration_matches_reference(self, n, maxdeg, count):
+        # The whole sequence, order included, beyond the pinned range.
+        ideals = list(enumerate_borel_ideals(n, maxdeg))
+        assert len(ideals) == count
+        assert ideals == list(reference_borel_ideals(n, maxdeg))
 
     def test_enumeration_order_is_pinned(self, borel_ideals):
         # Samples of this sequence are benchmark inputs, drawn by position.
