@@ -170,7 +170,10 @@ def cmd_analyze(args) -> int:
         "cm_borel": cm,
     })
 
-    D = decompose(J)
+    try:
+        D = decompose(J)
+    except ValueError as exc:
+        raise InputError(str(exc))
     lines.append(f"layer decomposition along x1: alpha = {D.alpha}")
     layer_json = []
     for j, I in enumerate(D.layers):

@@ -1,5 +1,11 @@
 """The x1-layer decomposition J = sum_j x1^j * (I_j * S) and the Hilbert
-function recursion it induces."""
+function recursion it induces.
+
+The layers are read off J's minimal generators g: I_j, the restriction of
+J : x1^j to k[x2..xn], is generated by the g with g_1 <= j, x1 dropped.
+J : x1^j is generated by the g / gcd(g, x1^j); those with g_1 <= j are
+free of x1, the others keep a power of it, and a monomial ideal meets
+k[x2..xn] in the ideal of its x1-free generators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,6 +19,10 @@ from .monomials import (
     is_borel_fixed,
     variable,
 )
+
+# Most layers ``decompose`` builds: one per power of x1 up to the largest
+# in a generator, so (x1^a, ...) has a + 1 of them.
+LAYER_LIMIT = 10**5
 
 
 class DecompositionError(ValueError):
@@ -57,14 +67,31 @@ class LayerDecomposition:
 
 def decompose(J: MonomialIdeal) -> LayerDecomposition:
     """Layer decomposition along x_1: I_j = (J : x_1^j) restricted to the
-    subring on x_2..x_n."""
+    subring on x_2..x_n, read off the minimal generators g of J.
+
+    I_j is generated by the g / x_1^(g_1) with g_1 <= j: J : x_1^j is
+    generated by the g / gcd(g, x_1^j), which are free of x_1 exactly when
+    g_1 <= j, and a monomial ideal meets k[x_2..x_n] in the ideal of its
+    x_1-free generators.  One sweep by x_1-exponent builds the chain: I_j
+    is I_{j-1} plus the images of the g with g_1 = j, minimalized.  More
+    than LAYER_LIMIT layers is a ValueError, raised before any is built.
+    """
     n = J.n
+    if n < 1:
+        raise ValueError("a layer decomposition needs at least one variable")
     alpha = max((g.exps[0] for g in J.gens), default=0)
-    rest = tuple(range(1, n))
-    layers = tuple(
-        J.colon(variable(n, 0, j)).restrict(rest) for j in range(alpha + 1)
-    )
-    D = LayerDecomposition(J, alpha, layers)
+    if alpha + 1 > LAYER_LIMIT:
+        raise ValueError(f"{alpha + 1} layers along x1, more than LAYER_LIMIT = {LAYER_LIMIT}")
+    images: dict[int, list[Monomial]] = {}
+    for g in J.gens:
+        images.setdefault(g.exps[0], []).append(Monomial(g.exps[1:]))
+    layer = MonomialIdeal.zero(n - 1)
+    layers = []
+    for j in range(alpha + 1):
+        if j in images:
+            layer = MonomialIdeal.from_gens(n - 1, layer.gens + tuple(images[j]))
+        layers.append(layer)
+    D = LayerDecomposition(J, alpha, tuple(layers))
     if not D.chain_holds():
         raise DecompositionError("layer chain I_0 <= ... <= I_alpha violated")
     if _layer_sum(D) != J:

@@ -37,7 +37,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .hilbert import difference, hilbert_function, hilbert_function_artinian, partial_sum
 from .monomials import Monomial, MonomialIdeal, is_artinian, json_int, standard_monomials
@@ -447,7 +447,10 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     every j on the chart u = 1, in the rows' own variables and u (a matrix
     with its first rows dropped lifts to the cone over these points).
     Verifies that the points are pairwise distinct and that every lifted
-    generator vanishes on every point.
+    generator vanishes on every point.  ``prime`` is prime, so a product
+    of forms vanishes at a point iff one of its factors does: each form
+    is evaluated once per point, and a generator passes at a point on its
+    first vanishing factor.
     The number of points, the sum of J's Hilbert function, is read from
     its closed form first: more than POINT_LIMIT is a MatrixError, raised
     before any point is built.
@@ -487,15 +490,13 @@ def point_model(J: MonomialIdeal, A: LiftingMatrix,
     if len(set(points)) != len(points):
         raise MatrixError("point model produced coincident points")
 
+    tails = {f: A.rows[f[0]][f[1]].coeffs[offset:]
+             for f in {f for g in generators for f in g.factors}}
+    vanishing = [{f for f, tail in tails.items() if sum(map(mul, tail, pt)) % prime == 0}
+                 for pt in points]
     for g in generators:
-        for pt in points:
-            value = 1
-            for r, c in g.factors:
-                form = A.rows[r][c]
-                value = (value * sum(
-                    fc * pc for fc, pc in zip(form.coeffs[offset:], pt)
-                )) % prime
-            if value != 0:
+        for pt, zeros in zip(points, vanishing):
+            if not any(f in zeros for f in g.factors):
                 raise MatrixError(
                     f"lifted generator of {g.source} does not vanish at {pt}"
                 )

@@ -603,6 +603,15 @@ class TestUnboundedInputs:
         assert err.startswith("error: horizon dmax ") and err.count("\n") == 1
         assert "columns wide" in err
 
+    # (x1^400000, x2^3) has 400 001 layers along x1, and the time and memory
+    # of building them grow linearly with the exponent: refused before any.
+    def test_more_layers_than_the_limit_is_input_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[400000, 0], [0, 3]]}))
+        code, out, err = run_bounded("analyze", path, timeout=10)
+        assert (code, out) == (2, "")
+        assert err == "error: 400001 layers along x1, more than LAYER_LIMIT = 100000\n"
+
     def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
         # An input below every ceiling can still need more memory than the
         # host has: the MemoryError is exit 2 and one line.

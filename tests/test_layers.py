@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from liaison.layers import (
     layer_hvectors,
     recompose,
 )
-from liaison.monomials import Monomial, MonomialIdeal, variable
+from liaison.monomials import Monomial, MonomialIdeal, is_borel_fixed, variable
+from timing import budget
 
 
 def ideal(n, *gens):
@@ -71,6 +73,48 @@ class TestDecompose:
         )
         with pytest.raises(DecompositionError):
             recompose(bad)
+
+
+def colon_restrict_layers(J):
+    """The layers by their definition, (J : x1^j) restricted to x2..xn."""
+    n = J.n
+    alpha = max((g.exps[0] for g in J.gens), default=0)
+    return tuple(J.colon(variable(n, 0, j)).restrict(range(1, n)) for j in range(alpha + 1))
+
+
+class TestLayersOffGenerators:
+    """``decompose`` reads the layers off J's minimal generators; the
+    reference computes each by a colon and a restriction."""
+
+    def test_criterion_5_ideals(self, borel_ideals):
+        t0 = time.time()
+        for J in borel_ideals:
+            assert decompose(J).layers == colon_restrict_layers(J), J
+        budget(f"layers of {len(borel_ideals)} Borel ideals against colon + restrict",
+               time.time() - t0, 30)
+
+    def test_random_non_borel_ideals(self):
+        rng = random.Random(24)
+        checked = 0
+        t0 = time.time()
+        while checked < 300:
+            J = random_ideal(rng, rng.randint(2, 5))
+            if is_borel_fixed(J):
+                continue
+            assert decompose(J).layers == colon_restrict_layers(J), J
+            checked += 1
+        budget("layers of 300 non-Borel ideals against colon + restrict", time.time() - t0, 5)
+
+    @pytest.mark.parametrize("J", [
+        MonomialIdeal.zero(3), MonomialIdeal.unit(3), MonomialIdeal.zero(1),
+        MonomialIdeal.unit(1), ideal(1, (4,)), ideal(2, (0, 3)), ideal(3, (0, 1, 0)),
+    ], ids=str)
+    def test_degenerate_and_one_variable_ideals(self, J):
+        assert decompose(J).layers == colon_restrict_layers(J)
+
+    def test_no_variable_is_refused(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            decompose(MonomialIdeal.zero(0))
 
 
 class TestHilbertRecursion:

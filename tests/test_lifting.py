@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from buchberger_z import buchberger_failure
 
+from liaison import lifting
 from liaison.hilbert import (
     HVector,
     difference,
@@ -428,6 +429,16 @@ class TestPointModel:
             A = default_matrix(n, "t-lift", seed=rng.randint(0, 99), ncols=4, t=1)
             pts = point_model(J, A)
             assert len(pts.points) == sum(hilbert_function_artinian(J).values)
+
+    def test_point_off_its_slice_is_an_error(self, monkeypatch):
+        # Negative control: the point of 1 is moved to the slice of x1^4,
+        # which lies in J, so the lifted x1^4 has no factor vanishing there.
+        real = lifting.standard_monomials
+        monkeypatch.setattr(lifting, "standard_monomials",
+                            lambda J, d: real(J, d) if d else (Monomial((4, 0, 0)),))
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        with pytest.raises(MatrixError, match=r"^lifted generator of x1\^4 does not vanish at \("):
+            point_model(WORKED_J, A)
 
     def test_requires_artinian(self):
         A = default_matrix(2, "t-lift", seed=0, ncols=4, t=1)
