@@ -304,7 +304,7 @@ def _lex_position(e: tuple[int, ...]) -> int:
     descending lex order: the number of larger ones, which agree with it
     before some variable i and exceed it there.  That is the sum over
     i < n - 1 of C(m_i + n - 2 - i, n - 1 - i), m_i being the degree left
-    after variable i (the sum ``oracle._lex_rank_table`` tabulates)."""
+    after variable i."""
     n = len(e)
     left = sum(e)
     position = 0
