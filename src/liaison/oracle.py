@@ -28,13 +28,13 @@ they compare has degree at most dmax: both then decide the ideals
 themselves, in every degree.
 
 No certificate calls the matrices of this module.  ``linkage.py`` reads
-its Hilbert functions, containments and equalities off Gröbner bases
-over F_p (``lifting.GroebnerBasis``), exact in every degree, and
-``verify_lift`` proves its Hilbert rows by the lifting theorem.  The oracle
-is the tier-1 reference for both: tests compare every answer a
-certificate reads off a basis, on the worked certificate and on the 94
-certificates of the Borel sweep, and every ``verify_lift`` row, with it
-at 32003 and at 65537.  The benchmark's gate on the worked lift reads
+its Hilbert functions off closed-form initial ideals and decides its
+containments and equalities by terms, factor lists and leading
+monomials, exact in every degree, and ``verify_lift`` proves its Hilbert
+rows by the lifting theorem.  The oracle is the tier-1 reference for
+both: tests compare every Hilbert function and containment answer of
+the worked certificate and of the 94 certificates of the Borel sweep,
+and every ``verify_lift`` row, with it at 32003 and at 65537.  The benchmark's gate on the worked lift reads
 its first difference from ``hilbert_oracle``.  No matrix is kept from one
 call to the next.
 """

@@ -1,11 +1,12 @@
 """Buchberger's criterion over Z: the check ``verify_lift`` made before
 the lifting theorem replaced it, kept as the independent reference of the
-theorem on random shape-valid matrices (``test_lifting.py``)."""
+theorem on random shape-valid matrices (``test_lifting.py``).  Its
+S-polynomials and term keys are those of ``buchberger_fp``."""
 import itertools
 import math
 from operator import sub
 
-from liaison.lifting import (
+from buchberger_fp import (
     _coprime,
     _divisor,
     _keyed,

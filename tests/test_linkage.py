@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liaison import lifting, linkage, oracle
+from buchberger_fp import GroebnerBasis
+from liaison import linkage, oracle
 from liaison.cli import main
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.layers import decompose
@@ -77,28 +78,20 @@ def colon_failure(gens, f, p):
 
 
 @pytest.fixture
-def bases(monkeypatch):
-    """Every Gröbner basis the certificates compute or take as proven, as
-    (generator key, basis), in order; a Macaulay matrix is refused."""
+def proven(monkeypatch):
+    """Every ideal the certificates build with its generators' factors, as
+    (generator key, ideal), in order; a Macaulay matrix is refused."""
     made = []
-    real = linkage.GroebnerBasis
+    real = PolyIdeal._prove
 
-    def recording(gens, *args):
-        basis = real(gens, *args)
-        made.append((gens_key(gens), basis))
-        return basis
-
-    def proven(gens, *args):
-        basis = real.proven(gens, *args)
-        made.append((gens_key(gens), basis))
-        return basis
-
-    recording.proven = proven
+    def recording(ideal, *args):
+        made.append((gens_key(ideal.gens), ideal))
+        return real(ideal, *args)
 
     def refuse(*args):
         raise AssertionError("a Macaulay matrix was built")
 
-    monkeypatch.setattr(linkage, "GroebnerBasis", recording)
+    monkeypatch.setattr(PolyIdeal, "_prove", recording)
     monkeypatch.setattr(oracle, "_degree_rows", refuse)
     return made
 
@@ -139,17 +132,25 @@ class TestBasicDoubleLink:
         with pytest.raises(LinkageError, match="gorenstein"):
             basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), 6, P)
 
-    def test_given_result_hilbert_is_checked(self):
+    def test_result_initial_ideal_is_the_closed_form(self):
+        # in(I) + lead(f)·in(J) = (x1^2) + u·(x1, x2), as the reference
+        # Buchberger run finds, and its closed form is the result's h.
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        form = linear_form_poly((0, 0, 1), P)
-        h = basic_double_link(curve, divisor, form, 8, P).result.hilbert(8, P)
-        link = basic_double_link(curve, divisor, form, 8, P, result_hilbert=h)
-        assert all(c.passed for c in link.checks)
-        wrong = HVector.truncated(h.values[:3] + (h.values[3] + 1,) + h.values[4:], 8)
-        with pytest.raises(LinkageError, match="hilbert-identity"):
-            basic_double_link(curve, divisor, form, 8, P, result_hilbert=wrong)
+        result = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), 8, P).result
+        want = ideal(3, (2, 0, 0), (1, 0, 1), (0, 1, 1))
+        assert result.initial_ideal(()) == want
+        assert GroebnerBasis(result.gens, 3, (), P).initial_ideal() == want
+        assert result.hilbert(8) == hilbert_oracle(result.gens, 8, 3, P)
+
+    def test_forms_built_by_hand_have_no_closed_form(self):
+        # Case (A) proves the colon, but no theorem gives the base an
+        # initial ideal: the result's is refused, naming the missing proof.
+        base = PolyIdeal(3, ({(2, 0, 0): 1, (1, 1, 0): 2},), 1, "lifted-generic", "hand")
+        divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
+        with pytest.raises(LinkageError, match="^no theorem gives hand an initial ideal in revlex$"):
+            basic_double_link(base, divisor, {(0, 0, 1): 1}, 6, P)
 
 
 def worked_flag(prime):
@@ -159,7 +160,7 @@ def worked_flag(prime):
     D = decompose(WORKED_J)
     Ap = A.drop_first_row()
     vees = [
-        PolyIdeal.from_lifted(lift_ideal(D.layers[j], Ap), 2, prime, f"I{j}")
+        PolyIdeal.from_lifted(lift_ideal(D.layers[j], Ap, prime), 2, prime, f"I{j}")
         for j in range(D.alpha)
     ]
     forms = [
@@ -193,7 +194,7 @@ class TestHypersurfaceChain:
         vees, forms = worked_flag(prime)
         hypersurface_chain(vees, forms, 9, prime)  # the colon checks pass here
         for v, f, w in zip(reversed(vees), forms, sections(vees, forms, prime)):
-            assert linkage._section_hilbert(v, f, 9, prime) == hilbert_oracle(w, 9, v.N, prime)
+            assert linkage._section_hilbert(v, f, 9) == hilbert_oracle(w, 9, v.N, prime)
 
     def test_section_hilbert_read_only_after_colon_checks(self, monkeypatch):
         read = []
@@ -219,16 +220,16 @@ class TestHypersurfaceChain:
             hypersurface_chain(vees, forms, 9, P)
         assert read == []
 
-    def test_sections_after_the_first_not_eliminated(self, bases):
+    def test_sections_after_the_first_not_eliminated(self, proven):
         # Each h_{W_i} is read off h_{V_i}; only W_1, the first link's
-        # divisor, gets a Gröbner basis, in the build and in the replay,
-        # and no section a Macaulay matrix.
+        # divisor, is built as an ideal, in the build and in the replay,
+        # and no section gets a Macaulay matrix.
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         cert = glicci_certificate_artinian(WORKED_J, A)
         assert verify_certificate(cert).ok
         [step] = cert.steps
         ws = [gens_key(w) for w in sections(step.chain.vees, step.chain.forms, P)]
-        keys = [key for key, _ in bases]
+        keys = [key for key, _ in proven]
         assert len(ws) >= 3 and keys.count(ws[0]) == 2  # build and replay
         assert not set(ws[1:]) & set(keys)
 
@@ -276,13 +277,15 @@ class TestColonProof:
                 == "leading monomial x1^2 of generator 1 involves x1")
 
     def test_base_that_is_not_a_basis_fails(self):
+        # Case (B) needs a theorem that gives the forms an initial ideal:
+        # without one the reason names it, and no basis is completed.
         x3 = {(0, 0, 1): 1}
-        assert (colon_failure(NOT_A_BASIS, x3, P)
-                == "S-pair of generators 1 and 2 does not reduce to 0")
+        reason = "no theorem gives the ideal an initial ideal in revlex with x3 last"
+        assert colon_failure(NOT_A_BASIS, x3, P) == reason
         assert oracle.colon_stability_failure(list(NOT_A_BASIS), x3, 4, 3, P) == 2
         base = PolyIdeal(3, NOT_A_BASIS, 2, "lifted-generic")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        with pytest.raises(LinkageError, match="colon-stable: S-pair of generators 1 and 2"):
+        with pytest.raises(LinkageError, match=f"^colon-stable: {reason}$"):
             basic_double_link(base, divisor, x3, 5, P)
 
     def test_multiplier_in_neither_case_fails(self):
@@ -311,31 +314,36 @@ class TestOracleLeavesTheCertificates:
         for J in sweep_ideals():
             assert verify_certificate(glicci_certificate_borel(J)).ok, J
 
-    def test_each_generator_set_is_read_once(self, bases):
-        # One basis per ideal: the four layer lifts and the direct lift,
-        # proven by the lifting theorem, and W_1, Z_2, Z_3 and Z_4, by one
-        # Buchberger run each.  Each is already a basis.
+    def test_each_generator_set_is_read_once(self, proven):
+        # One initial ideal per ideal: the four layer lifts and the direct
+        # lift, by the lifting theorem, R, the divisor of W_1, and W_1, Z_2,
+        # Z_3 and Z_4, by the closed form of a link.
         cert = worked_certificate()
-        built = bases[:]
-        del bases[:]
+        built = proven[:]
+        del proven[:]
         assert verify_certificate(cert).ok
         keys = [key for key, _ in built]
-        assert len(keys) == len(set(keys)) == 9
-        assert all(basis.failure is None for _, basis in built)
-        # The replay recomputes what the build computed.
-        assert [key for key, _ in bases] == keys
+        assert len(keys) == len(set(keys)) == 10
+        for _, ideal in built:
+            ideal.initial_ideal((3,))  # proven in revlex with u last, or raises
+        # The replay recomputes what the build computed, sharing nothing.
+        assert [key for key, _ in proven] == keys
+        assert not {id(i) for _, i in built} & {id(i) for _, i in proven}
 
     def test_memo_is_not_a_field(self):
         v = PolyIdeal.from_monomial(SQUARE)
         fresh = PolyIdeal.from_monomial(SQUARE)
-        assert v.hilbert(4, P) is v.hilbert(4, P)
+        assert v.hilbert(4) is v.hilbert(4)
         assert v == fresh and v.to_json() == fresh.to_json()
-        assert "_hilbert" not in dataclasses.replace(v).__dict__
+        copy = dataclasses.replace(v)
+        assert not {"_hilbert", "_initial", "_factors"} & copy.__dict__.keys()
+        with pytest.raises(LinkageError, match="no theorem gives the ideal"):
+            copy.hilbert(4)
 
 
 class TestLiftingTheoremBases:
-    """Every lifted ideal of a certificate takes its generators as its
-    Gröbner basis, by the lifting theorem; a full Buchberger run agrees."""
+    """Every lifted ideal of a certificate takes its source as its initial
+    ideal, by the lifting theorem; a full Buchberger run agrees."""
 
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_full_run_agrees_on_every_lifted_ideal(self, prime, monkeypatch):
@@ -355,19 +363,18 @@ class TestLiftingTheoremBases:
         # of each of the 45 bilinks.
         assert len(lifted) == 5 + 45
         for ideal, last in lifted:
-            proven = ideal.__dict__["_groebner"][prime, last]
-            assert proven.failure is None and proven.work == 0
-            full = lifting.GroebnerBasis(ideal.gens, ideal.N, last, prime)
+            full = GroebnerBasis(ideal.gens, ideal.N, last, prime)
             assert full.failure is None, ideal.label
-            assert full.initial_ideal() == proven.initial_ideal(), ideal.label
-            assert full.basis == proven.basis, ideal.label
+            assert full.initial_ideal() == ideal.initial_ideal(last), ideal.label
 
     def test_no_basis_is_proven_at_another_prime(self):
-        # The layers are validated at 32003, the basis asked for at 65537.
-        vees, _ = worked_flag(65537)
-        assert all("_groebner" not in v.__dict__ for v in vees)
-        vees, _ = worked_flag(P)
-        assert all(v.__dict__["_groebner"][P, (3,)].work == 0 for v in vees)
+        # A layer validated at 32003 and expanded at 65537 has no theorem.
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1).drop_first_row()
+        lifted = lift_ideal(decompose(WORKED_J).layers[0], A)
+        other = PolyIdeal.from_lifted(lifted, 2, 65537, "I0")
+        with pytest.raises(LinkageError, match="^no theorem gives I0 an initial ideal$"):
+            other.hilbert(9)
+        assert PolyIdeal.from_lifted(lifted, 2, P).initial_ideal((3,)) == lifted.initial_ideal()
 
 
 class TestStripX1:
@@ -409,32 +416,28 @@ class TestBorelCertificate:
         assert not cert.steps
         assert verify_certificate(cert).ok
 
-    def test_links_only_after_bar_j_equals_j(self, monkeypatch):
-        linked = []
-        monkeypatch.setattr(linkage, "_ideals_equal", lambda *args: False)
-        monkeypatch.setattr(linkage, "basic_double_link",
-                            lambda *args, **kwargs: linked.append(args))
-        with pytest.raises(LinkageError, match="bar-j-equals-j"):
+    def test_bar_j_equals_j_checks_the_terms_over_z(self, monkeypatch):
+        # Every term of bar I_0 made x2: in I', so obs3 passes, but not in
+        # J = (x1, x2, x3)^2, so bar I_0 + x1 * I' is not inside J.
+        monkeypatch.setattr(linkage, "expand", lambda g, A, p: {(0, 1, 0): 1})
+        with pytest.raises(LinkageError, match="^bar-j-equals-j: failed$"):
             glicci_certificate_borel(SQUARE)
-        assert linked == []
 
-    def test_link_result_eliminated_only_in_js_generator_degrees(self, bases):
-        # Once bar J = J is proven, the link's Hilbert function is J's, in
-        # closed form.  bar I_0 + x1 * I' gets one Gröbner basis, with x1
-        # last, for the containment of J in it, in the build and in the
-        # replay, and is already a basis; bar I_0's basis serves both its
-        # colon check and its Hilbert function.
+    def test_link_result_has_js_closed_form(self, proven):
+        # bar I_0 + x1 * I' gets the initial ideal I_0 + x1 * I' = J, with
+        # x1 last, once in the build and once in the replay; bar I_0 its
+        # source by the lifting theorem.
         linked = 0
         for J in sweep_ideals():
-            del bases[:]
+            del proven[:]
             cert = glicci_certificate_borel(J)
             assert verify_certificate(cert).ok  # the replay too
             for step in cert.steps:
                 if step.kind == "bilink":
+                    assert step.link.result.initial_ideal((0,)) == step.source
                     for ideal in (step.link.result, step.link.base):
-                        made = [b for k, b in bases if k == gens_key(ideal.gens)]
+                        made = [i for k, i in proven if k == gens_key(ideal.gens)]
                         assert len(made) == 2, step.source
-                        assert all(b.order[0] == 0 and b.failure is None for b in made)
                     linked += 1
         assert linked == 45
 
@@ -469,23 +472,23 @@ class TestArtinianCertificate:
 
 
 class TestHorizonCoversComparedGenerators:
-    """Every containment and equality a certificate checks is decided by
-    normal forms against a Gröbner basis, in every degree, and builds no
-    Macaulay matrix.  Every generator compared has degree at most the
+    """Every containment a certificate checks is decided in every degree,
+    by terms, factor lists or leading monomials, and builds no Macaulay
+    matrix.  Every generator compared has degree at most the
     certificate's horizon, so the oracle's answer through it decides the
     same question (``TestGroebnerAgreesWithTheOracle``)."""
 
     @pytest.fixture
-    def compared(self, monkeypatch, bases):
+    def compared(self, monkeypatch, proven):
         seen = []
-        real = linkage._outside
+        real = linkage._first_outside
 
-        def recording(gens, ideal, p, last):
-            top = max(map(poly_degree, (*gens, *ideal.gens)), default=-1)
+        def recording(part, ideal, p, last):
+            top = max(map(poly_degree, (*part.gens, *ideal.gens)), default=-1)
             seen.append(top)
-            return real(gens, ideal, p, last)
+            return real(part, ideal, p, last)
 
-        monkeypatch.setattr(linkage, "_outside", recording)
+        monkeypatch.setattr(linkage, "_first_outside", recording)
         return seen
 
     @staticmethod
@@ -495,9 +498,9 @@ class TestHorizonCoversComparedGenerators:
     def test_worked_certificate(self, compared):
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
         cert = glicci_certificate_artinian(WORKED_J, A)
-        # Three flag inclusions, three links' containments, both ways of
-        # chain-equals-direct-lift.
-        assert len(compared) == 8
+        # Three flag inclusions, three links' containments, and the direct
+        # lift inside Z_4 for chain-equals-direct-lift.
+        assert len(compared) == 7
         self.assert_within_horizon(cert, compared)
 
     def test_sweep_certificates(self, compared):
@@ -507,60 +510,69 @@ class TestHorizonCoversComparedGenerators:
             del compared[:]
             cert = glicci_certificate_borel(J)
             bilinks = sum(s.kind == "bilink" for s in cert.steps)
-            # Each bilink: bar-j-equals-j both ways, the link's containment.
-            assert len(compared) == 3 * bilinks
+            # Each bilink: the link's containment; bar-j-equals-j checks
+            # the terms of bar I_0 that obs3 expands.
+            assert len(compared) == bilinks
             if bilinks:
                 self.assert_within_horizon(cert, compared)
 
 
 class TestGroebnerAgreesWithTheOracle:
-    """Every Hilbert function and containment answer a certificate reads
-    off a Gröbner basis over F_p equals the Macaulay oracle's through the
-    certificate's horizon, on the worked certificate and the 94 sweep
-    certificates, at two primes."""
+    """Every Hilbert function a certificate reads off a closed-form initial
+    ideal, and every containment answer it proves, equals the Macaulay
+    oracle's through the certificate's horizon, on the worked certificate
+    and the 94 sweep certificates, at two primes."""
 
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_every_answer(self, prime, monkeypatch):
-        hilberts, containments = [], []
-        real_hilbert, real_outside = PolyIdeal.hilbert, linkage._outside
+        hilberts, containments = {}, []
+        real_hilbert, real_outside = PolyIdeal.hilbert, linkage._first_outside
 
-        def hilbert(ideal, dmax, p, last):
-            h = real_hilbert(ideal, dmax, p, last)
-            hilberts.append((ideal, dmax, p, h))
+        def hilbert(ideal, dmax):
+            h = real_hilbert(ideal, dmax)
+            hilberts[id(ideal), dmax] = (ideal, dmax, h)  # one value per ideal
             return h
 
-        def outside(gens, ideal, p, last):
-            fail = real_outside(gens, ideal, p, last)
-            containments.append((gens, ideal, p, fail))
+        def outside(part, ideal, p, last):
+            fail = real_outside(part, ideal, p, last)
+            containments.append((part.gens, ideal, p, fail))
             return fail
 
         monkeypatch.setattr(PolyIdeal, "hilbert", hilbert)
-        monkeypatch.setattr(linkage, "_outside", outside)
+        monkeypatch.setattr(linkage, "_first_outside", outside)
         counted = [0, 0]
         for build in [lambda: worked_certificate(prime)] + [
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
-            del hilberts[:], containments[:]
+            hilberts.clear()
+            del containments[:]
             cert = build()
-            for ideal, dmax, p, h in hilberts:
-                assert p == prime and dmax == cert.dmax
-                assert h == hilbert_oracle(ideal.gens, dmax, ideal.N, p), ideal.label
+            for ideal, dmax, h in hilberts.values():
+                assert dmax == cert.dmax
+                assert h == hilbert_oracle(ideal.gens, dmax, ideal.N, prime), ideal.label
             for gens, ideal, p, fail in containments:
+                assert p == prime
                 assert fail == containment_failure(gens, ideal.gens, cert.dmax, ideal.N, p)
             counted[0] += len(hilberts)
             counted[1] += len(containments)
-        # The worked chain: 3 per link, 4 sections and Z; 8 containments.
-        # Each of the 45 bilinks: 2 Hilbert functions, 3 containments.
-        assert counted == [3 * 3 + 4 + 1 + 2 * 45, 8 + 3 * 45]
+        # The worked chain: V_1..V_4, W_1 and Z_2..Z_4; 7 containments.
+        # Each of the 45 bilinks: 3 Hilbert functions, 1 containment.
+        assert counted == [4 + 4 + 3 * 45, 7 + 45]
 
     def test_a_failing_containment_names_the_oracles_degree(self):
+        # Outside a lift by the same matrix, a form leads with a monomial
+        # outside its source; outside a monomial ideal, it has a term
+        # outside it.
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
-        B = default_matrix(2, "t-lift", seed=5, ncols=4, t=1)
-        point = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), B, codim=2)
-        for J in (ideal(2, (2, 0)), ideal(2, (2, 0), (1, 1)), ideal(2, (1, 0), (0, 1))):
-            gens = lifted_poly_ideal(J, A, codim=1).gens
-            fail = linkage._outside(gens, point, P)
-            assert fail is not None
-            assert fail == containment_failure(gens, point.gens, 4, 3, P)
+        point = lifted_poly_ideal(ideal(2, (2, 0), (0, 1)), A, codim=2)
+        line = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 2, 0)))
+        fails = set()
+        for J in (ideal(2, (1, 0)), ideal(2, (1, 1)), ideal(2, (1, 0), (0, 2))):
+            lifted = lifted_poly_ideal(J, A, codim=1)
+            for target in (point, line):
+                fail = linkage._first_outside(lifted, target, P)
+                assert fail == containment_failure(lifted.gens, target.gens, 4, 3, P)
+                fails.add(fail)
+        assert fails == {None, 1, 2}
 
 
 class TestCertificateSerialization:

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from buchberger_fp import GroebnerBasis
 from liaison import oracle
 from liaison.hilbert import (
     HVector,
@@ -12,7 +13,7 @@ from liaison.hilbert import (
     lex_ideal_from_hvector,
     macaulay_bound,
 )
-from liaison import linkage
+from liaison.lifting import InvalidMatrix, default_matrix, lift_ideal
 from liaison.linkage import (
     PolyIdeal,
     _colon_failure,
@@ -309,6 +310,11 @@ def form_in(rng, variables, N, d, p):
     return {m.exps: rng.randrange(1, p) for m in terms}
 
 
+# The reference Buchberger run over F_p (``buchberger_fp``) that the
+# certificates' closed forms are cross-checked with is itself checked
+# against the oracle here.
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 3])
 def test_groebner_answers_are_the_oracles(p):
     # Random forms are rarely a Gröbner basis, so completion runs; the
@@ -318,61 +324,86 @@ def test_groebner_answers_are_the_oracles(p):
     completed, outcomes = 0, set()
     for _ in range(40):
         N, gens, other = random_pair(rng, p)
-        ideal, another = PolyIdeal(N, tuple(gens), 0), PolyIdeal(N, tuple(other), 0)
-        assert ideal.hilbert(5, p) == hilbert_oracle(gens, 5, N, p), gens
-        for A, B in ((ideal, another), (another, ideal)):
-            fail = linkage._outside(A.gens, B, p)
-            assert fail == containment_failure(A.gens, B.gens, 5, N, p), (A.gens, B.gens)
+        bases = {id(g): GroebnerBasis(g, N, (), p) for g in (gens, other)}
+        initial = bases[id(gens)].initial_ideal()
+        assert hilbert_function(initial, 5) == hilbert_oracle(gens, 5, N, p), gens
+        for A, B in ((gens, other), (other, gens)):
+            fail = bases[id(B)].first_outside(A)
+            assert fail == containment_failure(A, B, 5, N, p), (A, B)
             outcomes.add(fail is None)
-        completed += ideal.groebner(p).failure is not None
+        completed += bases[id(gens)].failure is not None
     assert completed and outcomes == {True, False}
 
 
 def test_generators_all_zero_mod_p_leave_the_polynomial_ring():
     # p * x1 is zero mod p: no form is left, and R/I is R.
-    ideal = PolyIdeal(3, ({(1, 0, 0): P},), 0)
-    assert ideal.groebner(P).basis == []
-    assert ideal.hilbert(4, P) == hilbert_oracle(list(ideal.gens), 4, 3, P)
+    gens = [{(1, 0, 0): P}]
+    basis = GroebnerBasis(gens, 3, (), P)
+    assert basis.basis == []
+    assert hilbert_function(basis.initial_ideal(), 4) == hilbert_oracle(gens, 4, 3, P)
 
 
 def test_a_pruned_generator_that_leaves_a_remainder_is_completed():
     # x1 x2 + x3^2 leads with x1 x2, which x1 divides, and reduces to x3^2:
     # the forms are no basis, and the completed one is (x1, x3^2).
-    gens = ({(1, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1})
-    basis = PolyIdeal(3, gens, 0).groebner(P)
+    gens = [{(1, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1}]
+    basis = GroebnerBasis(gens, 3, (), P)
     assert basis.failure == "generator 2 does not reduce to 0 by those with minimal leading monomials"
     assert basis.initial_ideal() == MonomialIdeal.from_gens(
         3, [Monomial((1, 0, 0)), Monomial((0, 0, 2))])
-    assert PolyIdeal(3, gens, 0).hilbert(4, P) == hilbert_oracle(list(gens), 4, 3, P)
+    assert hilbert_function(basis.initial_ideal(), 4) == hilbert_oracle(gens, 4, 3, P)
 
 
 def test_pruned_generators_that_reduce_to_zero_keep_the_basis():
     # x1 (x1 + x2) leads with x1^2, a multiple of x1's lead, and is a
     # multiple of it: dropped, the forms left are a basis.
-    gens = ({(1, 0, 0): 1, (0, 1, 0): 1}, {(2, 0, 0): 1, (1, 1, 0): 1}, {(0, 0, 2): 1})
-    basis = PolyIdeal(3, gens, 0).groebner(P)
+    gens = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(2, 0, 0): 1, (1, 1, 0): 1}, {(0, 0, 2): 1}]
+    basis = GroebnerBasis(gens, 3, (), P)
     assert basis.failure is None and len(basis.basis) == 2
     assert basis.contains({(2, 0, 0): 1, (1, 1, 0): 1})
 
 
+def proven_ideal(rng, p):
+    """An ideal a theorem gives an initial ideal: a monomial ideal in some
+    of n variables, or its t = 1 lift; None when the matrix drawn fails
+    validation at p."""
+    n = rng.choice([2, 3])
+    used = rng.sample(range(n), rng.randint(1, n))
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.choice(used)] += 1
+        gens.append(Monomial(tuple(exps)))
+    J = MonomialIdeal.from_gens(n, gens)
+    if rng.random() < 0.5:
+        return PolyIdeal.from_monomial(J)
+    A = default_matrix(n, "t-lift", seed=rng.randrange(100), ncols=2, t=1)
+    try:
+        return PolyIdeal.from_lifted(lift_ideal(J, A, p), 0, p)
+    except InvalidMatrix:
+        return None
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 3])
 def test_colon_proof_is_sound(p):
-    # Generators in some of the variables; f a linear form or a power of
-    # one variable x_v.  Wherever the exact proof passes, the reference
+    # Ideals a theorem gives an initial ideal; f a linear form or a power
+    # of one variable x_v.  Wherever the exact proof passes, the reference
     # finds no failing degree.
     rng = random.Random(p + 29)
     outcomes = set()
     for _ in range(80):
-        N = rng.choice([3, 4])
-        used = rng.sample(range(N), rng.randint(1, N))
-        gens = [form_in(rng, used, N, rng.randint(1, 2), p) for _ in range(rng.randint(1, 2))]
+        ideal = proven_ideal(rng, p)
+        if ideal is None:
+            continue
+        N, gens = ideal.N, list(ideal.gens)
         v = None
         if rng.random() < 0.5:
             f = form_in(rng, range(N), N, 1, p)
         else:
             v = rng.randrange(N)
             f = {tuple(rng.randint(1, 2) * (k == v) for k in range(N)): rng.randrange(1, p)}
-        proven = _colon_failure(PolyIdeal(N, tuple(gens), 0), f, p) is None
+        proven = _colon_failure(ideal, f, p) is None
         if proven:
             assert colon_stability_failure(gens, f, 4, N, p) is None, (gens, f)
         outcomes.add((proven, v is not None and any(e[v] for g in gens for e in g)))
@@ -580,27 +611,22 @@ class TestScope:
         assert len(degree_row_calls) == 2
 
     def test_replay_recomputes_what_the_build_computed(self, degree_row_calls, monkeypatch):
-        # Certificates build no Macaulay matrix; the replay computes as
-        # many Gröbner bases as the build, sharing none with it.
+        # Certificates build no Macaulay matrix; the replay proves as many
+        # initial ideals as the build, of ideals of its own.
         made = []
-        real = linkage.GroebnerBasis
+        real = PolyIdeal._prove
 
-        def counting(*args):
-            made.append(real(*args))
-            return made[-1]
+        def counting(ideal, *args):
+            made.append(ideal)
+            return real(ideal, *args)
 
-        def proven(*args):  # the bases of lifts, by the lifting theorem
-            made.append(real.proven(*args))
-            return made[-1]
-
-        counting.proven = proven
-
-        monkeypatch.setattr(linkage, "GroebnerBasis", counting)
+        monkeypatch.setattr(PolyIdeal, "_prove", counting)
         cert = glicci_certificate_borel(SQUARE)
         built = len(made)
         report = verify_certificate(cert)
         assert report.ok
         assert built > 0 and len(made) == 2 * built
+        assert not {id(i) for i in made[:built]} & {id(i) for i in made[built:]}
         assert degree_row_calls == []
 
     # (x^2, xy) from generators that are not all single terms, and the same
