@@ -176,19 +176,24 @@ def cmd_analyze(args) -> int:
         raise InputError(str(exc))
     lines.append(f"layer decomposition along x1: alpha = {D.alpha}")
     layer_json = []
-    for j, I in enumerate(D.layers):
-        if I.is_unit:
-            hf_txt, hf_json = "(unit)", None
-        elif is_artinian(I):
-            hv = hilbert_function_artinian(I)
-            hf_txt, hf_json = _fmt_h(hv), hv.to_json()
-        else:
-            hf_txt, hf_json = "(not Artinian)", None
-        lines.append(f"  I_{j}: {I}  h = {hf_txt}")
-        layer_json.append({"index": j, "ideal": I.to_json(), "h": hf_json})
+    for j, (text, ideal_json, hf_json) in enumerate(D.map_runs(_layer_row)):
+        lines.append(f"  I_{j}: {text}")
+        layer_json.append({"index": j, "ideal": ideal_json, "h": hf_json})
     payload["layers"] = {"alpha": D.alpha, "entries": layer_json}
     _emit(args, lines, payload)
     return EXIT_OK
+
+
+def _layer_row(I: MonomialIdeal) -> tuple[str, dict, dict | None]:
+    """One layer's line after its index, its JSON and its h-vector's."""
+    if I.is_unit:
+        hf_txt, hf_json = "(unit)", None
+    elif is_artinian(I):
+        hv = hilbert_function_artinian(I)
+        hf_txt, hf_json = _fmt_h(hv), hv.to_json()
+    else:
+        hf_txt, hf_json = "(not Artinian)", None
+    return f"{I}  h = {hf_txt}", I.to_json(), hf_json
 
 
 def _t_lift_matrix(J: MonomialIdeal, seed: int, t: int = 1):

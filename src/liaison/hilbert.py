@@ -1,7 +1,14 @@
-"""Hilbert functions, Macaulay growth bounds and the lex-segment builder."""
+"""Hilbert functions, Macaulay growth bounds and the lex-segment builder.
+
+A Hilbert function is read off the numerator N(t) of the Hilbert series
+N(t) / (1 - t)^n: its values through a degree come from n running sums
+of N's coefficients, each one a division by 1 - t (``hilbert_values``),
+and a single degree from a sum of binomials (``hilbert_value``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .monomials import (
@@ -121,6 +128,33 @@ def _pivot_numerator(gens: list[tuple[int, ...]]) -> list[int]:
     return _add_shifted(_pivot_numerator(plus), _pivot_numerator(colon), e)
 
 
+@lru_cache(maxsize=None)
+def _ek_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row m - 1 holds the coefficients of -(1 - t)^(m - 1), m = 1..n: the
+    Eliahou-Kervaire term of a generator whose last variable is x_m."""
+    return tuple(tuple((-1) ** (k + 1) * comb(m, k) for k in range(m + 1)) for m in range(n))
+
+
+def _ek_numerator(J: MonomialIdeal) -> tuple[int, ...]:
+    """Eliahou-Kervaire numerator of a Borel-fixed J, which the caller has
+    proven Borel-fixed; without trailing zeros."""
+    n = J.n
+    rows = _ek_rows(n)
+    num = [1] + [0] * (J.max_gen_degree + n - 1)
+    for u in J.gens:
+        if not u.degree:  # the unit ideal
+            return ()
+        e = u.exps
+        last = n - 1
+        while not e[last]:
+            last -= 1
+        for k, c in enumerate(rows[last], u.degree):
+            num[k] += c
+    while num[-1] == 0:
+        num.pop()
+    return tuple(num)
+
+
 def hilbert_numerator(J: MonomialIdeal) -> tuple[int, ...]:
     """Coefficients N_0, N_1, ... of the numerator of the Hilbert series
     of S/J, sum_d h(d) t^d = N(t) / (1 - t)^n, without trailing zeros.
@@ -133,19 +167,9 @@ def hilbert_numerator(J: MonomialIdeal) -> tuple[int, ...]:
     """
     if J.is_unit:
         return ()
-    n = J.n
     if is_borel_fixed(J):
-        rows = [[(-1) ** (k + 1) * comb(m, k) for k in range(m + 1)] for m in range(n)]
-        num = [1] + [0] * (J.max_gen_degree + n - 1)
-        for u in J.gens:
-            e = u.exps
-            last = n - 1
-            while not e[last]:
-                last -= 1
-            for k, c in enumerate(rows[last], sum(e)):
-                num[k] += c
-    else:
-        num = _pivot_numerator([g.exps for g in J.gens])
+        return _ek_numerator(J)
+    num = _pivot_numerator([g.exps for g in J.gens])
     while num[-1] == 0:
         num.pop()
     return tuple(num)
@@ -159,23 +183,33 @@ def hilbert_value(numerator: tuple[int, ...], n: int, d: int) -> int:
     return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(numerator[: d + 1]))
 
 
+def hilbert_values(numerator: tuple[int, ...], n: int, length: int) -> list[int]:
+    """h(0), ..., h(length - 1) of N(t) / (1 - t)^n: N's first ``length``
+    coefficients under n running sums, each one a division by 1 - t."""
+    values = list(numerator[:length]) + [0] * (length - len(numerator))
+    for _ in range(n):
+        values = list(accumulate(values))
+    return values
+
+
 def hilbert_function(J: MonomialIdeal, dmax: int) -> HVector:
-    """h(d) = dim (S/J)_d for 0 <= d <= dmax, exact in every degree, as
-    sum_k N_k * C(d - k + n - 1, n - 1) from ``hilbert_numerator``:
-    Eliahou-Kervaire (1990) for Borel-fixed J, Bigatti (1997) otherwise."""
+    """h(d) = dim (S/J)_d for 0 <= d <= dmax, exact in every degree: the
+    numerator N(t) of ``hilbert_numerator`` (Eliahou-Kervaire 1990 for
+    Borel-fixed J, Bigatti 1997 otherwise) divided by (1 - t)^n through n
+    running sums (``hilbert_values``)."""
     num = hilbert_numerator(J)
-    return HVector.truncated([hilbert_value(num, J.n, d) for d in range(dmax + 1)], dmax)
+    return HVector.truncated(hilbert_values(num, J.n, dmax + 1), dmax)
 
 
 def hilbert_function_artinian(J: MonomialIdeal) -> HVector:
     """Full h-vector of an Artinian ideal, exact in every degree, as
-    sum_k N_k * C(d - k + n - 1, n - 1) from ``hilbert_numerator``:
-    Eliahou-Kervaire (1990) for Borel-fixed J, Bigatti (1997) otherwise.
-    N(t) / (1 - t)^n is then a polynomial of degree below len(N)."""
+    ``hilbert_function`` computes it: N(t) / (1 - t)^n is then a
+    polynomial of degree below len(N), so len(N) running-sum values
+    hold all of it."""
     if not is_artinian(J):
         raise ValueError(f"{J} is not Artinian: h-vector does not terminate")
     num = hilbert_numerator(J)
-    return HVector.artinian(hilbert_value(num, J.n, d) for d in range(len(num)))
+    return HVector.artinian(hilbert_values(num, J.n, len(num)))
 
 
 def macaulay_representation(v: int, d: int) -> list[tuple[int, int]]:

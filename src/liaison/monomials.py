@@ -227,10 +227,17 @@ class MonomialIdeal:
         """Intersection with the coordinate subring on the given variables.
 
         Keeps exactly the minimal generators supported inside ``variables``
-        and re-indexes them into a len(variables)-dimensional ambient.
+        and re-indexes them into a len(variables)-dimensional ambient.  A
+        repeated index, or one outside 0..n-1, is a ValueError.
         """
-        variables = tuple(sorted(variables))
-        inside = set(variables)
+        inside: set[int] = set()
+        for v in variables:
+            if not 0 <= v < self.n:
+                raise ValueError(f"variable index {v} outside 0..{self.n - 1}")
+            if v in inside:
+                raise ValueError(f"variable index {v} repeated")
+            inside.add(v)
+        variables = sorted(inside)
         keep = [g for g in self.gens if inside.issuperset(g.support)]
         reindexed = [Monomial(tuple(g.exps[v] for v in variables)) for g in keep]
         return MonomialIdeal.from_gens(len(variables), reindexed)

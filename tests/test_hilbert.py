@@ -1,11 +1,13 @@
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from timing import budget
 
 from liaison.hilbert import (
+    _ek_numerator,
     _pivot_numerator,
     HorizonError,
     HVector,
@@ -16,6 +18,7 @@ from liaison.hilbert import (
     hilbert_function_artinian,
     hilbert_numerator,
     hilbert_value,
+    hilbert_values,
     is_k_differentiable,
     is_o_sequence,
     lex_ideal_from_hvector,
@@ -237,3 +240,46 @@ class TestClosedForms:
         J = ideal(2, (5, 0), (0, 5))
         assert hilbert_function_artinian(J).values == (1, 2, 3, 4, 5, 4, 3, 2, 1)
         assert hilbert_function_artinian(J).values == enumerated_hilbert_function(J, 8)
+
+
+def binomial_sum(numerator, n, d):
+    """h(d) = sum_k N_k * C(d - k + n - 1, n - 1) written out; N_d for n = 0."""
+    if n == 0:
+        return numerator[d] if d < len(numerator) else 0
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(numerator) if k <= d)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("n", range(6))
+    def test_values_are_the_binomial_sums(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(200):
+            num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 8)))
+            length = rng.randint(0, 14)
+            want = [binomial_sum(num, n, d) for d in range(length)]
+            assert hilbert_values(num, n, length) == want, (num, n)
+            assert [hilbert_value(num, n, d) for d in range(length)] == want, (num, n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_hilbert_function_is_the_binomial_sum(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(40):
+            gens = []
+            for _ in range(rng.randint(1, 5)):
+                exps = [0] * n
+                for _ in range(rng.randint(1, 5)):
+                    exps[rng.randrange(n)] += 1
+                gens.append(Monomial(tuple(exps)))
+            J = MonomialIdeal.from_gens(n, gens)
+            num = hilbert_numerator(J)
+            dmax = J.max_gen_degree + n + 2
+            assert hilbert_function(J, dmax).values == tuple(
+                binomial_sum(num, n, d) for d in range(dmax + 1)), J
+
+    def test_eliahou_kervaire_needs_no_test_of_its_own(self, borel_ideals):
+        # ``decompose`` proves layers Borel-fixed and calls the formula
+        # directly; on a Borel-fixed ideal it is ``hilbert_numerator``.
+        for J in borel_ideals[::7]:
+            assert _ek_numerator(J) == hilbert_numerator(J), J
+        assert _ek_numerator(MonomialIdeal.unit(3)) == ()
+        assert _ek_numerator(MonomialIdeal.zero(0)) == (1,)

@@ -163,6 +163,23 @@ class TestMonomialIdeal:
         assert R == ideal(2, (2, 0), (1, 1))
         assert R.extend_front(1) == J
 
+    @pytest.mark.parametrize("variables, message", [
+        ([0, 0], "index 0 repeated"),
+        ((1, 2, 1), "index 1 repeated"),
+        ([5], "index 5 outside 0..2"),
+        ([3], "index 3 outside 0..2"),
+        ([2, -1], "index -1 outside 0..2"),
+    ])
+    def test_restrict_refuses_bad_variable_lists(self, variables, message):
+        J = ideal(3, (2, 0, 0), (0, 1, 1))
+        with pytest.raises(ValueError, match=message):
+            J.restrict(variables)
+
+    def test_restrict_takes_variables_in_any_order(self):
+        J = ideal(3, (2, 0, 0), (0, 1, 1), (0, 3, 0))
+        assert J.restrict([2, 1]) == J.restrict(range(1, 3)) == ideal(2, (1, 1), (3, 0))
+        assert J.restrict([]) == MonomialIdeal.zero(0)
+
     def test_json_roundtrip(self):
         J = ideal(3, (1, 2, 0), (0, 0, 3))
         assert MonomialIdeal.from_json(J.to_json()) == J
