@@ -400,9 +400,7 @@ class LiftedIdeal:
         theorem (module docstring), over F_p at the prime ``validation``
         passed the matrix at."""
         A = self.matrix
-        before, after = (0,) * (A.ambient_n - A.n_source), (0,) * A.t
-        return MonomialIdeal.from_gens(
-            A.N, (Monomial(before + g.exps + after) for g in self.source.gens))
+        return self.source.pad(A.ambient_n - A.n_source, A.t)
 
     def to_json(self) -> dict:
         return {

@@ -166,12 +166,12 @@ class PolyIdeal(_FieldCodec):
         N = N if N is not None else J.n
         if codim is None:
             codim = height(J)
-        pad = (0,) * (N - J.n)
-        exps = [g.exps + pad for g in J.gens]
+        padded = J.pad(0, N - J.n)
+        exps = [g.exps for g in padded.gens]
         units = [((tuple(int(k == v) for k in range(N)), 1),) for v in range(N)]
         factors = tuple(Counter({units[v]: a for v, a in enumerate(e) if a}) for e in exps)
         ideal = cls(N, tuple({e: 1} for e in exps), codim, "monomial", label)
-        return ideal._prove(factors, MonomialIdeal.from_gens(N, map(Monomial, exps)))
+        return ideal._prove(factors, padded)
 
     @classmethod
     def from_lifted(cls, L: LiftedIdeal, codim: int,

@@ -61,22 +61,31 @@ class Monomial:
         # Larger key = larger monomial in degree-lex order.
         return (self.degree, self.exps)
 
+    def _pair(self, other: "Monomial") -> zip:
+        """The exponent pairs of two monomials in one ambient; a ValueError
+        naming both lengths otherwise, where ``zip`` would truncate."""
+        if len(self.exps) != len(other.exps):
+            raise ValueError(f"ambient mismatch: {len(self.exps)} and "
+                             f"{len(other.exps)} variables")
+        return zip(self.exps, other.exps)
+
     def divides(self, other: "Monomial") -> bool:
-        return all(map(le, self.exps, other.exps))
+        return all(a <= b for a, b in self._pair(other))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(a + b for a, b in self._pair(other)))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
+        exps = tuple(a - b for a, b in self._pair(other))
+        if min(exps, default=0) < 0:
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return Monomial(exps)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(min(a, b) for a, b in self._pair(other)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(max(a, b) for a, b in self._pair(other)))
 
     @cached_property
     def support(self) -> tuple[int, ...]:
@@ -151,8 +160,18 @@ class MonomialIdeal:
     """A monomial ideal by its minimal generating set.
 
     The zero ideal has an empty generator tuple; the unit ideal is
-    generated by the unit monomial.  Construct via ``from_gens`` so the
-    stored generators are always divisibility-minimal and sorted.
+    generated by the unit monomial.  The stored generators are always
+    divisibility-minimal and in descending degree-lex order: ``from_gens``
+    minimalizes and sorts any generators.  The constructors below skip it,
+    each because a theorem already gives minimal, sorted generators:
+
+    - ``restrict``: a subset of minimal generators stays minimal, and
+      dropping coordinates that are 0 on all of them keeps the order;
+    - ``pad`` and ``extend_front``: zero coordinates added before or after
+      keep divisibility and the lex order;
+    - ``times_monomial``: g -> g*m keeps both;
+    - ``enumerate_borel_ideals``: no generator it picks lies in the shadow
+      of a lower degree, and it lists degrees from high to low.
     """
 
     n: int
@@ -221,13 +240,19 @@ class MonomialIdeal:
         )
 
     def times_monomial(self, m: Monomial) -> "MonomialIdeal":
-        return MonomialIdeal.from_gens(self.n, (g * m for g in self.gens))
+        """m * J, with no minimalization: g | h iff g*m | h*m, and g -> g*m
+        keeps the degree-lex order."""
+        if m.n != self.n:
+            raise ValueError("ambient mismatch")
+        return MonomialIdeal(self.n, tuple(g * m for g in self.gens))
 
     def restrict(self, variables: Sequence[int]) -> "MonomialIdeal":
         """Intersection with the coordinate subring on the given variables.
 
         Keeps exactly the minimal generators supported inside ``variables``
-        and re-indexes them into a len(variables)-dimensional ambient.  A
+        and re-indexes them into a len(variables)-dimensional ambient, with
+        no minimalization: a subset of minimal generators stays minimal, and
+        dropping coordinates that are 0 on all of them keeps the order.  A
         repeated index, or one outside 0..n-1, is a ValueError.
         """
         inside: set[int] = set()
@@ -239,14 +264,23 @@ class MonomialIdeal:
             inside.add(v)
         variables = sorted(inside)
         keep = [g for g in self.gens if inside.issuperset(g.support)]
-        reindexed = [Monomial(tuple(g.exps[v] for v in variables)) for g in keep]
-        return MonomialIdeal.from_gens(len(variables), reindexed)
+        return MonomialIdeal(len(variables), tuple(
+            Monomial(tuple(g.exps[v] for v in variables)) for g in keep))
+
+    def pad(self, before: int, after: int = 0) -> "MonomialIdeal":
+        """This ideal inside before + n + after variables, as
+        x_{before+1}, ..., x_{before+n}, with no minimalization: zero
+        coordinates added before or after keep divisibility and the lex
+        order.  A negative count is a ValueError."""
+        if before < 0 or after < 0:
+            raise ValueError(f"cannot pad by {before} and {after} variables")
+        head, tail = (0,) * before, (0,) * after
+        return MonomialIdeal(before + self.n + after,
+                             tuple(Monomial(head + g.exps + tail) for g in self.gens))
 
     def extend_front(self, extra: int) -> "MonomialIdeal":
         """View this ideal inside extra + n variables, as x_{extra+1},...."""
-        return MonomialIdeal.from_gens(
-            self.n + extra, (Monomial((0,) * extra + g.exps) for g in self.gens)
-        )
+        return self.pad(extra)
 
     def to_json(self) -> dict:
         return {
@@ -384,32 +418,39 @@ def height(J: MonomialIdeal) -> int:
 
 
 def saturate(J: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """J : m^infinity (stabilizes once the colon power dominates every
-    generator exponent)."""
-    big = J.max_gen_degree + 1
-    power = Monomial(tuple(e * big for e in m.exps))
-    return J.colon(power)
+    """J : m^infinity, generated by J's generators with their exponents on
+    supp(m) set to 0 (a large enough power of m divides them away there).
+    With m the product of the variables outside J's only minimal prime P,
+    this is J's P-primary component: J is equidimensional iff
+    saturate(J, m) == J, that is iff every minimal generator lies in
+    k[x_P] (``is_equidimensional``)."""
+    if m.n != J.n:
+        raise ValueError("ambient mismatch")
+    support = m.support
+    return MonomialIdeal.from_gens(J.n, (
+        Monomial(tuple(0 if i in support else e for i, e in enumerate(g.exps)))
+        for g in J.gens))
 
 
 def is_equidimensional(J: MonomialIdeal) -> bool:
     """True iff every component of the irredundant primary decomposition
     has the same height: the minimal primes share one height and there is
     no embedded component (J equals the intersection of its minimal
-    primary components)."""
+    primary components).
+
+    With one minimal prime P, as every Borel-fixed ideal has, J is
+    equidimensional iff every minimal generator lies in k[x_P]: a generator
+    g outside it has its restriction g|_P (exponents off P set to 0) in the
+    P-primary component, and not in J, for a generator dividing g|_P would
+    divide g.  With several, the components are intersected."""
     primes = minimal_primes(J)
+    if len(primes) == 1:
+        return all(primes[0].issuperset(g.support) for g in J.gens)
     if len({len(p) for p in primes}) != 1:
         return False
-    n = J.n
-    intersection = None
-    for prime in primes:
-        outside = Monomial(
-            tuple(1 if i not in prime else 0 for i in range(n))
-        )
-        component = saturate(J, outside) if not outside.is_unit else J
-        intersection = (
-            component if intersection is None else intersection.intersect(component)
-        )
-    return intersection == J
+    components = (saturate(J, Monomial(tuple(int(i not in prime) for i in range(J.n))))
+                  for prime in primes)
+    return reduce(MonomialIdeal.intersect, components) == J
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from reference_borel import reference_borel_ideals
 from timing import budget
 
+from liaison.lifting import default_matrix, lift_ideal
+from liaison.linkage import PolyIdeal
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,
@@ -47,6 +49,22 @@ def scanned_lex_segment_violation(J):
             elif seen_outside is None:
                 seen_outside = m
     return None
+
+
+def colon_equidimensional(J):
+    """Equidimensionality by intersecting each minimal prime's component,
+    J : m^big with m the variables outside it: the reference for
+    ``is_equidimensional``."""
+    primes = minimal_primes(J)
+    if len({len(p) for p in primes}) != 1:
+        return False
+    big = J.max_gen_degree + 1
+    intersection = None
+    for prime in primes:
+        power = Monomial(tuple(0 if i in prime else big for i in range(J.n)))
+        component = J.colon(power)
+        intersection = component if intersection is None else intersection.intersect(component)
+    return intersection == J
 
 
 def mono(*exps):
@@ -112,6 +130,16 @@ class TestMonomial:
         a, b = mono(2, 1, 0), mono(1, 3, 0)
         assert a.gcd(b) == mono(1, 1, 0)
         assert a.lcm(b) == mono(2, 3, 0)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a.divides(b), lambda a, b: a.gcd(b), lambda a, b: a.lcm(b),
+        lambda a, b: a * b, lambda a, b: a / b,
+    ], ids=["divides", "gcd", "lcm", "mul", "truediv"])
+    def test_arithmetic_refuses_mismatched_lengths(self, op):
+        # zip would truncate: (1, 2) would divide (1, 2, 0).
+        for a, b in ((mono(1, 2), mono(1, 2, 0)), (mono(1, 2, 0), mono(1, 2))):
+            with pytest.raises(ValueError, match=f"{a.n} and {b.n} variables"):
+                op(a, b)
 
     def test_monomials_of_degree_order_and_count(self):
         ms = monomials_of_degree(3, 2)
@@ -180,6 +208,19 @@ class TestMonomialIdeal:
         assert J.restrict([2, 1]) == J.restrict(range(1, 3)) == ideal(2, (1, 1), (3, 0))
         assert J.restrict([]) == MonomialIdeal.zero(0)
 
+    def test_times_monomial_refuses_another_ambient(self):
+        J = ideal(3, (2, 0, 0), (0, 1, 1))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            J.times_monomial(mono(1, 0))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            MonomialIdeal.zero(3).times_monomial(mono(1, 0, 0, 0))
+
+    def test_pad_refuses_negative_counts(self):
+        with pytest.raises(ValueError, match="cannot pad by -1"):
+            ideal(2, (1, 0)).pad(-1)
+        with pytest.raises(ValueError, match="cannot pad by 0 and -1"):
+            PolyIdeal.from_monomial(ideal(2, (1, 0)), N=1)
+
     def test_json_roundtrip(self):
         J = ideal(3, (1, 2, 0), (0, 0, 3))
         assert MonomialIdeal.from_json(J.to_json()) == J
@@ -194,6 +235,54 @@ class TestMonomialIdeal:
         m = Monomial(m.exps[: J.n] + (0,) * (J.n - len(m.exps[: J.n])))
         C = J.colon(m)
         assert C.contains_ideal(J)
+
+    @given(small_ideals(n=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_trusted_constructors_equal_from_gens(self, J, data):
+        # restrict, pad, extend_front and times_monomial skip from_gens;
+        # each must give what from_gens gives on the same generators.
+        n = J.n
+        variables = data.draw(st.permutations(range(n)).flatmap(
+            lambda order: st.integers(0, n).map(lambda k: order[:k])))
+        inside = sorted(variables)
+        R = J.restrict(variables)
+        assert R == MonomialIdeal.from_gens(len(inside), (
+            Monomial(tuple(g.exps[v] for v in inside))
+            for g in J.gens if set(g.support) <= set(inside)))
+        before, after = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        padded = MonomialIdeal.from_gens(
+            before + n + after, (Monomial((0,) * before + g.exps + (0,) * after) for g in J.gens))
+        assert J.pad(before, after) == padded
+        assert J.extend_front(before) == J.pad(before, 0)
+        m = Monomial(tuple(data.draw(st.integers(0, 2)) for _ in range(n)))
+        assert J.times_monomial(m) == MonomialIdeal.from_gens(n, (g * m for g in J.gens))
+
+    @given(small_ideals(), st.integers(0, 2), st.integers(1, 2), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_padded_initial_ideals_equal_from_gens(self, J, extra, t, seed):
+        # PolyIdeal.from_monomial pads after, a lift's initial ideal on
+        # both sides of the source's variables.
+        N = J.n + extra
+        assert PolyIdeal.from_monomial(J, N=N, codim=1).initial_ideal() == (
+            MonomialIdeal.from_gens(N, (Monomial(g.exps + (0,) * extra) for g in J.gens)))
+        A = default_matrix(J.n + extra, "t-lift", seed=seed, ncols=5, t=t)
+        for _ in range(extra):
+            A = A.drop_first_row()
+        L = lift_ideal(J, A)
+        head, tail = (0,) * extra, (0,) * A.t
+        assert L.initial_ideal() == MonomialIdeal.from_gens(
+            A.N, (Monomial(head + g.exps + tail) for g in J.gens))
+
+    def test_trusted_constructors_do_not_minimalize(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("from_gens called")
+
+        J = ideal(3, (2, 0, 0), (1, 1, 0), (0, 1, 1))
+        monkeypatch.setattr(MonomialIdeal, "from_gens", refuse)
+        assert J.restrict([1, 2]).gens == (mono(1, 1),)
+        assert J.extend_front(1).gens == (mono(0, 2, 0, 0), mono(0, 1, 1, 0), mono(0, 0, 1, 1))
+        assert J.times_monomial(mono(0, 0, 1)).gens == (
+            mono(2, 0, 1), mono(1, 1, 1), mono(0, 1, 2))
 
     @given(small_ideals())
     @settings(max_examples=60, deadline=None)
@@ -295,9 +384,45 @@ class TestDecompositionAndPrimes:
         J = ideal(2, (2, 0), (1, 1), (0, 3))
         assert is_equidimensional(J)
 
+    @pytest.mark.parametrize("J, equidimensional", [
+        # one minimal prime (x1), and an embedded component at (x1, x2)
+        (ideal(2, (2, 0), (1, 1)), False),
+        # (x1) and (x2, x3): mixed heights
+        (ideal(3, (1, 1, 0), (1, 0, 1)), False),
+        # (x1, x2) & (x3, x4) & (x1, ..., x4)^3: two primes of height 2 and
+        # an embedded component
+        (ideal(4, (2, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 2, 0),
+               (1, 0, 1, 1), (1, 0, 0, 2), (0, 2, 1, 0), (0, 2, 0, 1), (0, 1, 2, 0),
+               (0, 1, 1, 1), (0, 1, 0, 2)), False),
+        # one prime (x1, x2), every generator in k[x1, x2]
+        (ideal(3, (2, 0, 0), (0, 3, 0)), True),
+    ], ids=str)
+    def test_equidimensional_fixtures(self, J, equidimensional):
+        assert is_equidimensional(J) == colon_equidimensional(J) == equidimensional
+
+    @given(small_ideals(n=4, max_gens=6, max_exp=3))
+    @settings(max_examples=200, deadline=None)
+    def test_equidimensional_matches_intersection_of_components(self, J):
+        assert is_equidimensional(J) == colon_equidimensional(J)
+
+    def test_equidimensional_census_matches_intersection(self, borel_ideals):
+        # Every Borel-fixed ideal has one minimal prime: the one-prime rule.
+        for J in borel_ideals[::7]:
+            assert len(minimal_primes(J)) == 1
+            assert is_equidimensional(J) == colon_equidimensional(J), J
+
     def test_saturate(self):
         J = ideal(2, (2, 0), (1, 1))
         assert saturate(J, mono(0, 1)) == ideal(2, (1, 0))
+
+    @given(small_ideals(), st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_saturate_matches_colon_by_a_large_power(self, J, exps):
+        big = J.max_gen_degree + 1
+        m = Monomial(tuple(exps))
+        assert saturate(J, m) == J.colon(Monomial(tuple(e * big for e in exps)))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            saturate(J, Monomial(tuple(exps) + (0,)))
 
     @given(small_ideals())
     @settings(max_examples=40, deadline=None)
