@@ -141,15 +141,19 @@ def cmd_analyze(args) -> int:
         _emit(args, lines, payload)
         return EXIT_OK
 
-    borel = is_borel_fixed(J)
-    lexseg = is_lex_segment(J)
-    witness = None if lexseg else lex_segment_violation(J)
-    art = is_artinian(J)
-    ht = height(J)
-    equi = is_equidimensional(J)
-    cm = cone = None
-    if borel:
-        cm, cone = is_cm_borel(J)
+    try:  # a numerator over NUMERATOR_LIMIT, or layers over LAYER_LIMIT
+        borel = is_borel_fixed(J)
+        lexseg = is_lex_segment(J)
+        witness = None if lexseg else lex_segment_violation(J)
+        art = is_artinian(J)
+        ht = height(J)
+        equi = is_equidimensional(J)
+        cm = cone = None
+        if borel:
+            cm, cone = is_cm_borel(J)
+        D = decompose(J)
+    except ValueError as exc:
+        raise InputError(str(exc))
     lines.append(
         f"Artinian: {'yes' if art else 'no'}, "
         f"Borel-fixed: {'yes' if borel else 'no'}, "
@@ -170,10 +174,6 @@ def cmd_analyze(args) -> int:
         "cm_borel": cm,
     })
 
-    try:
-        D = decompose(J)
-    except ValueError as exc:
-        raise InputError(str(exc))
     lines.append(f"layer decomposition along x1: alpha = {D.alpha}")
     layer_json = []
     for j, (text, ideal_json, hf_json) in enumerate(D.map_runs(_layer_row)):

@@ -21,6 +21,18 @@ from .monomials import (
 )
 
 
+NUMERATOR_LIMIT = 10**6
+"""Ceiling on the length of a Hilbert-series numerator, checked before
+any coefficient list is allocated: a generator of huge degree is refused
+with ValueError, not a list the host cannot hold."""
+
+
+def _check_numerator_length(length: int) -> None:
+    if length > NUMERATOR_LIMIT:
+        raise ValueError(f"{length} Hilbert-series numerator coefficients, "
+                         f"more than NUMERATOR_LIMIT = {NUMERATOR_LIMIT}")
+
+
 class HorizonError(ValueError):
     """Comparison or evaluation past a truncated h-vector's horizon."""
 
@@ -100,6 +112,35 @@ def _add_shifted(p: list[int], q: list[int], shift: int) -> list[int]:
     return out
 
 
+def numerator_difference(num, d: int) -> list[int]:
+    """N(t)·(1 - t^d): over the same (1 - t)^n, h(t) - h(t - d)."""
+    return _add_shifted(list(num), [-c for c in num], d)
+
+
+def numerator_sum(terms) -> list[int]:
+    """sum_k t^(s_k)·N_k(t) over the pairs (s_k, N_k): sum_k h_k(t - s_k)."""
+    out: list[int] = []
+    for shift, num in terms:
+        out = _add_shifted(out, num, shift)
+    return out
+
+
+def first_mismatch(p, q) -> int | None:
+    """The least k with p_k != q_k, or None: over one (1 - t)^n, the least
+    degree where the Hilbert functions differ, as 1/(1 - t)^n starts with 1."""
+    diff = _add_shifted(list(p), [-c for c in q], 0)
+    return next((k for k, c in enumerate(diff) if c), None)
+
+
+def numerator_degree(num) -> int:
+    """The degree Q(1) of S/J, for N(t) = (1 - t)^c·Q(t) with Q(1) nonzero:
+    each division by 1 - t is a running sum whose last entry, N(1) = 0, drops."""
+    num = list(num)
+    while num and not sum(num):
+        num = list(accumulate(num))[:-1]
+    return sum(num)
+
+
 def _pivot_numerator(gens: list[tuple[int, ...]]) -> list[int]:
     """Bigatti's recursion N(I) = N(I + x_i^e) + t^e * N(I : x_i^e) on the
     minimal generators (exponent tuples) of a proper nonzero ideal: x_i is
@@ -111,7 +152,7 @@ def _pivot_numerator(gens: list[tuple[int, ...]]) -> list[int]:
     if top <= 1:
         num = [1]
         for g in gens:
-            num = _add_shifted(num, [-c for c in num], sum(g))
+            num = numerator_difference(num, sum(g))
         return num
     i = counts.index(top)
     exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
@@ -139,8 +180,10 @@ def _ek_numerator(J: MonomialIdeal) -> tuple[int, ...]:
     """Eliahou-Kervaire numerator of a Borel-fixed J, which the caller has
     proven Borel-fixed; without trailing zeros."""
     n = J.n
+    length = J.max_gen_degree + n
+    _check_numerator_length(length)
     rows = _ek_rows(n)
-    num = [1] + [0] * (J.max_gen_degree + n - 1)
+    num = [1] + [0] * (length - 1)
     for u in J.gens:
         if not u.degree:  # the unit ideal
             return ()
@@ -163,13 +206,17 @@ def hilbert_numerator(J: MonomialIdeal) -> tuple[int, ...]:
     its minimal generators u, m(u) being the largest index of a variable
     of u, from 1: each monomial of J is uniquely u * v with v in x_m(u)..x_n
     (Eliahou and Kervaire, J. Algebra 129, 1990).  Any other J goes through
-    Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
+    Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997), whose
+    numerators have degree at most that of the lcm of the generators.
+    A numerator longer than NUMERATOR_LIMIT is a ValueError.
     """
     if J.is_unit:
         return ()
     if is_borel_fixed(J):
         return _ek_numerator(J)
-    num = _pivot_numerator([g.exps for g in J.gens])
+    gens = [g.exps for g in J.gens]
+    _check_numerator_length(sum(map(max, zip(*gens))) + 1)
+    num = _pivot_numerator(gens)
     while num[-1] == 0:
         num.pop()
     return tuple(num)

@@ -15,8 +15,9 @@ by the terms of each form when the ideal is monomial, else by factor
 lists, as bar(h) divides bar(g) when h divides g, or refuted by a leading
 monomial outside the initial ideal.  An equality is one containment and
 equal initial ideals.  Colon stability, I : f = I, is proven from the
-generators (``_colon_failure``).  The horizon only bounds how far the
-Hilbert functions are reported.
+generators (``_colon_failure``).  Every Hilbert-function identity is one
+exact equation of Hilbert-series numerators in the one ambient ring, so
+it holds in every degree; no check reads the degree horizon.
 
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime
@@ -32,7 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .hilbert import HVector, difference, hilbert_function
+from .hilbert import (
+    first_mismatch,
+    hilbert_numerator,
+    numerator_degree,
+    numerator_difference,
+    numerator_sum,
+)
 from .layers import decompose
 from .lifting import (
     LiftedIdeal,
@@ -60,7 +67,6 @@ from .oracle import (
     poly_mul,
     poly_normalize,
     poly_to_json,
-    stable_value,
 )
 
 
@@ -218,13 +224,14 @@ class PolyIdeal(_FieldCodec):
                                f"an initial ideal{where}")
         return initial
 
-    def hilbert(self, dmax: int) -> HVector:
-        """h_{R/I} through dmax, exact in every degree: the closed form of
-        ``initial_ideal()``, remembered per horizon (no order changes it)."""
-        memo = self.__dict__.setdefault("_hilbert", {})
-        if dmax not in memo:
-            memo[dmax] = hilbert_function(self.initial_ideal(), dmax)
-        return memo[dmax]
+    @property
+    def numerator(self) -> tuple[int, ...]:
+        """K(t) with sum_d h_{R/I}(d) t^d = K(t) / (1 - t)^N, exact in every
+        degree: the numerator of ``initial_ideal()``'s closed form,
+        remembered (no order changes it)."""
+        if "_numerator" not in self.__dict__:
+            self.__dict__["_numerator"] = hilbert_numerator(self.initial_ideal())
+        return self.__dict__["_numerator"]
 
 
 def _first_outside(part: PolyIdeal, ideal: PolyIdeal, prime: int, last=()) -> int | None:
@@ -335,17 +342,16 @@ class BasicDoubleLink(_FieldCodec):
 
 
 def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
-                      dmax: int, prime: int = DEFAULT_PRIME, *,
-                      last=()) -> BasicDoubleLink:
+                      prime: int = DEFAULT_PRIME, *, last=()) -> BasicDoubleLink:
     """Build I + A*J and verify every recorded side condition; raises
     LinkageError naming the first failure.  Every check holds over F_p in
-    every degree; dmax bounds only the Hilbert functions compared.  Once
-    ``containment`` and ``colon-stable`` pass, the result's initial ideal
-    in revlex with the variables ``last`` smallest is in(I) + lead(A)·in(J)
-    (``_link_result``), and its Hilbert function is that ideal's closed
-    form.  A base or divisor that no theorem gives an initial ideal in
-    that order (``PolyIdeal``), such as one of forms built by hand, is a
-    LinkageError naming the missing proof."""
+    every degree.  Once ``containment`` and ``colon-stable`` pass, the
+    result's initial ideal in revlex with the variables ``last`` smallest
+    is in(I) + lead(A)·in(J) (``_link_result``), whose Hilbert series
+    numerator ``hilbert-identity`` compares with K_I·(1 - t^d) + t^d·K_J,
+    d = deg A.  A base or divisor that no theorem gives an initial ideal
+    in that order (``PolyIdeal``), such as one of forms built by hand, is
+    a LinkageError naming the missing proof."""
     checks: list[Check] = []
     d = poly_degree(multiplier)
 
@@ -372,12 +378,9 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
 
     if fail is None and colon is None:  # I ⊆ J and I : f = I: a closed form
         result = _link_result(base, divisor, multiplier, prime, last, "bdl-result")
-        h_base, h_div, h_res = base.hilbert(dmax), divisor.hilbert(dmax), result.hilbert(dmax)
-        bad_deg = None
-        for t in range(dmax + 1):
-            if h_res.at(t) != h_base.at(t) - h_base.at(t - d) + h_div.at(t - d):
-                bad_deg = t
-                break
+        k_base, k_div, k_res = base.numerator, divisor.numerator, result.numerator
+        bad_deg = first_mismatch(
+            k_res, numerator_sum([(0, numerator_difference(k_base, d)), (d, k_div)]))
         checks.append(Check(
             "hilbert-identity",
             bad_deg is None,
@@ -385,15 +388,9 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
         ))
 
         if result.dim == 0:
-            try:
-                deg_base = stable_value(difference(h_base, base.dim))
-                deg_div = stable_value(h_div)
-                deg_res = stable_value(h_res)
-                ok = deg_res == d * deg_base + deg_div
-                witness = f"{deg_res} vs {d}*{deg_base}+{deg_div}"
-            except ValueError as exc:
-                ok, witness = False, f"horizon too small: {exc}"
-            checks.append(Check("degree-identity", ok, witness))
+            deg_base, deg_div, deg_res = map(numerator_degree, (k_base, k_div, k_res))
+            checks.append(Check("degree-identity", deg_res == d * deg_base + deg_div,
+                                f"{deg_res} vs {d}*{deg_base}+{deg_div}"))
 
     _require(checks)
     return BasicDoubleLink(base, divisor, multiplier, result, tuple(checks))
@@ -411,18 +408,7 @@ class HypersurfaceChain(_FieldCodec):
     checks: tuple[Check, ...]
 
 
-def _section_hilbert(v: PolyIdeal, form: dict, dmax: int) -> HVector:
-    """Hilbert function of W = I_V + (F) through dmax, read off V's as
-    h_W(t) = h_V(t) - h_V(t - deg F).  The sequence
-    0 -> R/(V : F)(-deg F) -> R/V -> R/W -> 0 is exact, so the identity
-    holds over F_p in every degree once V : F = V is proven
-    (``_colon_failure``); the caller must have proven it."""
-    h_v = v.hilbert(dmax)
-    d = poly_degree(form)
-    return HVector.truncated([h_v.at(t) - h_v.at(t - d) for t in range(dmax + 1)], dmax)
-
-
-def hypersurface_chain(vees, forms, dmax: int, prime: int = DEFAULT_PRIME,
+def hypersurface_chain(vees, forms, prime: int = DEFAULT_PRIME,
                        *, last=()) -> HypersurfaceChain:
     """Z from the flag V_r >= ... >= V_1 (schemes, given descending) and
     forms F_1..F_r: the union of the hypersurface sections F_i on V_i,
@@ -430,8 +416,8 @@ def hypersurface_chain(vees, forms, dmax: int, prime: int = DEFAULT_PRIME,
     decided on factor lists (``_first_outside``).  Once every colon check
     is proven, in every degree, W_1 = I_{V_1} + (F_1) has the initial
     ideal in(V_1) + (lead F_1) (``_link_result`` with J = R), each later
-    Z_k that of its link, and each h_{W_i} is read off h_{V_i}
-    (``_section_hilbert``).  Initial ideals are taken in revlex with the
+    Z_k that of its link, and each W_i = I_{V_i} + (F_i) the numerator
+    (1 - t^{deg F_i})·K_{V_i}.  Initial ideals are taken in revlex with the
     variables ``last`` smallest (``PolyIdeal``)."""
     vees = tuple(vees)
     forms = tuple(forms)
@@ -462,26 +448,17 @@ def hypersurface_chain(vees, forms, dmax: int, prime: int = DEFAULT_PRIME,
     current = _link_result(asc[0], unit, forms[0], prime, last, "W1")
     links: list[BasicDoubleLink] = []
     for k in range(2, r + 1):
-        link = basic_double_link(asc[k - 1], current, forms[k - 1], dmax, prime,
-                                 last=last)
+        link = basic_double_link(asc[k - 1], current, forms[k - 1], prime, last=last)
         links.append(link)
         current = link.result
 
-    # Hilbert formula: h_Z(t) = sum_i h_{W_i}(t - d_{i+1} - ... - d_r),
-    # each h_{W_i} read off h_{V_i} now that V_i : F_i = V_i is checked.
+    # Hilbert formula: K_Z = sum_i t^{d_{i+1} + ... + d_r}·K_{W_i}, each
+    # K_{W_i} = (1 - t^{d_i})·K_{V_i}, as 0 -> R/(V_i : F_i)(-d_i) -> R/V_i
+    # -> R/W_i -> 0 is exact and V_i : F_i = V_i is checked.
     degs = [poly_degree(f) for f in forms]
-    h_ws = [_section_hilbert(v, f, dmax) for v, f in zip(asc, forms)]
-    h_z = current.hilbert(dmax)
-    bad = None
-    for t in range(dmax + 1):
-        total = 0
-        for i in range(1, r + 1):
-            shift = sum(degs[i:])  # d_{i+1} + ... + d_r
-            if t - shift >= 0:
-                total += h_ws[i - 1].at(t - shift)
-        if total != h_z.at(t):
-            bad = t
-            break
+    bad = first_mismatch(current.numerator, numerator_sum(
+        (sum(degs[i + 1:]), numerator_difference(v.numerator, degs[i]))
+        for i, v in enumerate(asc)))
     checks.append(Check(
         "chain-hilbert-formula",
         bad is None,
@@ -628,8 +605,7 @@ def _check_stored_horizon(dmax, J: MonomialIdeal, A: LiftingMatrix | None) -> in
 # --- Artinian certificate ---------------------------------------------------
 
 
-def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, dmax: int,
-                      prime: int) -> ChainStep:
+def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, prime: int) -> ChainStep:
     n = J.n
     D = decompose(J)
     alpha = D.alpha
@@ -646,7 +622,7 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, dmax: int,
         for i in range(1, alpha + 1)
     ]
     last = A.lifted_variables
-    chain = hypersurface_chain(layer_lifts, forms, dmax, prime, last=last)
+    chain = hypersurface_chain(layer_lifts, forms, prime, last=last)
 
     direct = PolyIdeal.from_lifted(
         lift_ideal(J, A, prime=prime), codim=n, prime=prime, label="direct-lift"
@@ -681,7 +657,7 @@ def strip_x1(J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_gens(J.n, gens)
 
 
-def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
+def _build_bilink_step(J: MonomialIdeal, prime: int) -> BilinkStep:
     n = J.n
     ok, cone = is_cm_borel(J)
     if not ok:
@@ -744,8 +720,7 @@ def _build_bilink_step(J: MonomialIdeal, dmax: int, prime: int) -> BilinkStep:
 
     base = PolyIdeal.from_lifted(bar_i0, codim=c - 1, prime=prime, label="bar-I0")
     divisor = PolyIdeal.from_monomial(iprime, codim=c, label="Iprime")
-    link = basic_double_link(base, divisor, {x1.exps: 1}, dmax, prime,
-                             last=B.lifted_variables)
+    link = basic_double_link(base, divisor, {x1.exps: 1}, prime, last=B.lifted_variables)
     # The result bar I_0 + x1*I' lies in J, and its initial ideal, the
     # closed form I_0 + x1*I', is J: equal Hilbert functions.
     checks.append(Check(
@@ -829,24 +804,22 @@ def _next_move(mode: str, cur: MonomialIdeal, prev: str | None) -> str:
     return "bilink"
 
 
-def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None,
-                dmax: int, prime: int):
+def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None, prime: int):
     """The builder of a step of ``kind`` run on ``source``; ``A`` is the
     lifting matrix of a chain step."""
     if kind == "chain":
         if A is None:
             raise LinkageError("chain step needs a lifting matrix; "
                                "the certificate stores none")
-        return _build_chain_step(source, A, dmax, prime)
+        return _build_chain_step(source, A, prime)
     if kind == "bilink":
-        return _build_bilink_step(source, dmax, prime)
+        return _build_bilink_step(source, prime)
     if kind == "hyperplane-descent":
         return _build_hyperplane_step(source)
     return _build_cone_step(source)
 
 
-def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
-               dmax: int, prime: int):
+def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None, prime: int):
     """The induction of the ``mode`` builder from J.  Before each step it
     yields the ideal the step starts at and the step's kind; asked once
     more, it builds that step and yields it.  Last it yields the ideal it
@@ -855,7 +828,7 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
     cur, prev = J, None
     while (move := _next_move(mode, cur, prev)) in _STEP_KINDS:
         yield cur, move
-        step = _build_step(move, cur, A, dmax, prime)
+        step = _build_step(move, cur, A, prime)
         yield step
         if move == "chain":
             A = A.drop_first_row()
@@ -865,15 +838,15 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
 
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        prime: int) -> GlicciCertificate:
-    """Collect the steps of the induction from J, at the horizon derived
-    from J, and its leaf.  A root the mode refuses is a LinkageError; a
-    root whose horizon ``horizon`` refuses as too wide, checked after it,
-    is ``horizon``'s ValueError."""
+    """Collect the steps of the induction from J and its leaf, and store
+    the horizon derived from J.  A root the mode refuses is a
+    LinkageError; a root whose horizon ``horizon`` refuses as too wide,
+    checked after it, is ``horizon``'s ValueError."""
     _check_root(mode, J)
     check_prime(prime)
     dmax = _horizon(J, A)
     steps: list = []
-    induction = _induction(mode, J, A, dmax, prime)
+    induction = _induction(mode, J, A, prime)
     for _, move in induction:
         if move in _STEP_KINDS:
             steps.append(next(induction))
@@ -962,7 +935,7 @@ def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    induction = _induction(cert.mode, cert.root, A, cert.dmax, prime)
+    induction = _induction(cert.mode, cert.root, A, prime)
     idx = 0
     try:
         for idx, step in enumerate(cert.steps):

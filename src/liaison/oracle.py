@@ -27,16 +27,17 @@ horizon truncates neither containment nor equality when every generator
 they compare has degree at most dmax: both then decide the ideals
 themselves, in every degree.
 
-No certificate calls the matrices of this module.  ``linkage.py`` reads
-its Hilbert functions off closed-form initial ideals and decides its
-containments and equalities by terms, factor lists and leading
-monomials, exact in every degree, and ``verify_lift`` proves its Hilbert
-rows by the lifting theorem.  The oracle is the tier-1 reference for
-both: tests compare every Hilbert function and containment answer of
-the worked certificate and of the 94 certificates of the Borel sweep,
-and every ``verify_lift`` row, with it at 32003 and at 65537.  The benchmark's gate on the worked lift reads
-its first difference from ``hilbert_oracle``.  No matrix is kept from one
-call to the next.
+No certificate calls the matrices of this module.  ``linkage.py`` checks
+its Hilbert identities as equations of Hilbert-series numerators of
+closed-form initial ideals, and decides its containments and equalities
+by terms, factor lists and leading monomials, all exact in every degree;
+``verify_lift`` proves its Hilbert rows by the lifting theorem.  The
+oracle is the tier-1 reference for both: tests compare every numerator's
+Hilbert function through the certificate's horizon, every containment
+answer of the worked certificate and of the 94 sweep certificates, and
+every ``verify_lift`` row with it at 32003 and at 65537.  The benchmark's
+gate on the worked lift reads its first difference from
+``hilbert_oracle``.  No matrix is kept from one call to the next.
 """
 from __future__ import annotations
 
@@ -260,15 +261,6 @@ def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_P
         if ring_dim(N, d) - image != graded_dim(gens, d, N, p):
             return d
     return None
-
-
-def stable_value(h: HVector) -> int:
-    """Last value of a truncated Hilbert function, requiring it to have
-    stabilized over the final two degrees."""
-    if len(h.values) < 2 or h.values[-1] != h.values[-2]:
-        raise ValueError(
-            f"Hilbert values not stable at horizon: {h.values[-3:]}")
-    return h.values[-1]
 
 
 def poly_to_json(f: Poly) -> list:

@@ -325,8 +325,7 @@ def _foreign_matrix(certs):
     A = default_matrix(4, "t-lift", seed=3, ncols=J.max_gen_degree, t=1)
     cert = glicci_certificate_artinian(J, A, prime=P)
     B = default_matrix(4, "t-lift", seed=4, ncols=J.max_gen_degree, t=1)
-    step = _build_chain_step(cert.steps[1].source, B.drop_first_row(),
-                             cert.dmax, P)
+    step = _build_chain_step(cert.steps[1].source, B.drop_first_row(), P)
     forged = dataclasses.replace(cert, steps=(cert.steps[0], step))
     return forged, (1, "stored-equals-rebuilt")
 

@@ -612,6 +612,39 @@ class TestUnboundedInputs:
         assert (code, out) == (2, "")
         assert err == "error: 400001 layers along x1, more than LAYER_LIMIT = 100000\n"
 
+    # A generator of huge degree would need a Hilbert-series numerator of
+    # more coefficients than NUMERATOR_LIMIT: refused before any list is
+    # allocated, and `verify` rejects such a root at its horizon.
+    @pytest.mark.parametrize("command,exponent", [
+        (["analyze"], 2**64), (["glicci", "--mode", "borel"], 2**64),
+        (["analyze"], 2**40), (["verify"], 2**70)])
+    def test_huge_exponent_is_refused(self, tmp_path, command, exponent):
+        doc = {"schema": "ideal/1", "n": 2, "gens": [[0, exponent], [1, 0]]}
+        if command == ["verify"]:  # a certificate whose root is that ideal
+            cert = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE))
+            doc = dict(cert.to_json(), root=doc)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_bounded(command[0], path, *command[1:], timeout=20)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if command == ["verify"]:
+            assert code == 3 and out.endswith("certificate REJECTED\n")
+            assert (f"FAIL  step 0  horizon  [{exponent + 2} Hilbert-series numerator "
+                    "coefficients, more than NUMERATOR_LIMIT = 1000000]") in out
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"error: {exponent + 2} Hilbert-series numerator coefficients, "
+                           "more than NUMERATOR_LIMIT = 1000000\n")
+
+    def test_long_numerator_below_the_limit_is_analyzed(self, tmp_path):
+        # (x1^99999, x2^3): 100 000 layers and a numerator of 100 003
+        # coefficients, both inside their limits.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[99999, 0], [0, 3]]}))
+        code, out, err = run_bounded("analyze", path, timeout=20)
+        assert (code, err) == (0, "")
+        assert out.endswith("  I_99999: (1)  h = (unit)\n")
+
     def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
         # An input below every ceiling can still need more memory than the
         # host has: the MemoryError is exit 2 and one line.

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from buchberger_fp import GroebnerBasis
 from liaison import linkage, oracle
 from liaison.cli import main
-from liaison.hilbert import HVector, lex_ideal_from_hvector
+from liaison.hilbert import (
+    HVector,
+    hilbert_values,
+    lex_ideal_from_hvector,
+    numerator_difference,
+)
 from liaison.layers import decompose
 from liaison.lifting import (
     MatrixError,
@@ -104,7 +109,7 @@ class TestBasicDoubleLink:
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         # codim gap must be exactly one: use a curve as the base instead
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        link = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), 8, P)
+        link = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P)
         names = {c.name for c in link.checks}
         assert {"containment", "codim-gap", "colon-stable",
                 "hilbert-identity", "degree-identity"} <= names
@@ -115,7 +120,7 @@ class TestBasicDoubleLink:
         base = lifted_poly_ideal(ideal(2, (2, 0), (0, 1)), A, codim=2)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         with pytest.raises(LinkageError, match="codim"):
-            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), 8, P)
+            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), P)
 
     def test_rejects_non_containment(self):
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
@@ -124,13 +129,13 @@ class TestBasicDoubleLink:
         # point from a different matrix: the curve does not pass through it
         other = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), B, codim=2)
         with pytest.raises(LinkageError, match="containment|colon|hilbert"):
-            basic_double_link(curve, other, linear_form_poly((0, 0, 1), P), 8, P)
+            basic_double_link(curve, other, linear_form_poly((0, 0, 1), P), P)
 
     def test_rejects_untagged_base(self):
         base = PolyIdeal.from_monomial(ideal(3, (1, 0, 0)), label="mono")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
         with pytest.raises(LinkageError, match="gorenstein"):
-            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), 6, P)
+            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), P)
 
     def test_result_initial_ideal_is_the_closed_form(self):
         # in(I) + lead(f)·in(J) = (x1^2) + u·(x1, x2), as the reference
@@ -138,11 +143,12 @@ class TestBasicDoubleLink:
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        result = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), 8, P).result
+        result = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P).result
         want = ideal(3, (2, 0, 0), (1, 0, 1), (0, 1, 1))
         assert result.initial_ideal(()) == want
         assert GroebnerBasis(result.gens, 3, (), P).initial_ideal() == want
-        assert result.hilbert(8) == hilbert_oracle(result.gens, 8, 3, P)
+        assert hilbert_values(result.numerator, 3, 9) == list(
+            hilbert_oracle(result.gens, 8, 3, P).values)
 
     def test_forms_built_by_hand_have_no_closed_form(self):
         # Case (A) proves the colon, but no theorem gives the base an
@@ -150,7 +156,26 @@ class TestBasicDoubleLink:
         base = PolyIdeal(3, ({(2, 0, 0): 1, (1, 1, 0): 2},), 1, "lifted-generic", "hand")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
         with pytest.raises(LinkageError, match="^no theorem gives hand an initial ideal in revlex$"):
-            basic_double_link(base, divisor, {(0, 0, 1): 1}, 6, P)
+            basic_double_link(base, divisor, {(0, 0, 1): 1}, P)
+
+    def test_identity_is_checked_past_every_horizon(self, monkeypatch):
+        # A link result whose closed form is wrong only in degree 12: the
+        # numerator identity names that degree, however low the horizon
+        # of the ideals compared.
+        A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
+        divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
+        curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
+        real = linkage._link_result
+
+        def off_in_degree_12(*args):
+            result = real(*args)
+            wrong = result.initial_ideal().plus(ideal(3, (0, 12, 0)))
+            assert wrong != result.initial_ideal()
+            return result._prove(result.factors, wrong, ())
+
+        monkeypatch.setattr(linkage, "_link_result", off_in_degree_12)
+        with pytest.raises(LinkageError, match="hilbert-identity: first failing degree 12"):
+            basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P)
 
 
 def worked_flag(prime):
@@ -179,7 +204,7 @@ def sections(vees, forms, prime):
 class TestHypersurfaceChain:
     def test_worked_example_chain(self):
         vees, forms = worked_flag(P)
-        chain = hypersurface_chain(vees, forms, 9, P)
+        chain = hypersurface_chain(vees, forms, P)
         assert len(chain.links) == len(vees) - 1
         assert all(c.passed for c in chain.checks)
         for link in chain.links:
@@ -187,37 +212,34 @@ class TestHypersurfaceChain:
 
     def test_requires_matching_lengths(self):
         with pytest.raises(LinkageError):
-            hypersurface_chain([], [], 5, P)
+            hypersurface_chain([], [], P)
 
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_section_hilbert_is_the_oracles(self, prime):
+        # K_{W_i} = (1 - t^{d_i}) K_{V_i}, through the worked horizon 9.
         vees, forms = worked_flag(prime)
-        hypersurface_chain(vees, forms, 9, prime)  # the colon checks pass here
+        hypersurface_chain(vees, forms, prime)  # the colon checks pass here
         for v, f, w in zip(reversed(vees), forms, sections(vees, forms, prime)):
-            assert linkage._section_hilbert(v, f, 9) == hilbert_oracle(w, 9, v.N, prime)
+            section = numerator_difference(v.numerator, poly_degree(f))
+            assert hilbert_values(section, v.N, 10) == list(
+                hilbert_oracle(w, 9, v.N, prime).values)
 
     def test_section_hilbert_read_only_after_colon_checks(self, monkeypatch):
         read = []
-        real_section = linkage._section_hilbert
-        real_hilbert = PolyIdeal.hilbert
+        real = PolyIdeal.numerator
 
-        def section(*args):
-            read.append("section")
-            return real_section(*args)
+        def numerator(ideal):
+            read.append(ideal.label)
+            return real.fget(ideal)
 
-        def hilbert(*args):
-            read.append("hilbert")
-            return real_hilbert(*args)
-
-        monkeypatch.setattr(linkage, "_section_hilbert", section)
-        monkeypatch.setattr(PolyIdeal, "hilbert", hilbert)
+        monkeypatch.setattr(PolyIdeal, "numerator", property(numerator))
         vees, forms = worked_flag(P)
-        hypersurface_chain(vees, forms, 9, P)
-        assert "section" in read
+        hypersurface_chain(vees, forms, P)
+        assert {v.label for v in vees} <= set(read)
         del read[:]
         monkeypatch.setattr(linkage, "_colon_failure", lambda *args: "refused")
         with pytest.raises(LinkageError, match="colon-stable"):
-            hypersurface_chain(vees, forms, 9, P)
+            hypersurface_chain(vees, forms, P)
         assert read == []
 
     def test_sections_after_the_first_not_eliminated(self, proven):
@@ -286,7 +308,7 @@ class TestColonProof:
         base = PolyIdeal(3, NOT_A_BASIS, 2, "lifted-generic")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(LinkageError, match=f"^colon-stable: {reason}$"):
-            basic_double_link(base, divisor, x3, 5, P)
+            basic_double_link(base, divisor, x3, P)
 
     def test_multiplier_in_neither_case_fails(self):
         f = {(1, 0, 0): 1, (0, 1, 0): 1}
@@ -333,12 +355,12 @@ class TestOracleLeavesTheCertificates:
     def test_memo_is_not_a_field(self):
         v = PolyIdeal.from_monomial(SQUARE)
         fresh = PolyIdeal.from_monomial(SQUARE)
-        assert v.hilbert(4) is v.hilbert(4)
+        assert v.numerator is v.numerator
         assert v == fresh and v.to_json() == fresh.to_json()
         copy = dataclasses.replace(v)
-        assert not {"_hilbert", "_initial", "_factors"} & copy.__dict__.keys()
+        assert not {"_numerator", "_initial", "_factors"} & copy.__dict__.keys()
         with pytest.raises(LinkageError, match="no theorem gives the ideal"):
-            copy.hilbert(4)
+            copy.numerator
 
 
 class TestLiftingTheoremBases:
@@ -373,7 +395,7 @@ class TestLiftingTheoremBases:
         lifted = lift_ideal(decompose(WORKED_J).layers[0], A)
         other = PolyIdeal.from_lifted(lifted, 2, 65537, "I0")
         with pytest.raises(LinkageError, match="^no theorem gives I0 an initial ideal$"):
-            other.hilbert(9)
+            other.numerator
         assert PolyIdeal.from_lifted(lifted, 2, P).initial_ideal((3,)) == lifted.initial_ideal()
 
 
@@ -518,44 +540,45 @@ class TestHorizonCoversComparedGenerators:
 
 
 class TestGroebnerAgreesWithTheOracle:
-    """Every Hilbert function a certificate reads off a closed-form initial
-    ideal, and every containment answer it proves, equals the Macaulay
-    oracle's through the certificate's horizon, on the worked certificate
-    and the 94 sweep certificates, at two primes."""
+    """Every Hilbert series numerator a certificate reads off a closed-form
+    initial ideal, and every containment answer it proves, equals the
+    Macaulay oracle's through the certificate's horizon, on the worked
+    certificate and the 94 sweep certificates, at two primes."""
 
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_every_answer(self, prime, monkeypatch):
-        hilberts, containments = {}, []
-        real_hilbert, real_outside = PolyIdeal.hilbert, linkage._first_outside
+        numerators, containments = {}, []
+        real_numerator, real_outside = PolyIdeal.numerator, linkage._first_outside
 
-        def hilbert(ideal, dmax):
-            h = real_hilbert(ideal, dmax)
-            hilberts[id(ideal), dmax] = (ideal, dmax, h)  # one value per ideal
-            return h
+        def numerator(ideal):
+            K = real_numerator.fget(ideal)
+            numerators[id(ideal)] = (ideal, K)  # one value per ideal
+            return K
 
         def outside(part, ideal, p, last):
             fail = real_outside(part, ideal, p, last)
             containments.append((part.gens, ideal, p, fail))
             return fail
 
-        monkeypatch.setattr(PolyIdeal, "hilbert", hilbert)
+        monkeypatch.setattr(PolyIdeal, "numerator", property(numerator))
         monkeypatch.setattr(linkage, "_first_outside", outside)
         counted = [0, 0]
         for build in [lambda: worked_certificate(prime)] + [
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
-            hilberts.clear()
+            numerators.clear()
             del containments[:]
             cert = build()
-            for ideal, dmax, h in hilberts.values():
-                assert dmax == cert.dmax
-                assert h == hilbert_oracle(ideal.gens, dmax, ideal.N, prime), ideal.label
+            for ideal, K in numerators.values():
+                oracle_h = hilbert_oracle(ideal.gens, cert.dmax, ideal.N, prime)
+                assert hilbert_values(K, ideal.N, cert.dmax + 1) == list(oracle_h.values), \
+                    ideal.label
             for gens, ideal, p, fail in containments:
                 assert p == prime
                 assert fail == containment_failure(gens, ideal.gens, cert.dmax, ideal.N, p)
-            counted[0] += len(hilberts)
+            counted[0] += len(numerators)
             counted[1] += len(containments)
         # The worked chain: V_1..V_4, W_1 and Z_2..Z_4; 7 containments.
-        # Each of the 45 bilinks: 3 Hilbert functions, 1 containment.
+        # Each of the 45 bilinks: 3 numerators, 1 containment.
         assert counted == [4 + 4 + 3 * 45, 7 + 45]
 
     def test_a_failing_containment_names_the_oracles_degree(self):

@@ -10,8 +10,10 @@ from liaison.hilbert import (
     difference,
     hilbert_function,
     hilbert_function_artinian,
+    hilbert_numerator,
     lex_ideal_from_hvector,
     macaulay_bound,
+    numerator_degree,
 )
 from liaison.lifting import InvalidMatrix, default_matrix, lift_ideal
 from liaison.linkage import (
@@ -45,7 +47,6 @@ from liaison.oracle import (
     poly_mul,
     rank_mod_p,
     ring_dim,
-    stable_value,
 )
 
 P = DEFAULT_PRIME
@@ -149,23 +150,21 @@ class TestContainmentAndColon:
 
 
 class TestStableValues:
-    def test_stable_value_requires_plateau(self):
-        from liaison.hilbert import HVector
-
-        assert stable_value(HVector.truncated((1, 3, 4, 4), 3)) == 4
-        with pytest.raises(ValueError, match="not stable at horizon"):
-            stable_value(HVector.truncated((1, 3, 4, 5), 3))
+    """The degree read off a Hilbert-series numerator is the plateau of
+    the oracle's dim-th difference of the Hilbert function."""
 
     def test_scheme_degree_of_points(self):
-        # three points on a line: (x1 * (x1 - x2) * (x1 - 2 x2)) in P^1
+        # three points on a line: (x1 * (x1 - x2) * (x1 - 2 x2)) in P^1,
+        # with initial ideal (x1^3)
         f = {(3, 0): 1, (2, 1): -3, (1, 2): 2}
-        # the scheme degree is the stable value of the dim-th difference
-        assert stable_value(difference(hilbert_oracle([f], 6, 2, P), 0)) == 3
+        h = difference(hilbert_oracle([f], 6, 2, P), 0).values
+        assert h[-1] == h[-2] == numerator_degree(hilbert_numerator(ideal(2, (3, 0)))) == 3
 
     def test_scheme_degree_of_hypersurface(self):
-        # conic in P^2: dimension 1, degree 2
+        # conic in P^2: dimension 1, degree 2, initial ideal (x1^2)
         f = {(2, 0, 0): 1, (0, 1, 1): -1}
-        assert stable_value(difference(hilbert_oracle([f], 6, 3, P), 1)) == 2
+        h = difference(hilbert_oracle([f], 6, 3, P), 1).values
+        assert h[-1] == h[-2] == numerator_degree(hilbert_numerator(ideal(3, (2, 0, 0)))) == 2
 
 
 # --- agreement with ranks of stacked Macaulay matrices ----------------------
