@@ -225,6 +225,13 @@ def _check_default(A: LiftingMatrix) -> None:
                                   f"the default {name}")
 
 
+BF_COLUMN_LIMIT = 10**5
+"""Ceiling on the columns of a ``bf`` matrix, checked before any row is
+built.  A ``bf`` lift adds no variable, so in two or more variables its
+horizon's Macaulay width exceeds its column count, and ``verify_lift``
+refuses one of more than ``oracle.MAX_WIDTH`` = 10^5 columns anyway."""
+
+
 def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
                    t: int = 1) -> LiftingMatrix:
     """Standard matrices.
@@ -237,8 +244,13 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
     x_j + sum_k c_{j,i,k} u_k with coefficient vectors drawn
     deterministically from the seed in [1, 2999]^t, distinct within each
     row; more than 2999^t columns is a LiftError.
+
+    A ``bf`` matrix of more than BF_COLUMN_LIMIT columns is a LiftError.
     """
     if style == "bf":
+        if ncols > BF_COLUMN_LIMIT:
+            raise LiftError(f"{ncols} columns in a bf matrix, more than "
+                            f"BF_COLUMN_LIMIT = {BF_COLUMN_LIMIT}")
         t, seed = 0, None
     elif style != "t-lift":
         raise ValueError(f"unknown style {style!r}")
@@ -391,8 +403,13 @@ class LiftedIdeal:
     def N(self) -> int:
         return self.matrix.N
 
-    def polynomials(self, p: int | None = DEFAULT_PRIME) -> list:
-        return [expand(g, self.matrix, p) for g in self.generators]
+    def polynomials(self, p: int | None = DEFAULT_PRIME, memo: dict | None = None) -> list:
+        """The generators expanded mod p (over Z when p is None), all with
+        one ``expand`` memo: generators that share a run of forms share
+        its product.  A caller's ``memo``, for the same p, also shares the
+        products of the lifts expanded with it before."""
+        memo = {} if memo is None else memo
+        return [expand(g, self.matrix, p, memo) for g in self.generators]
 
     def initial_ideal(self) -> MonomialIdeal:
         """J·R, the source in the rows' own variables: the initial ideal
@@ -557,7 +574,9 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     plus the x's of dropped rows), which must be J's,
     ``saturation-spot-check`` its last three values, equal for an Artinian
     source with one new variable, and, for a t-lift,
-    ``non-degeneracy-dim-I1`` that it is N in degree 1.  An entry without
+    ``non-degeneracy-dim-I1`` that it is N minus the number of J's
+    linear generators in degree 1, each of which lifts to one linear form
+    (its detail is empty unless the row fails).  An entry without
     the shape over Z fails all three, named in their detail: an
     x-coefficient off its own variable that is a nonzero multiple of the
     prime passes validation mod p, but no theorem covers it.  Only
@@ -597,9 +616,12 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
              or hf.at(dmax) == hf.at(dmax - 1) == hf.at(dmax - 2),
              f"tail values {hf.values[-3:]}")]
     if A.kind == "t-lift":
-        # A proper lifting of a nonzero ideal spans no linear forms: the
-        # lifted scheme is nondegenerate in its ambient space.
-        rows.append(("non-degeneracy-dim-I1", hf.at(1) == A.N, ""))
+        # I_1 is spanned by the lifts of J's linear generators x_v, one
+        # linear form each, independent as each leads with its own x_v: the
+        # lifted scheme lies in no hyperplane but the ones they cut out.
+        want = A.N - sum(g.degree == 1 for g in J.gens)
+        rows.append(("non-degeneracy-dim-I1", hf.at(1) == want,
+                     "" if hf.at(1) == want else f"h(1) = {hf.at(1)}, expected {want}"))
     if not report.singular_over_z:
         checks += rows
     else:

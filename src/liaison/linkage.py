@@ -146,7 +146,10 @@ class PolyIdeal(_FieldCodec):
     its construction proves: ``factors``, each generator as the forms mod
     p whose product it is (a count per form), and the initial ideal in
     revlex with the variables ``last`` smallest, of which the generators
-    are a Gröbner basis.  Three theorems give that ideal:
+    are a Gröbner basis.  It also remembers what its checks read again:
+    the Hilbert-series ``numerator`` and, per prime, the generators
+    reduced mod p (``reduced``), which a lift's expansion already is.
+    Three theorems give that ideal:
 
     - ``from_monomial``: the ideal itself, in every order;
     - ``from_lifted``: the source in the rows' own variables, with the
@@ -180,12 +183,16 @@ class PolyIdeal(_FieldCodec):
         return ideal._prove(factors, padded)
 
     @classmethod
-    def from_lifted(cls, L: LiftedIdeal, codim: int,
-                    prime: int = DEFAULT_PRIME, label: str = "") -> "PolyIdeal":
-        ideal = cls(L.N, tuple(L.polynomials(prime)), codim, "lifted-generic", label)
+    def from_lifted(cls, L: LiftedIdeal, codim: int, prime: int = DEFAULT_PRIME,
+                    label: str = "", memo: dict | None = None) -> "PolyIdeal":
+        """The lift's generators expanded mod ``prime``, with ``memo`` when
+        given (``LiftedIdeal.polynomials``); they are their own reductions."""
+        gens = tuple(L.polynomials(prime, memo))
+        ideal = cls(L.N, gens, codim, "lifted-generic", label)
+        ideal.__dict__["_reduced"] = {prime: gens}
         rows = L.matrix.rows
         keys = {f: _key(linear_form_poly(rows[f[0]][f[1]].coeffs), prime)
-                for g in L.generators for f in g.factors}
+                for f in {f for g in L.generators for f in g.factors}}
         factors = tuple(Counter(keys[f] for f in g.factors) for g in L.generators)
         if L.validation.prime != prime:  # no theorem: the shape holds mod another prime
             return ideal._prove(factors)
@@ -205,6 +212,13 @@ class PolyIdeal(_FieldCodec):
     @property
     def factors(self) -> tuple[Counter, ...] | None:
         return self.__dict__.get("_factors")
+
+    def reduced(self, prime: int) -> tuple[dict, ...]:
+        """The generators mod ``prime``, remembered per prime."""
+        memo = self.__dict__.setdefault("_reduced", {})
+        if prime not in memo:
+            memo[prime] = tuple(poly_normalize(g, prime) for g in self.gens)
+        return memo[prime]
 
     @property
     def dim(self) -> int:
@@ -248,21 +262,27 @@ def _first_outside(part: PolyIdeal, ideal: PolyIdeal, prime: int, last=()) -> in
             ideal.N, (Monomial(e) for g in ideal.gens for e, c in g.items() if c % prime))
     order = _revlex_order(ideal.N, last)
     outside = []
-    for k, g in enumerate(part.gens):
+    for k, (g, reduced) in enumerate(zip(part.gens, part.reduced(prime))):
         degree = poly_degree(g)
-        g = poly_normalize(g, prime)
-        if not g:
+        if not reduced:
             continue
         if monomial:
-            if not all(target.contains(Monomial(e)) for e in g):
+            if not all(target.contains(Monomial(e)) for e in reduced):
                 outside.append(degree)
         elif not (part.factors is not None and ideal.factors is not None
-                  and any(h <= part.factors[k] for h in ideal.factors)):
-            if ideal.initial_ideal(last).contains(Monomial(_lead(g, order))):
+                  and _divides_one(ideal.factors, part.factors[k])):
+            if ideal.initial_ideal(last).contains(Monomial(_lead(reduced, order))):
                 raise LinkageError(f"no proof decides the containment of a form of "
                                    f"degree {degree} in {ideal.label or 'the ideal'}")
             outside.append(degree)
     return min(outside, default=None)
+
+
+def _divides_one(lists, g: Counter) -> bool:
+    """Whether one of the factor ``lists`` is part of ``g``: its forms are
+    among g's, each at most as often."""
+    forms = g.keys()
+    return any(h.keys() <= forms and all(c <= g[x] for x, c in h.items()) for h in lists)
 
 
 def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, prime: int,
@@ -286,7 +306,8 @@ def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, prime: int,
     gens = tuple(base.gens) + tuple(poly_mul(f, g, prime) for g in divisor.gens)
     factors = None
     if base.factors is not None and divisor.factors is not None:
-        factors = base.factors + tuple(h + Counter({_key(f, prime): 1}) for h in divisor.factors)
+        times_f = Counter({_key(f, prime): 1})
+        factors = base.factors + tuple(h + times_f for h in divisor.factors)
     result = PolyIdeal(base.N, gens, base.codim + 1, base.gorenstein_tag, label)
     return result._prove(factors, initial.plus(divisor.initial_ideal(last).times_monomial(m)),
                          last)
@@ -305,7 +326,7 @@ def _colon_failure(ideal: PolyIdeal, f: dict, prime: int) -> str | None:
         Stillman, 1987).  For a bilink's bar I_0 it is the lifting
         theorem.  Without such a theorem the reason names it."""
     f = poly_normalize(f, prime)
-    gens = [g for g in (poly_normalize(g, prime) for g in ideal.gens) if g]
+    gens = [g for g in ideal.reduced(prime) if g]
     poly_degree(f)  # (A) reads deg f off a term
     involved = {v for g in gens for e in g for v, a in enumerate(e) if a}
     supports = [[v for v, a in enumerate(e) if a] for e in f]
@@ -610,11 +631,14 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, prime: int) -> ChainSt
     D = decompose(J)
     alpha = D.alpha
     Aprime = A.drop_first_row()
+    # One expansion memo for the step: the direct lift's bar(x1^k·m)
+    # continues the layer lifts' bar'(m).  It is dropped on return.
+    memo: dict = {}
     layer_lifts = []
     for j in range(alpha):
         lifted = lift_ideal(D.layers[j], Aprime, prime=prime)
         layer_lifts.append(PolyIdeal.from_lifted(
-            lifted, codim=n - 1, prime=prime, label=f"lift-I{j}"
+            lifted, codim=n - 1, prime=prime, label=f"lift-I{j}", memo=memo
         ))
     # F_i = L_{1, alpha - i + 1}, so the last form F_r is L_{1,1}.
     forms = [
@@ -625,7 +649,8 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, prime: int) -> ChainSt
     chain = hypersurface_chain(layer_lifts, forms, prime, last=last)
 
     direct = PolyIdeal.from_lifted(
-        lift_ideal(J, A, prime=prime), codim=n, prime=prime, label="direct-lift"
+        lift_ideal(J, A, prime=prime), codim=n, prime=prime, label="direct-lift",
+        memo=memo,
     )
     # The direct lift lies in Z_alpha, whose initial ideal M_alpha is J.
     equal = (_first_outside(direct, chain.result, prime, last) is None
@@ -911,7 +936,8 @@ def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     report each rebuilt step's checks, and require every stored step's
     JSON to be the canonical JSON text of its rebuild; failures become
     report entries, never exceptions.  The replay builds its own objects,
-    so it reuses nothing the build computed.
+    so it reuses nothing the build computed: a chain step's expansion memo
+    lives only while that step is built, and no module keeps one.
 
     An unknown mode, an invalid prime, a stored horizon other than the one
     ``oracle.horizon`` derives from the root, or a root the mode's builder

@@ -1,10 +1,13 @@
 """Polynomial helpers, the prime and horizon contracts, and the reference
 oracle over a prime field.
 
-Expands lifted generators into honest polynomials.  The oracle answers
-graded questions degree by degree from Macaulay matrices, the coefficient
-rows of every monomial multiple of the generators in one degree, with
-one kernel: the rank over F_p by Gaussian elimination (``rank_mod_p``).
+Expands lifted generators into honest polynomials (``expand``), each a
+product of linear forms; a memo the caller holds shares the product of
+every run of forms that generators have in common, and the module keeps
+none.  The oracle answers graded questions degree by degree from
+Macaulay matrices, the coefficient rows of every monomial multiple of
+the generators in one degree, with one kernel: the rank over F_p by
+Gaussian elimination (``rank_mod_p``).
 
 - a graded dimension is the rank of the Macaulay matrix;
 - containment is decided in the generators' degrees: (A)_d lies in (B)_d
@@ -111,7 +114,7 @@ def poly_mul(f: Poly, g: Poly, p: int | None) -> Poly:
     out: Poly = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return poly_normalize(out, p)
 
@@ -128,18 +131,27 @@ def linear_form_poly(coeffs, p: int | None = None) -> Poly:
     return poly_normalize(out, p)
 
 
-def expand_product(forms, N: int, p: int | None) -> Poly:
-    """Product of linear forms; the empty product is the constant 1."""
-    acc: Poly = {(0,) * N: 1}
-    for form in forms:
-        acc = poly_mul(acc, linear_form_poly(form.coeffs, p), p)
+def expand(gen, matrix, p: int | None = DEFAULT_PRIME, memo: dict | None = None) -> Poly:
+    """Expand a lifted generator (factor references into a matrix): the
+    product of its linear forms mod p, or over Z when p is None, taken
+    from the last row's forms to the first row's; the empty product is
+    the constant 1.
+
+    ``memo`` is a trie of the runs of forms already multiplied: it maps a
+    form's coefficient tuple to the product of the run ending there and
+    the trie of the runs that continue it.  A generator multiplies only
+    the forms past the longest run it shares with one expanded before, so
+    bar(x_1^k·m) reuses the product bar'(m) by the matrix with its first
+    row dropped.  One memo serves one p; without one nothing is kept."""
+    node = {} if memo is None else memo
+    acc: Poly = {(0,) * matrix.N: 1}
+    for r, c in sorted(gen.factors, key=lambda f: -f[0]):  # stable: columns ascend
+        coeffs = matrix.rows[r][c].coeffs
+        hit = node.get(coeffs)
+        if hit is None:
+            hit = node[coeffs] = (poly_mul(acc, linear_form_poly(coeffs, p), p), {})
+        acc, node = hit
     return acc
-
-
-def expand(gen, matrix, p: int | None = DEFAULT_PRIME) -> Poly:
-    """Expand a lifted generator (factor references into a matrix)."""
-    forms = [matrix.rows[r][c] for r, c in gen.factors]
-    return expand_product(forms, matrix.N, p)
 
 
 def ring_dim(N: int, d: int) -> int:

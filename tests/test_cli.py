@@ -256,6 +256,19 @@ class TestLiftAndVerify:
             ["hilbert-difference-t1", "saturation-spot-check", "non-degeneracy-dim-I1"],
             "row 2, column 1 has no lifting's shape over Z")
 
+    def test_lift_of_an_ideal_with_a_linear_generator(self, tmp_path, capsys):
+        # x1 lifts to one linear form, so h(1) is N - 1 = 2, not N.
+        path, lifted = tmp_path / "J.json", tmp_path / "L.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[1, 0], [0, 2]]}))
+        code, _, _ = run(capsys, "lift", str(path), "--matrix", "t:1", "--seed", "7",
+                         "--out", str(lifted))
+        assert code == 0
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["non-degeneracy-dim-I1"] == {
+            "name": "non-degeneracy-dim-I1", "passed": True, "detail": ""}
+
     def test_lift_past_its_socle_degree(self, tmp_path, capsys):
         # (x1^5, x2^5) has socle degree 8: its lift's Hilbert function
         # settles at 25 in degree 8, past max generator degree 5 + 2.
@@ -583,6 +596,17 @@ class TestUnboundedInputs:
         code, out, err = run_bounded(command[0], path, *command[1:])
         assert (code, out) == (2, "")
         assert err.startswith("error: 3000 columns") and err.count("\n") == 1
+
+    # A bf matrix has one column per degree of the largest generator:
+    # (x1, x2^(2^40)) would need 2^40 of them, refused before any is built.
+    def test_bf_matrix_wider_than_its_limit(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[1, 0], [0, 2**40]]}))
+        message = f"error: {2**40} columns in a bf matrix, more than BF_COLUMN_LIMIT = 100000\n"
+        assert run_bounded("lift", path, "--matrix", "bf", timeout=10) == (2, "", message)
+        start = time.perf_counter()  # in-process, now that it is refused
+        assert run(capsys, "lift", str(path), "--matrix", "bf") == (2, "", message)
+        assert time.perf_counter() - start < 1
 
     # Horizons derived from ideals of high degree: 119 in 4 variables for
     # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).

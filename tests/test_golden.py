@@ -7,6 +7,7 @@ import hashlib
 import json
 
 from liaison.cli import main
+from liaison.lifting import canonical_json
 
 PINNED = {
     "glicci --json, worked ideal, artinian, seed 7": (
@@ -24,6 +25,11 @@ PINNED = {
     "worked-example --json": (
         "7e3b898b783101f33111902efb1aba48c44fa65117b945afabbbc5d8160031bb", 764),
 }
+
+# The seed-7 Artinian certificate of (x1, x2, x3)^8, as canonical JSON
+# text: 45 lifted generators, where a chain step shares the most products.
+POWER_8_CERTIFICATE = (
+    "6c6fd742793b9c62057ca628a7969ea209c584505f7d58b342e9ff2754ef71f8", 181685)
 
 SQUARE = {"schema": "ideal/1", "n": 3,
           "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
@@ -58,3 +64,14 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     ]
     got = dict(zip(PINNED, map(_digest, outputs)))
     assert got == PINNED
+
+
+def test_power_of_the_maximal_ideal_certificate_is_byte_identical(tmp_path, capsys):
+    power, cert = tmp_path / "m8.json", tmp_path / "cert.json"
+    power.write_text(json.dumps({"schema": "ideal/1", "n": 3, "gens": [
+        [a, b, 8 - a - b] for a in range(9) for b in range(9 - a)]}))
+    assert main(["glicci", str(power), "--mode", "artinian", "--seed", "7",
+                 "--out", str(cert)]) == 0
+    capsys.readouterr()
+    text = canonical_json(json.loads(cert.read_text())).encode()
+    assert _digest(text) == POWER_8_CERTIFICATE

@@ -15,6 +15,7 @@ from liaison.hilbert import (
     lex_ideal_from_hvector,
     macaulay_bound,
 )
+from liaison.layers import decompose
 from liaison.lifting import (
     LiftError,
     LiftingMatrix,
@@ -41,6 +42,8 @@ from liaison.oracle import (
     expand,
     hilbert_oracle,
     ideals_equal_up_to,
+    linear_form_poly,
+    poly_mul,
     rank_mod_p,
 )
 
@@ -64,6 +67,10 @@ class TestMatrices:
         assert A.rows[1][0].coeffs == (0, 1, 0)
         assert A.rows[2][3].coeffs == (3, 0, 1)
         assert A.t == 0 and A.N == 3
+
+    def test_bf_matrix_wider_than_its_limit(self):
+        with pytest.raises(LiftError, match="more than BF_COLUMN_LIMIT"):
+            default_matrix(2, "bf", ncols=lifting.BF_COLUMN_LIMIT + 1)
 
     def test_t_lift_matrix_shape(self):
         A = default_matrix(3, "t-lift", seed=7, ncols=5, t=2)
@@ -390,6 +397,86 @@ class TestBar:
         A = default_matrix(2, "bf", ncols=3)
         f = expand(bar(Monomial((0, 2)), A), A, p=None)
         assert f == {(0, 2): 1, (1, 1): 1}
+
+
+def expand_product(forms, N, p):
+    """The product of ``forms`` one at a time, in the order given, with
+    nothing kept: the reference for a shared expansion."""
+    acc = {(0,) * N: 1}
+    for form in forms:
+        acc = poly_mul(acc, linear_form_poly(form.coeffs, p), p)
+    return acc
+
+
+def step_lifts(J, A):
+    """The lifts a chain step expands with one memo: J's layers by A with
+    its first row dropped, then J by A."""
+    D = decompose(J)
+    return [lift_ideal(D.layers[j], A.drop_first_row()) for j in range(D.alpha)] + [
+        lift_ideal(J, A)]
+
+
+def random_lifts(rng):
+    """A random ideal J in 2..4 variables lifted by a seeded t-lift matrix,
+    after J with x1 set to 1 lifted by that matrix minus its first row:
+    every bar(x1^k·m) of the second lift continues a bar'(m) of the
+    first."""
+    n = rng.randint(2, 4)
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * n
+        for _ in range(rng.randint(1, 5)):
+            exps[rng.randrange(n)] += 1
+        gens.append(Monomial(tuple(exps)))
+    J = MonomialIdeal.from_gens(n, gens)
+    A = default_matrix(n, "t-lift", seed=rng.randrange(10**6),
+                       ncols=J.max_gen_degree, t=rng.randint(1, 3))
+    stripped = MonomialIdeal.from_gens(n - 1, [Monomial(g.exps[1:]) for g in J.gens])
+    return [lift_ideal(stripped, A.drop_first_row()), lift_ideal(J, A)]
+
+
+def expansion_cases():
+    """pytest params (groups, p, step): each group a list of lifts expanded
+    with one memo at p; ``step`` when they are a chain step's."""
+    cube8 = MonomialIdeal.from_gens(3, monomials_of_degree(3, 8))
+    for t in (1, 2):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=t)
+        yield pytest.param([step_lifts(WORKED_J, A)], P, True, id=f"worked-t{t}")
+    A = default_matrix(3, "bf", ncols=6)
+    yield pytest.param([step_lifts(WORKED_J, A)], None, True, id="worked-bf-over-z")
+    A = default_matrix(3, "t-lift", seed=7, ncols=8, t=1)
+    yield pytest.param([step_lifts(cube8, A)], P, True, id="cube8")
+    rng = random.Random(31)
+    for p in (32003, 65537, None):
+        groups = [random_lifts(rng) for _ in range(10)]
+        yield pytest.param(groups, p, False, id=f"random-{p or 'over-z'}")
+
+
+def trie_size(memo) -> int:
+    return sum(1 + trie_size(children) for _, children in memo.values())
+
+
+class TestSharedExpansion:
+    @pytest.mark.parametrize("groups,p,step", expansion_cases())
+    def test_equals_the_per_generator_product(self, groups, p, step):
+        for lifts in groups:
+            memo, factors = {}, 0
+            for L in lifts:
+                A = L.matrix
+                want = [expand_product([A.rows[r][c] for r, c in g.factors], A.N, p)
+                        for g in L.generators]
+                assert L.polynomials(p, memo) == want
+                factors += sum(g.degree for g in L.generators)
+            # One product per distinct run of forms, never more than one
+            # per factor; a chain step's lifts share runs, so fewer.
+            assert trie_size(memo) <= factors
+            assert not step or trie_size(memo) < factors
+
+    def test_a_memo_holds_nothing_across_calls_without_one(self):
+        L = lift_ideal(WORKED_J, default_matrix(3, "t-lift", seed=7, ncols=6, t=1))
+        first, again = L.polynomials(P), L.polynomials(P)
+        assert first == again
+        assert not {id(f) for f in first} & {id(f) for f in again}
 
 
 class TestLiftedIdeal:

@@ -352,13 +352,42 @@ class TestOracleLeavesTheCertificates:
         assert [key for key, _ in proven] == keys
         assert not {id(i) for _, i in built} & {id(i) for _, i in proven}
 
+    def test_replay_makes_every_product_the_build_makes(self, monkeypatch):
+        # A chain step's expansion memo lives only while the step runs: the
+        # replay multiplies as many forms as the build did, none fewer.
+        products = []
+        real = oracle.poly_mul
+        monkeypatch.setattr(oracle, "poly_mul",
+                            lambda *args: products.append(args) or real(*args))
+        for J, A in [(WORKED_J, default_matrix(3, "t-lift", seed=7, ncols=6, t=1)),
+                     (MonomialIdeal.from_gens(4, monomials_of_degree(4, 2)),
+                      default_matrix(4, "t-lift", seed=3, ncols=4, t=1))]:
+            del products[:]
+            cert = glicci_certificate_artinian(J, A)
+            built = len(products)
+            assert verify_certificate(cert).ok
+            assert built > 0 and len(products) == 2 * built
+
+    def test_a_fault_in_the_replays_expansion_is_caught(self, monkeypatch):
+        # Each product of the replay's expansion doubled, so every lifted
+        # generator is a nonzero multiple of its own: the factor lists and
+        # initial ideals, and so every check, are unchanged, but the rebuilt
+        # step is not the stored one.  A replay that reused the build's
+        # products would miss it.
+        cert = worked_certificate()
+        real = oracle.poly_mul
+        monkeypatch.setattr(oracle, "poly_mul",
+                            lambda f, g, p: {e: 2 * c % p for e, c in real(f, g, p).items()})
+        failing = [e[:2] for e in verify_certificate(cert).entries if not e[2]]
+        assert failing == [(0, "stored-equals-rebuilt")]
+
     def test_memo_is_not_a_field(self):
         v = PolyIdeal.from_monomial(SQUARE)
         fresh = PolyIdeal.from_monomial(SQUARE)
         assert v.numerator is v.numerator
         assert v == fresh and v.to_json() == fresh.to_json()
         copy = dataclasses.replace(v)
-        assert not {"_numerator", "_initial", "_factors"} & copy.__dict__.keys()
+        assert not {"_numerator", "_initial", "_factors", "_reduced"} & copy.__dict__.keys()
         with pytest.raises(LinkageError, match="no theorem gives the ideal"):
             copy.numerator
 
