@@ -21,7 +21,7 @@ from .lifting import (
     InvalidMatrix,
     LiftError,
     MatrixError,
-    default_matrix,
+    default_matrix_for,
     lift_record,
     verify_lift,
 )
@@ -196,17 +196,10 @@ def _layer_row(I: MonomialIdeal) -> tuple[str, dict, dict | None]:
     return f"{I}  h = {hf_txt}", I.to_json(), hf_json
 
 
-def _t_lift_matrix(J: MonomialIdeal, seed: int, t: int = 1):
-    """The default t-lifting matrix for J: one column per degree of its
-    largest generator."""
-    return default_matrix(J.n, "t-lift", seed=seed,
-                          ncols=max(J.max_gen_degree, 1), t=t)
-
-
 def _matrix_for(args, J: MonomialIdeal):
     spec = args.matrix
     if spec == "bf":
-        return default_matrix(J.n, "bf", ncols=max(J.max_gen_degree, 1))
+        return default_matrix_for(J, "bf")
     if spec.startswith("t:"):
         try:
             t = int(spec[2:])
@@ -214,7 +207,7 @@ def _matrix_for(args, J: MonomialIdeal):
             raise InputError(f"bad matrix spec {spec!r}")
         if t < 1:
             raise InputError("t must be at least 1")
-        return _t_lift_matrix(J, args.seed, t)
+        return default_matrix_for(J, "t-lift", args.seed, t)
     raise InputError(f"bad matrix spec {spec!r} (use bf or t:<t>)")
 
 
@@ -264,7 +257,7 @@ def cmd_glicci(args) -> int:
     prime = args.prime
     try:
         if args.mode == "artinian":
-            A = _t_lift_matrix(J, args.seed)
+            A = default_matrix_for(J, "t-lift", args.seed)
             cert = glicci_certificate_artinian(J, A, prime=prime)
         else:
             cert = glicci_certificate_borel(J, prime=prime)
@@ -336,7 +329,7 @@ def cmd_worked_example(args) -> int:
     if shifted != GOLDEN_H:
         diffs.append(f"column sums: got {shifted}, want {GOLDEN_H}")
 
-    A = _t_lift_matrix(J, seed)
+    A = default_matrix_for(J, "t-lift", seed)
     try:
         record = lift_record(J, A, prime=prime)
         lift_report = verify_lift(record, prime=prime)

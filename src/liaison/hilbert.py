@@ -297,10 +297,6 @@ def o_sequence_violation(h: HVector) -> tuple[int, int, int] | None:
     return None
 
 
-def is_o_sequence(h: HVector) -> bool:
-    return o_sequence_violation(h) is None
-
-
 def difference(h: HVector, k: int = 1) -> HVector:
     """k-th difference; errors if any entry of an intermediate difference
     goes negative (the sequence is not k-times differentiable)."""
@@ -342,21 +338,6 @@ def partial_sum(h: HVector, k: int, dmax: int) -> HVector:
     if k == 0 and h.horizon is None:
         return HVector.artinian(vals)
     return HVector.truncated(vals, dmax)
-
-
-def is_k_differentiable(h: HVector, k: int) -> bool:
-    """h and its first k differences are all (non-negative) O-sequences."""
-    cur = h
-    for step in range(k + 1):
-        if not is_o_sequence(cur):
-            return False
-        if step == k:
-            break
-        try:
-            cur = difference(cur, 1)
-        except NotDifferentiableError:
-            return False
-    return True
 
 
 def _shadow(n: int, monos) -> set[Monomial]:

@@ -168,14 +168,6 @@ def decompose(J: MonomialIdeal) -> LayerDecomposition:
     return D
 
 
-def recompose(D: LayerDecomposition) -> MonomialIdeal:
-    """Sum of x_1^j * (I_j extended to the full ring), minimalized; the
-    layers must form a chain."""
-    if not D.chain_holds():
-        raise DecompositionError("layer chain violated")
-    return _layer_sum(D)
-
-
 def _layer_sum(D: LayerDecomposition) -> MonomialIdeal:
     """Sum of the x_1^j * I_j at the first j of each run of a chain: a
     later j of the run gives multiples of these."""

@@ -231,6 +231,11 @@ built.  A ``bf`` lift adds no variable, so in two or more variables its
 horizon's Macaulay width exceeds its column count, and ``verify_lift``
 refuses one of more than ``oracle.MAX_WIDTH`` = 10^5 columns anyway."""
 
+T_LIFT_COEFFICIENT_LIMIT = 10**6
+"""Ceiling on the coefficients the rows of a t-lifting matrix hold, n rows
+of ``ncols`` forms in n + t variables, checked before any is drawn: a lift
+draws each and its record stores each."""
+
 
 def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
                    t: int = 1) -> LiftingMatrix:
@@ -243,7 +248,8 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
     style "t-lift": ambient n plus t new variables u; row j has entries
     x_j + sum_k c_{j,i,k} u_k with coefficient vectors drawn
     deterministically from the seed in [1, 2999]^t, distinct within each
-    row; more than 2999^t columns is a LiftError.
+    row; more than 2999^t columns is a LiftError, and so are rows of more
+    than T_LIFT_COEFFICIENT_LIMIT coefficients, checked first.
 
     A ``bf`` matrix of more than BF_COLUMN_LIMIT columns is a LiftError.
     """
@@ -254,12 +260,22 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
         t, seed = 0, None
     elif style != "t-lift":
         raise ValueError(f"unknown style {style!r}")
-    elif ncols > 2999 ** t:
+    elif n * ncols * (n + t) > T_LIFT_COEFFICIENT_LIMIT:
+        raise LiftError(f"{n * ncols * (n + t)} coefficients in a t-lift matrix, more than "
+                        f"T_LIFT_COEFFICIENT_LIMIT = {T_LIFT_COEFFICIENT_LIMIT}")
+    elif ncols > 2999 ** min(t, ncols):  # 2999^ncols >= ncols
         raise LiftError(f"{ncols} columns of distinct coefficient vectors "
                         f"in [1, 2999]^{t}: at most {2999 ** t} exist")
     rows = tuple(tuple(map(LinearForm, row))
                  for row in _default_rows(n, style, seed, ncols, t))
     return LiftingMatrix(rows, n, t, style, seed)
+
+
+def default_matrix_for(J: MonomialIdeal, style: str, seed: int = 0,
+                       t: int = 1) -> LiftingMatrix:
+    """The ``default_matrix`` of ``style`` for J: one column per degree of
+    its largest generator."""
+    return default_matrix(J.n, style, seed, ncols=max(J.max_gen_degree, 1), t=t)
 
 
 @dataclass

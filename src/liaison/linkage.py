@@ -10,7 +10,9 @@ carries the initial ideal a theorem proves for it (``PolyIdeal``): a
 monomial ideal is its own, a lift's is its source (the lifting theorem,
 ``lifting``), and a basic double link's is in(I) + lead(f)·in(J)
 (``_link_result``).  A Hilbert function is the closed form of that
-ideal.  A containment is decided without reduction (``_first_outside``):
+ideal.  An ideal also carries the prime of its field and the order of
+that proof, and each operation reads both off its ideals, so no caller
+passes them; ideals at two primes are a LinkageError.  A containment is decided without reduction (``_first_outside``):
 by the terms of each form when the ideal is monomial, else by factor
 lists, as bar(h) divides bar(g) when h divides g, or refuted by a leading
 monomial outside the initial ideal.  An equality is one containment and
@@ -46,7 +48,7 @@ from .lifting import (
     LiftingMatrix,
     MatrixError,
     canonical_json,
-    default_matrix,
+    default_matrix_for,
     lift_ideal,
 )
 from .monomials import (
@@ -143,21 +145,21 @@ class PolyIdeal(_FieldCodec):
     ("monomial"), or has unknown provenance.
 
     Outside its fields, so JSON and equality ignore them, it keeps what
-    its construction proves: ``factors``, each generator as the forms mod
-    p whose product it is (a count per form), and the initial ideal in
-    revlex with the variables ``last`` smallest, of which the generators
-    are a Gröbner basis.  It also remembers what its checks read again:
-    the Hilbert-series ``numerator`` and, per prime, the generators
-    reduced mod p (``reduced``), which a lift's expansion already is.
-    Three theorems give that ideal:
+    its construction proves: the ``prime`` its generators are reduced at,
+    ``factors``, each generator as the forms mod p whose product it is (a
+    count per form), and the initial ideal in revlex with the variables
+    ``last`` smallest, of which the generators are a Gröbner basis; and
+    the Hilbert-series ``numerator`` its checks read again.  Three
+    theorems give that ideal:
 
-    - ``from_monomial``: the ideal itself, in every order;
+    - ``from_monomial``: the ideal itself, in every order and over every
+      field (no prime);
     - ``from_lifted``: the source in the rows' own variables, with the
       variables the lifting orders last (``LiftingMatrix.lifted_variables``),
-      by the lifting theorem (``lifting``) when the matrix was validated
-      at the prime;
+      by the lifting theorem (``lifting``) at the prime the matrix was
+      validated at;
     - ``basic_double_link``: in(I) + lead(f)·in(J) for I + f·J
-      (``_link_result``).
+      (``_link_result``), at the prime of I and J.
 
     An ideal built any other way has none, and a check that needs one
     raises LinkageError naming it.
@@ -183,42 +185,39 @@ class PolyIdeal(_FieldCodec):
         return ideal._prove(factors, padded)
 
     @classmethod
-    def from_lifted(cls, L: LiftedIdeal, codim: int, prime: int = DEFAULT_PRIME,
-                    label: str = "", memo: dict | None = None) -> "PolyIdeal":
-        """The lift's generators expanded mod ``prime``, with ``memo`` when
-        given (``LiftedIdeal.polynomials``); they are their own reductions."""
-        gens = tuple(L.polynomials(prime, memo))
-        ideal = cls(L.N, gens, codim, "lifted-generic", label)
-        ideal.__dict__["_reduced"] = {prime: gens}
+    def from_lifted(cls, L: LiftedIdeal, codim: int, label: str = "",
+                    memo: dict | None = None) -> "PolyIdeal":
+        """The lift's generators expanded mod the prime its matrix was
+        validated at, where the lifting theorem holds, with ``memo`` when
+        given (``LiftedIdeal.polynomials``)."""
+        prime = L.validation.prime
+        ideal = cls(L.N, tuple(L.polynomials(prime, memo)), codim, "lifted-generic", label)
+        ideal.__dict__["_prime"] = prime
         rows = L.matrix.rows
         keys = {f: _key(linear_form_poly(rows[f[0]][f[1]].coeffs), prime)
                 for f in {f for g in L.generators for f in g.factors}}
         factors = tuple(Counter(keys[f] for f in g.factors) for g in L.generators)
-        if L.validation.prime != prime:  # no theorem: the shape holds mod another prime
-            return ideal._prove(factors)
         return ideal._prove(factors, L.initial_ideal(), L.matrix.lifted_variables)
 
-    def _prove(self, factors, initial: MonomialIdeal | None = None,
-               last=None) -> "PolyIdeal":
+    def _prove(self, factors, initial: MonomialIdeal, last=None) -> "PolyIdeal":
         """Keep the generators' ``factors`` (or None) and the ``initial``
         ideal a theorem gives, in revlex with ``last`` smallest, or in
         every order when ``last`` is None; return the ideal."""
         self.__dict__["_factors"] = factors
-        if initial is not None:
-            order = None if last is None else _revlex_order(self.N, last)
-            self.__dict__["_initial"] = (order, initial)
+        self.__dict__["_initial"] = (last, initial)
         return self
 
     @property
     def factors(self) -> tuple[Counter, ...] | None:
         return self.__dict__.get("_factors")
 
-    def reduced(self, prime: int) -> tuple[dict, ...]:
-        """The generators mod ``prime``, remembered per prime."""
-        memo = self.__dict__.setdefault("_reduced", {})
-        if prime not in memo:
-            memo[prime] = tuple(poly_normalize(g, prime) for g in self.gens)
-        return memo[prime]
+    @property
+    def prime(self) -> int | None:  # None: monomials, or forms over Z
+        return self.__dict__.get("_prime")
+
+    @property
+    def last(self):  # the initial ideal's order; None: every order, or none
+        return self.__dict__.get("_initial", (None,))[0]
 
     @property
     def dim(self) -> int:
@@ -229,9 +228,9 @@ class PolyIdeal(_FieldCodec):
         """The initial ideal a theorem gives this ideal, in revlex with the
         variables ``last`` smallest, or in the order it was proven in when
         ``last`` is None; LinkageError when no theorem gives one."""
-        order, initial = self.__dict__.get("_initial", (None, None))
-        if initial is None or not (last is None or order is None
-                                   or order == _revlex_order(self.N, last)):
+        proven, initial = self.__dict__.get("_initial", (None, None))
+        if initial is None or not (last is None or proven is None or _revlex_order(
+                self.N, proven) == _revlex_order(self.N, last)):
             where = "" if last is None else " in revlex" + (
                 " with " + ", ".join(f"x{v + 1}" for v in last) + " last" if last else "")
             raise LinkageError(f"no theorem gives {self.label or 'the ideal'} "
@@ -248,30 +247,42 @@ class PolyIdeal(_FieldCodec):
         return self.__dict__["_numerator"]
 
 
-def _first_outside(part: PolyIdeal, ideal: PolyIdeal, prime: int, last=()) -> int | None:
+def _field(*ideals: PolyIdeal) -> int | None:
+    """The one prime the ``ideals`` are reduced at, or None; two different
+    primes are a LinkageError naming both."""
+    primes = sorted({I.prime for I in ideals} - {None})
+    if len(primes) > 1:
+        raise LinkageError(f"ideals over F_{primes[0]} and F_{primes[1]}, not one field")
+    return primes[0] if primes else None
+
+
+def _first_outside(part: PolyIdeal, ideal: PolyIdeal) -> int | None:
     """The least degree of a generator of ``part`` outside ``ideal`` over
-    F_p, or None: exact in every degree, with no Gröbner basis.  A form
-    lies in an ideal of monomials exactly when its terms do.  Else it lies
-    in the ideal when the factor list of a generator is part of its own,
-    as bar(h) divides bar(g) when h divides g; and outside it when its
-    leading monomial, in revlex with ``last`` smallest, is outside the
-    ideal's initial ideal.  A form neither decides is a LinkageError."""
+    their ``_field``, or None: exact in every degree, with no Gröbner
+    basis.  A form lies in an ideal of monomials exactly when its terms
+    do.  Else it lies in the ideal when the factor list of a generator is
+    part of its own, as bar(h) divides bar(g) when h divides g; and
+    outside it when its leading monomial, in the order the ideal's is
+    proven in, is outside its initial ideal.  A form neither decides is a
+    LinkageError."""
+    prime = _field(part, ideal)
     monomial = all(len(g) <= 1 for g in ideal.gens)
     if monomial:
         target = MonomialIdeal.from_gens(
-            ideal.N, (Monomial(e) for g in ideal.gens for e, c in g.items() if c % prime))
+            ideal.N, (Monomial(e) for g in ideal.gens for e in poly_normalize(g, prime)))
+    last = ideal.last or ()
     order = _revlex_order(ideal.N, last)
     outside = []
-    for k, (g, reduced) in enumerate(zip(part.gens, part.reduced(prime))):
-        degree = poly_degree(g)
-        if not reduced:
+    for k, g in enumerate(part.gens):
+        if not g:
             continue
+        degree = poly_degree(g)
         if monomial:
-            if not all(target.contains(Monomial(e)) for e in reduced):
+            if not all(target.contains(Monomial(e)) for e in g):
                 outside.append(degree)
         elif not (part.factors is not None and ideal.factors is not None
                   and _divides_one(ideal.factors, part.factors[k])):
-            if ideal.initial_ideal(last).contains(Monomial(_lead(reduced, order))):
+            if ideal.initial_ideal(last).contains(Monomial(_lead(g, order))):
                 raise LinkageError(f"no proof decides the containment of a form of "
                                    f"degree {degree} in {ideal.label or 'the ideal'}")
             outside.append(degree)
@@ -285,11 +296,11 @@ def _divides_one(lists, g: Counter) -> bool:
     return any(h.keys() <= forms and all(c <= g[x] for x, c in h.items()) for h in lists)
 
 
-def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, prime: int,
-                 last, label: str) -> PolyIdeal:
-    """I + f·J for I = ``base`` and J = ``divisor``, with its factor lists
-    and its initial ideal in(I) + m·in(J) in revlex with ``last``
-    smallest, m the leading monomial of f.  The caller must have proven
+def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, label: str) -> PolyIdeal:
+    """I + f·J for I = ``base`` and J = ``divisor`` over their field, with
+    its factor lists and its initial ideal in(I) + m·in(J) in the order
+    in(I) was proven in (in(J)'s when I's holds in every order), m the
+    leading monomial of f.  The caller must have proven
     I ⊆ J and I : f = I; then R/(I + fJ) has the Hilbert function
     h_{R/I}(t) - h_{R/I}(t - d) + h_{R/J}(t - d), d = deg f.  When m is
     prime to the generators of in(I), it is regular on R/in(I), and
@@ -298,6 +309,8 @@ def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, prime: int,
     lead(f·g) = m·lead(g), so the two are equal, and the leading
     monomials of the generators of I and of f times those of J generate
     it.  An m that shares a variable with in(I) is a LinkageError."""
+    prime = _field(base, divisor)
+    last = next((I.last for I in (base, divisor) if I.last is not None), ())
     initial = base.initial_ideal(last)
     m = Monomial(_lead(poly_normalize(f, prime), _revlex_order(base.N, last)))
     if any(g.exps[v] for g in initial.gens for v in m.support):
@@ -309,15 +322,16 @@ def _link_result(base: PolyIdeal, divisor: PolyIdeal, f: dict, prime: int,
         times_f = Counter({_key(f, prime): 1})
         factors = base.factors + tuple(h + times_f for h in divisor.factors)
     result = PolyIdeal(base.N, gens, base.codim + 1, base.gorenstein_tag, label)
+    result.__dict__["_prime"] = prime
     return result._prove(factors, initial.plus(divisor.initial_ideal(last).times_monomial(m)),
                          last)
 
 
-def _colon_failure(ideal: PolyIdeal, f: dict, prime: int) -> str | None:
-    """None when I : f = I is proven over F_p, in every degree, for the
-    ideal I; else why the proof does not apply.
+def _colon_failure(ideal: PolyIdeal, f: dict) -> str | None:
+    """None when I : f = I is proven over the field of the ideal I, in
+    every degree; else why the proof does not apply.
 
-    (A) f has a term c x_v^{deg f}, c nonzero mod p, and no generator
+    (A) f has a term c x_v^{deg f}, c nonzero, and no generator
         involves x_v: R/I is a polynomial ring in x_v, f monic in it.
     (B) f = c x_v^k, the leading monomials of the generators in revlex
         with x_v last avoid x_v, and a theorem gives I an initial ideal in
@@ -325,8 +339,8 @@ def _colon_failure(ideal: PolyIdeal, f: dict, prime: int) -> str | None:
         basis: then in(I) : x_v = in(I), so I : x_v = I (Bayer and
         Stillman, 1987).  For a bilink's bar I_0 it is the lifting
         theorem.  Without such a theorem the reason names it."""
-    f = poly_normalize(f, prime)
-    gens = [g for g in ideal.reduced(prime) if g]
+    f = poly_normalize(f, ideal.prime)
+    gens = [g for g in ideal.gens if g]
     poly_degree(f)  # (A) reads deg f off a term
     involved = {v for g in gens for e in g for v, a in enumerate(e) if a}
     supports = [[v for v, a in enumerate(e) if a] for e in f]
@@ -362,17 +376,18 @@ class BasicDoubleLink(_FieldCodec):
     checks: tuple[Check, ...]
 
 
-def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
-                      prime: int = DEFAULT_PRIME, *, last=()) -> BasicDoubleLink:
+def basic_double_link(base: PolyIdeal, divisor: PolyIdeal,
+                      multiplier: dict) -> BasicDoubleLink:
     """Build I + A*J and verify every recorded side condition; raises
-    LinkageError naming the first failure.  Every check holds over F_p in
-    every degree.  Once ``containment`` and ``colon-stable`` pass, the
-    result's initial ideal in revlex with the variables ``last`` smallest
-    is in(I) + lead(A)·in(J) (``_link_result``), whose Hilbert series
-    numerator ``hilbert-identity`` compares with K_I·(1 - t^d) + t^d·K_J,
-    d = deg A.  A base or divisor that no theorem gives an initial ideal
-    in that order (``PolyIdeal``), such as one of forms built by hand, is
-    a LinkageError naming the missing proof."""
+    LinkageError naming the first failure.  Every check holds in every
+    degree over the one field of I and J (``_field``).  Once
+    ``containment`` and ``colon-stable`` pass, the result's initial ideal,
+    in in(I)'s order, is in(I) + lead(A)·in(J) (``_link_result``), whose
+    Hilbert series numerator ``hilbert-identity`` compares with
+    K_I·(1 - t^d) + t^d·K_J, d = deg A.  A base or divisor that no
+    theorem gives an initial ideal in that order (``PolyIdeal``), such as
+    one of forms built by hand, is a LinkageError naming the missing
+    proof."""
     checks: list[Check] = []
     d = poly_degree(multiplier)
 
@@ -387,18 +402,18 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal, multiplier: dict,
         f"tag: {base.gorenstein_tag}",
     ))
 
-    fail = _first_outside(base, divisor, prime, last)
+    fail = _first_outside(base, divisor)
     checks.append(Check(
         "containment",
         fail is None,
         None if fail is None else f"base not inside divisor at degree {fail}",
     ))
 
-    colon = _colon_failure(base, multiplier, prime)
+    colon = _colon_failure(base, multiplier)
     checks.append(Check("colon-stable", colon is None, colon))
 
     if fail is None and colon is None:  # I ⊆ J and I : f = I: a closed form
-        result = _link_result(base, divisor, multiplier, prime, last, "bdl-result")
+        result = _link_result(base, divisor, multiplier, "bdl-result")
         k_base, k_div, k_res = base.numerator, divisor.numerator, result.numerator
         bad_deg = first_mismatch(
             k_res, numerator_sum([(0, numerator_difference(k_base, d)), (d, k_div)]))
@@ -429,8 +444,7 @@ class HypersurfaceChain(_FieldCodec):
     checks: tuple[Check, ...]
 
 
-def hypersurface_chain(vees, forms, prime: int = DEFAULT_PRIME,
-                       *, last=()) -> HypersurfaceChain:
+def hypersurface_chain(vees, forms) -> HypersurfaceChain:
     """Z from the flag V_r >= ... >= V_1 (schemes, given descending) and
     forms F_1..F_r: the union of the hypersurface sections F_i on V_i,
     with the full Hilbert bookkeeping verified.  The flag's inclusions are
@@ -438,8 +452,8 @@ def hypersurface_chain(vees, forms, prime: int = DEFAULT_PRIME,
     is proven, in every degree, W_1 = I_{V_1} + (F_1) has the initial
     ideal in(V_1) + (lead F_1) (``_link_result`` with J = R), each later
     Z_k that of its link, and each W_i = I_{V_i} + (F_i) the numerator
-    (1 - t^{deg F_i})·K_{V_i}.  Initial ideals are taken in revlex with the
-    variables ``last`` smallest (``PolyIdeal``)."""
+    (1 - t^{deg F_i})·K_{V_i}.  The field and the order are the V_i's
+    (``PolyIdeal``)."""
     vees = tuple(vees)
     forms = tuple(forms)
     r = len(vees)
@@ -450,7 +464,7 @@ def hypersurface_chain(vees, forms, prime: int = DEFAULT_PRIME,
     checks: list[Check] = []
 
     for k in range(r - 1):
-        fail = _first_outside(asc[k + 1], asc[k], prime, last)
+        fail = _first_outside(asc[k + 1], asc[k])
         checks.append(Check(
             f"flag-inclusion-{k + 1}",
             fail is None,
@@ -460,16 +474,16 @@ def hypersurface_chain(vees, forms, prime: int = DEFAULT_PRIME,
 
     for i in range(1, r + 1):
         for j in range(1, i + 1):
-            fail = _colon_failure(asc[j - 1], forms[i - 1], prime)
+            fail = _colon_failure(asc[j - 1], forms[i - 1])
             checks.append(Check(f"colon-stable-F{i}-V{j}", fail is None, fail))
     _require(checks)
 
     # W_i = I_{V_i} + (F_i); Z_1 = W_1, then Z_k = I_{V_k} + F_k * Z_{k-1}.
     unit = PolyIdeal.from_monomial(MonomialIdeal.unit(N), codim=0)
-    current = _link_result(asc[0], unit, forms[0], prime, last, "W1")
+    current = _link_result(asc[0], unit, forms[0], "W1")
     links: list[BasicDoubleLink] = []
     for k in range(2, r + 1):
-        link = basic_double_link(asc[k - 1], current, forms[k - 1], prime, last=last)
+        link = basic_double_link(asc[k - 1], current, forms[k - 1])
         links.append(link)
         current = link.result
 
@@ -638,23 +652,21 @@ def _build_chain_step(J: MonomialIdeal, A: LiftingMatrix, prime: int) -> ChainSt
     for j in range(alpha):
         lifted = lift_ideal(D.layers[j], Aprime, prime=prime)
         layer_lifts.append(PolyIdeal.from_lifted(
-            lifted, codim=n - 1, prime=prime, label=f"lift-I{j}", memo=memo
+            lifted, codim=n - 1, label=f"lift-I{j}", memo=memo
         ))
     # F_i = L_{1, alpha - i + 1}, so the last form F_r is L_{1,1}.
     forms = [
         linear_form_poly(A.rows[0][alpha - i].coeffs, prime)
         for i in range(1, alpha + 1)
     ]
-    last = A.lifted_variables
-    chain = hypersurface_chain(layer_lifts, forms, prime, last=last)
+    chain = hypersurface_chain(layer_lifts, forms)
 
     direct = PolyIdeal.from_lifted(
-        lift_ideal(J, A, prime=prime), codim=n, prime=prime, label="direct-lift",
-        memo=memo,
+        lift_ideal(J, A, prime=prime), codim=n, label="direct-lift", memo=memo,
     )
     # The direct lift lies in Z_alpha, whose initial ideal M_alpha is J.
-    equal = (_first_outside(direct, chain.result, prime, last) is None
-             and chain.result.initial_ideal(last) == direct.initial_ideal(last))
+    equal = (_first_outside(direct, chain.result) is None
+             and chain.result.initial_ideal(direct.last) == direct.initial_ideal())
     checks = [Check("chain-equals-direct-lift", equal, None)]
     _require(checks)
     return ChainStep(
@@ -714,7 +726,7 @@ def _build_bilink_step(J: MonomialIdeal, prime: int) -> BilinkStep:
         None,
     ))
 
-    B = default_matrix(n, "bf", ncols=max(J.max_gen_degree, 1))
+    B = default_matrix_for(J, "bf")
     Bprime = B.drop_first_row()
     bar_i0 = lift_ideal(i0, Bprime, prime=prime)
 
@@ -743,15 +755,15 @@ def _build_bilink_step(J: MonomialIdeal, prime: int) -> BilinkStep:
         " (bar I_0 inherits it from the lifting)",
     ))
 
-    base = PolyIdeal.from_lifted(bar_i0, codim=c - 1, prime=prime, label="bar-I0")
+    base = PolyIdeal.from_lifted(bar_i0, codim=c - 1, label="bar-I0")
     divisor = PolyIdeal.from_monomial(iprime, codim=c, label="Iprime")
-    link = basic_double_link(base, divisor, {x1.exps: 1}, prime, last=B.lifted_variables)
+    link = basic_double_link(base, divisor, {x1.exps: 1})
     # The result bar I_0 + x1*I' lies in J, and its initial ideal, the
     # closed form I_0 + x1*I', is J: equal Hilbert functions.
     checks.append(Check(
         "bar-j-equals-j",
         in_j and J.contains_ideal(iprime.times_monomial(x1))
-        and link.result.initial_ideal(B.lifted_variables) == J,
+        and link.result.initial_ideal() == J,
         None,
     ))
     checks.append(Check(

@@ -315,16 +315,6 @@ def is_artinian(J: MonomialIdeal) -> bool:
     return len({g.support[0] for g in J.gens if len(g.support) == 1}) == J.n
 
 
-def borel_moves(m: Monomial) -> Iterator[Monomial]:
-    """All monomials (x_j / x_i) * m with j < i and x_i dividing m."""
-    for i in m.support:
-        for j in range(i):
-            exps = list(m.exps)
-            exps[i] -= 1
-            exps[j] += 1
-            yield Monomial(tuple(exps))
-
-
 def is_borel_fixed(J: MonomialIdeal) -> bool:
     """Exchange test x_{i-1}/x_i on the minimal generators.
 

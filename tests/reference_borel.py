@@ -8,10 +8,19 @@ from typing import Iterator
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,
-    borel_moves,
     monomials_of_degree,
     variable,
 )
+
+
+def borel_moves(m: Monomial) -> Iterator[Monomial]:
+    """All monomials (x_j / x_i) * m with j < i and x_i dividing m."""
+    for i in m.support:
+        for j in range(i):
+            exps = list(m.exps)
+            exps[i] -= 1
+            exps[j] += 1
+            yield Monomial(tuple(exps))
 
 
 @lru_cache(maxsize=None)

@@ -608,6 +608,17 @@ class TestUnboundedInputs:
         assert run(capsys, "lift", str(path), "--matrix", "bf") == (2, "", message)
         assert time.perf_counter() - start < 1
 
+    # The rows of the t = 10^7 lifting matrix of (x1^2, x2) would hold
+    # 4·10^7 coefficients: refused before any is drawn, and before 2999^t.
+    def test_t_lift_matrix_over_its_coefficient_limit(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[2, 0], [0, 1]]}))
+        message = ("error: 40000008 coefficients in a t-lift matrix, more than "
+                   "T_LIFT_COEFFICIENT_LIMIT = 1000000\n")
+        start = time.perf_counter()
+        assert run(capsys, "lift", str(path), "--matrix", "t:10000000") == (2, "", message)
+        assert time.perf_counter() - start < 1
+
     # Horizons derived from ideals of high degree: 119 in 4 variables for
     # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).
     @pytest.mark.parametrize("command", ["glicci", "verify-lift"])

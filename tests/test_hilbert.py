@@ -19,8 +19,6 @@ from liaison.hilbert import (
     hilbert_numerator,
     hilbert_value,
     hilbert_values,
-    is_k_differentiable,
-    is_o_sequence,
     lex_ideal_from_hvector,
     macaulay_bound,
     macaulay_representation,
@@ -33,6 +31,25 @@ from liaison.monomials import Monomial, MonomialIdeal
 
 def ideal(n, *gens):
     return MonomialIdeal.from_gens(n, [Monomial(tuple(g)) for g in gens])
+
+
+def is_o_sequence(h: HVector) -> bool:
+    return o_sequence_violation(h) is None
+
+
+def is_k_differentiable(h: HVector, k: int) -> bool:
+    """h and its first k differences are all (non-negative) O-sequences."""
+    cur = h
+    for step in range(k + 1):
+        if not is_o_sequence(cur):
+            return False
+        if step == k:
+            break
+        try:
+            cur = difference(cur, 1)
+        except NotDifferentiableError:
+            return False
+    return True
 
 
 class TestHVector:

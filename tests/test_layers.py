@@ -12,10 +12,17 @@ from liaison.layers import (
     decompose,
     hf_via_layers,
     layer_hvectors,
-    recompose,
 )
 from liaison.monomials import Monomial, MonomialIdeal, is_borel_fixed, variable
 from timing import budget
+
+
+def recompose(D: LayerDecomposition) -> MonomialIdeal:
+    """Sum of x_1^j * (I_j extended to the full ring), minimalized; the
+    layers must form a chain."""
+    if not D.chain_holds():
+        raise DecompositionError("layer chain violated")
+    return layers._layer_sum(D)
 
 
 def ideal(n, *gens):

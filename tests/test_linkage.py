@@ -77,9 +77,9 @@ def sweep_ideals():
             if not (J.is_zero or J.is_unit) and is_cm_borel(J)[0]]
 
 
-def colon_failure(gens, f, p):
-    """``_colon_failure`` on the ideal of the forms ``gens``."""
-    return linkage._colon_failure(PolyIdeal(len(next(iter(f))), tuple(gens), 0), f, p)
+def colon_failure(gens, f):
+    """``_colon_failure`` on the ideal of the forms ``gens``, over Z."""
+    return linkage._colon_failure(PolyIdeal(len(next(iter(f))), tuple(gens), 0), f)
 
 
 @pytest.fixture
@@ -109,7 +109,7 @@ class TestBasicDoubleLink:
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         # codim gap must be exactly one: use a curve as the base instead
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        link = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P)
+        link = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P))
         names = {c.name for c in link.checks}
         assert {"containment", "codim-gap", "colon-stable",
                 "hilbert-identity", "degree-identity"} <= names
@@ -120,7 +120,7 @@ class TestBasicDoubleLink:
         base = lifted_poly_ideal(ideal(2, (2, 0), (0, 1)), A, codim=2)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         with pytest.raises(LinkageError, match="codim"):
-            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), P)
+            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P))
 
     def test_rejects_non_containment(self):
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
@@ -129,13 +129,23 @@ class TestBasicDoubleLink:
         # point from a different matrix: the curve does not pass through it
         other = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), B, codim=2)
         with pytest.raises(LinkageError, match="containment|colon|hilbert"):
-            basic_double_link(curve, other, linear_form_poly((0, 0, 1), P), P)
+            basic_double_link(curve, other, linear_form_poly((0, 0, 1), P))
 
     def test_rejects_untagged_base(self):
         base = PolyIdeal.from_monomial(ideal(3, (1, 0, 0)), label="mono")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
         with pytest.raises(LinkageError, match="gorenstein"):
-            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P), P)
+            basic_double_link(base, divisor, linear_form_poly((0, 0, 1), P))
+
+    def test_refuses_ideals_over_two_fields(self):
+        # A curve lifted at 32003 and a point on it lifted at 65537: their
+        # generators are reduced mod different primes, so no link is taken.
+        A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
+        curve = PolyIdeal.from_lifted(lift_ideal(ideal(2, (2, 0)), A, P), 1)
+        point = PolyIdeal.from_lifted(lift_ideal(ideal(2, (1, 0), (0, 1)), A, 65537), 2)
+        assert (curve.prime, point.prime) == (P, 65537)
+        with pytest.raises(LinkageError, match="^ideals over F_32003 and F_65537, not one field$"):
+            basic_double_link(curve, point, linear_form_poly((0, 0, 1), P))
 
     def test_result_initial_ideal_is_the_closed_form(self):
         # in(I) + lead(f)·in(J) = (x1^2) + u·(x1, x2), as the reference
@@ -143,7 +153,7 @@ class TestBasicDoubleLink:
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        result = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P).result
+        result = basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P)).result
         want = ideal(3, (2, 0, 0), (1, 0, 1), (0, 1, 1))
         assert result.initial_ideal(()) == want
         assert GroebnerBasis(result.gens, 3, (), P).initial_ideal() == want
@@ -156,7 +166,7 @@ class TestBasicDoubleLink:
         base = PolyIdeal(3, ({(2, 0, 0): 1, (1, 1, 0): 2},), 1, "lifted-generic", "hand")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0)))
         with pytest.raises(LinkageError, match="^no theorem gives hand an initial ideal in revlex$"):
-            basic_double_link(base, divisor, {(0, 0, 1): 1}, P)
+            basic_double_link(base, divisor, {(0, 0, 1): 1})
 
     def test_identity_is_checked_past_every_horizon(self, monkeypatch):
         # A link result whose closed form is wrong only in degree 12: the
@@ -175,7 +185,7 @@ class TestBasicDoubleLink:
 
         monkeypatch.setattr(linkage, "_link_result", off_in_degree_12)
         with pytest.raises(LinkageError, match="hilbert-identity: first failing degree 12"):
-            basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P), P)
+            basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P))
 
 
 def worked_flag(prime):
@@ -185,7 +195,7 @@ def worked_flag(prime):
     D = decompose(WORKED_J)
     Ap = A.drop_first_row()
     vees = [
-        PolyIdeal.from_lifted(lift_ideal(D.layers[j], Ap, prime), 2, prime, f"I{j}")
+        PolyIdeal.from_lifted(lift_ideal(D.layers[j], Ap, prime), 2, f"I{j}")
         for j in range(D.alpha)
     ]
     forms = [
@@ -204,21 +214,27 @@ def sections(vees, forms, prime):
 class TestHypersurfaceChain:
     def test_worked_example_chain(self):
         vees, forms = worked_flag(P)
-        chain = hypersurface_chain(vees, forms, P)
+        chain = hypersurface_chain(vees, forms)
         assert len(chain.links) == len(vees) - 1
         assert all(c.passed for c in chain.checks)
         for link in chain.links:
             assert all(c.passed for c in link.checks)
 
+    def test_flag_over_two_fields_is_refused(self):
+        vees, forms = worked_flag(P)
+        other, _ = worked_flag(65537)
+        with pytest.raises(LinkageError, match="F_32003 and F_65537"):
+            hypersurface_chain(vees[:1] + other[1:], forms)
+
     def test_requires_matching_lengths(self):
         with pytest.raises(LinkageError):
-            hypersurface_chain([], [], P)
+            hypersurface_chain([], [])
 
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_section_hilbert_is_the_oracles(self, prime):
         # K_{W_i} = (1 - t^{d_i}) K_{V_i}, through the worked horizon 9.
         vees, forms = worked_flag(prime)
-        hypersurface_chain(vees, forms, prime)  # the colon checks pass here
+        hypersurface_chain(vees, forms)  # the colon checks pass here
         for v, f, w in zip(reversed(vees), forms, sections(vees, forms, prime)):
             section = numerator_difference(v.numerator, poly_degree(f))
             assert hilbert_values(section, v.N, 10) == list(
@@ -234,12 +250,12 @@ class TestHypersurfaceChain:
 
         monkeypatch.setattr(PolyIdeal, "numerator", property(numerator))
         vees, forms = worked_flag(P)
-        hypersurface_chain(vees, forms, P)
+        hypersurface_chain(vees, forms)
         assert {v.label for v in vees} <= set(read)
         del read[:]
         monkeypatch.setattr(linkage, "_colon_failure", lambda *args: "refused")
         with pytest.raises(LinkageError, match="colon-stable"):
-            hypersurface_chain(vees, forms, P)
+            hypersurface_chain(vees, forms)
         assert read == []
 
     def test_sections_after_the_first_not_eliminated(self, proven):
@@ -276,9 +292,9 @@ class TestColonProof:
         made = []
         real = linkage._colon_failure
 
-        def recording(ideal, f, p):
-            made.append((ideal, f, p))
-            return real(ideal, f, p)
+        def recording(ideal, f):
+            made.append((ideal, f))
+            return real(ideal, f)
 
         monkeypatch.setattr(linkage, "_colon_failure", recording)
         checked = 0
@@ -286,16 +302,16 @@ class TestColonProof:
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
             del made[:]
             cert = build()
-            for ideal, f, p in made:
-                assert p == prime
-                assert ((real(ideal, f, p) is None) == (oracle.colon_stability_failure(
-                    ideal.gens, f, cert.dmax, ideal.N, p) is None))
+            for ideal, f in made:
+                assert ideal.prime == prime
+                assert ((real(ideal, f) is None) == (oracle.colon_stability_failure(
+                    ideal.gens, f, cert.dmax, ideal.N, prime) is None))
             checked += len(made)
         assert checked == 13 + 45  # the worked chain's checks, then one per bilink
 
     def test_power_of_a_leading_variable_fails(self):
         x1 = {(1, 0, 0): 1}
-        assert (colon_failure([{(2, 0, 0): 1}], x1, P)
+        assert (colon_failure([{(2, 0, 0): 1}], x1)
                 == "leading monomial x1^2 of generator 1 involves x1")
 
     def test_base_that_is_not_a_basis_fails(self):
@@ -303,16 +319,16 @@ class TestColonProof:
         # without one the reason names it, and no basis is completed.
         x3 = {(0, 0, 1): 1}
         reason = "no theorem gives the ideal an initial ideal in revlex with x3 last"
-        assert colon_failure(NOT_A_BASIS, x3, P) == reason
+        assert colon_failure(NOT_A_BASIS, x3) == reason
         assert oracle.colon_stability_failure(list(NOT_A_BASIS), x3, 4, 3, P) == 2
         base = PolyIdeal(3, NOT_A_BASIS, 2, "lifted-generic")
         divisor = PolyIdeal.from_monomial(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(LinkageError, match=f"^colon-stable: {reason}$"):
-            basic_double_link(base, divisor, x3, P)
+            basic_double_link(base, divisor, x3)
 
     def test_multiplier_in_neither_case_fails(self):
         f = {(1, 0, 0): 1, (0, 1, 0): 1}
-        assert colon_failure([{(1, 1, 0): 1}], f, P).startswith("neither case applies")
+        assert colon_failure([{(1, 1, 0): 1}], f).startswith("neither case applies")
 
     def test_sweep_certificates_at_three(self):
         for J in sweep_ideals():
@@ -387,7 +403,7 @@ class TestOracleLeavesTheCertificates:
         assert v.numerator is v.numerator
         assert v == fresh and v.to_json() == fresh.to_json()
         copy = dataclasses.replace(v)
-        assert not {"_numerator", "_initial", "_factors", "_reduced"} & copy.__dict__.keys()
+        assert not {"_numerator", "_initial", "_factors", "_prime"} & copy.__dict__.keys()
         with pytest.raises(LinkageError, match="no theorem gives the ideal"):
             copy.numerator
 
@@ -403,7 +419,7 @@ class TestLiftingTheoremBases:
 
         def recording(cls, L, *args, **kwargs):
             ideal = real(cls, L, *args, **kwargs)
-            lifted.append((ideal, L.matrix.lifted_variables))
+            lifted.append((ideal, ideal.last))
             return ideal
 
         monkeypatch.setattr(PolyIdeal, "from_lifted", classmethod(recording))
@@ -414,18 +430,10 @@ class TestLiftingTheoremBases:
         # of each of the 45 bilinks.
         assert len(lifted) == 5 + 45
         for ideal, last in lifted:
+            assert ideal.prime == prime
             full = GroebnerBasis(ideal.gens, ideal.N, last, prime)
             assert full.failure is None, ideal.label
             assert full.initial_ideal() == ideal.initial_ideal(last), ideal.label
-
-    def test_no_basis_is_proven_at_another_prime(self):
-        # A layer validated at 32003 and expanded at 65537 has no theorem.
-        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1).drop_first_row()
-        lifted = lift_ideal(decompose(WORKED_J).layers[0], A)
-        other = PolyIdeal.from_lifted(lifted, 2, 65537, "I0")
-        with pytest.raises(LinkageError, match="^no theorem gives I0 an initial ideal$"):
-            other.numerator
-        assert PolyIdeal.from_lifted(lifted, 2, P).initial_ideal((3,)) == lifted.initial_ideal()
 
 
 class TestStripX1:
@@ -516,6 +524,21 @@ class TestArtinianCertificate:
         rep = verify_certificate(cert)
         assert rep.ok, rep.first_failure()
 
+    @pytest.mark.parametrize("prime", [P, 65537])
+    def test_step_ideals_report_the_certificates_prime(self, prime):
+        # Each ideal of a step reads its field and order off its operands:
+        # the chain's lifts and links are at the certificate's prime, in
+        # revlex with u last; a bilink's monomial divisor lies over every field.
+        cert = worked_certificate(prime)
+        [step] = cert.steps
+        chain = step.chain
+        ideals = [*chain.vees, chain.result, step.direct_lift,
+                  *(i for link in chain.links for i in (link.base, link.divisor, link.result))]
+        assert {i.prime for i in ideals} == {cert.prime}
+        assert {i.last for i in ideals} == {step.matrix.lifted_variables}
+        link = glicci_certificate_borel(SQUARE, prime).steps[0].link
+        assert (link.base.prime, link.result.prime, link.divisor.prime) == (prime, prime, None)
+
     def test_rejects_non_artinian(self):
         A = default_matrix(3, "t-lift", seed=3, ncols=4, t=1)
         with pytest.raises(LinkageError, match="Artinian"):
@@ -534,10 +557,10 @@ class TestHorizonCoversComparedGenerators:
         seen = []
         real = linkage._first_outside
 
-        def recording(part, ideal, p, last):
+        def recording(part, ideal):
             top = max(map(poly_degree, (*part.gens, *ideal.gens)), default=-1)
             seen.append(top)
-            return real(part, ideal, p, last)
+            return real(part, ideal)
 
         monkeypatch.setattr(linkage, "_first_outside", recording)
         return seen
@@ -584,9 +607,9 @@ class TestGroebnerAgreesWithTheOracle:
             numerators[id(ideal)] = (ideal, K)  # one value per ideal
             return K
 
-        def outside(part, ideal, p, last):
-            fail = real_outside(part, ideal, p, last)
-            containments.append((part.gens, ideal, p, fail))
+        def outside(part, ideal):
+            fail = real_outside(part, ideal)
+            containments.append((part.gens, ideal, part.prime, fail))
             return fail
 
         monkeypatch.setattr(PolyIdeal, "numerator", property(numerator))
@@ -621,7 +644,7 @@ class TestGroebnerAgreesWithTheOracle:
         for J in (ideal(2, (1, 0)), ideal(2, (1, 1)), ideal(2, (1, 0), (0, 2))):
             lifted = lifted_poly_ideal(J, A, codim=1)
             for target in (point, line):
-                fail = linkage._first_outside(lifted, target, P)
+                fail = linkage._first_outside(lifted, target)
                 assert fail == containment_failure(lifted.gens, target.gens, 4, 3, P)
                 fails.add(fail)
         assert fails == {None, 1, 2}

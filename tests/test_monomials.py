@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_borel import reference_borel_ideals
+from reference_borel import borel_moves, reference_borel_ideals
 from timing import budget
 
 from liaison.lifting import default_matrix, lift_ideal
@@ -19,7 +19,6 @@ from liaison.monomials import (
     MonomialIdeal,
     NotBorelFixedError,
     _minimal_gens,
-    borel_moves,
     enumerate_borel_ideals,
     height,
     is_artinian,

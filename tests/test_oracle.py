@@ -379,7 +379,7 @@ def proven_ideal(rng, p):
         return PolyIdeal.from_monomial(J)
     A = default_matrix(n, "t-lift", seed=rng.randrange(100), ncols=2, t=1)
     try:
-        return PolyIdeal.from_lifted(lift_ideal(J, A, p), 0, p)
+        return PolyIdeal.from_lifted(lift_ideal(J, A, p), 0)
     except InvalidMatrix:
         return None
 
@@ -402,7 +402,7 @@ def test_colon_proof_is_sound(p):
         else:
             v = rng.randrange(N)
             f = {tuple(rng.randint(1, 2) * (k == v) for k in range(N)): rng.randrange(1, p)}
-        proven = _colon_failure(ideal, f, p) is None
+        proven = _colon_failure(ideal, f) is None
         if proven:
             assert colon_stability_failure(gens, f, 4, N, p) is None, (gens, f)
         outcomes.add((proven, v is not None and any(e[v] for g in gens for e in g)))

@@ -61,9 +61,9 @@ def answers(monkeypatch):
     seen = []
     real = linkage._first_outside
 
-    def recording(part, ideal, p, last=()):
-        fail = real(part, ideal, p, last)
-        seen.append((part.gens, ideal, last, p, fail))
+    def recording(part, ideal):
+        fail = real(part, ideal)
+        seen.append((part.gens, ideal, part.last, part.prime, fail))
         return fail
 
     monkeypatch.setattr(linkage, "_first_outside", recording)
