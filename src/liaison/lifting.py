@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import random
 from dataclasses import dataclass, field
@@ -109,16 +110,13 @@ class LiftingMatrix:
         return LiftingMatrix(self.rows[1:], self.ambient_n, self.t, self.kind, self.seed)
 
     def to_json(self) -> dict:
-        if self.kind == "bf":
-            kind = "bf"
-        else:
-            kind = {"t": self.t, "seed": self.seed}
+        kind = "bf" if self.kind == "bf" else {"seed": self.seed, "t": self.t}
         return {
-            "schema": "matrix/1",
-            "kind": kind,
             "ambient_n": self.ambient_n,
-            "t": self.t,
+            "kind": kind,
             "rows": [[list(f.coeffs) for f in row] for row in self.rows],
+            "schema": "matrix/1",
+            "t": self.t,
         }
 
     @classmethod
@@ -437,14 +435,14 @@ class LiftedIdeal:
 
     def to_json(self) -> dict:
         return {
-            "schema": "lifted/1",
-            "source": self.source.to_json(),
-            "matrix": self.matrix.to_json(),
-            "matrix_hash": self.matrix.content_hash(),
             "generators": [
-                {"source": list(g.source.exps), "factors": [list(f) for f in g.factors]}
+                {"factors": [list(f) for f in g.factors], "source": list(g.source.exps)}
                 for g in self.generators
             ],
+            "matrix": self.matrix.to_json(),
+            "matrix_hash": self.matrix.content_hash(),
+            "schema": "lifted/1",
+            "source": self.source.to_json(),
         }
 
 
@@ -469,10 +467,10 @@ class PointConfiguration:
 
     def to_json(self) -> dict:
         return {
-            "schema": "points/1",
-            "prime": self.prime,
-            "points": [list(pt) for pt in self.points],
             "labels": [list(lb) for lb in self.labels],
+            "points": [list(pt) for pt in self.points],
+            "prime": self.prime,
+            "schema": "points/1",
         }
 
 
@@ -563,8 +561,27 @@ def lift_record(J: MonomialIdeal, A: LiftingMatrix,
 
 
 def canonical_json(value) -> str:
-    """JSON text with sorted keys: equal exactly for equal documents."""
+    """JSON text with sorted keys: equal exactly for equal documents.
+    ``same_document`` compares two documents by it without producing it
+    when their keys already stand in one order, as every ``to_json`` here
+    emits them sorted and a document decoded from this text keeps them."""
     return json.dumps(value, sort_keys=True)
+
+
+def same_document(a, b) -> bool:
+    """Whether the JSON documents ``a`` and ``b`` have the same
+    ``canonical_json`` text.  Equal ``marshal`` bytes decide it at once:
+    version 2 writes no object references and no interned-string flags,
+    so equal bytes mean equal types (``True`` is not ``1``, ``1`` is not
+    ``1.0``, a tuple is not a list), equal values and equal key order.
+    Unequal bytes, as for keys in another order, and an object marshal
+    refuses leave the texts to decide.  Nothing is unmarshalled."""
+    try:
+        if marshal.dumps(a, 2) == marshal.dumps(b, 2):
+            return True
+    except ValueError:  # an object marshal refuses
+        pass
+    return canonical_json(a) == canonical_json(b)
 
 
 def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
@@ -574,7 +591,9 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     source and matrix, with the points rebuilt at the prime they record;
     otherwise LiftError names the keys that differ.  Only the source and
     the matrix are decoded: every other key, the generators and the
-    matrix hash included, is compared with the replay.
+    matrix hash included, is compared with the replay by
+    ``same_document``, so a record whose keys stand in another order
+    still verifies and a ``1`` still does not pass for ``true``.
 
     The Hilbert rows are exact over Q, in every degree, and proven by the
     lifting theorem (module docstring) once every used entry has a
@@ -611,7 +630,7 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise LiftError(f"malformed lifted ideal: {exc}")
     differ = sorted(k for k in data.keys() | replay.keys()
-                    if canonical_json(data.get(k)) != canonical_json(replay.get(k)))
+                    if not same_document(data.get(k), replay.get(k)))
     if differ:
         raise LiftError("lifted ideal differs from the lift of its own source "
                         f"and matrix in: {', '.join(differ)}")

@@ -24,16 +24,18 @@ it holds in every degree; no check reads the degree horizon.
 The builders and ``verify_certificate`` run one induction, ``_induction``.
 The verifier reruns it from the certificate's inputs (mode, root, prime
 and, for the Artinian builder, the matrix of step 0) and requires each
-stored step to be the canonical JSON text of the step it builds, so
-nothing stored is trusted.  The mode must be known, the root acceptable to
-the mode's builder, each stored step's source and kind and the leaf what
-that builder makes there; the prime must pass ``check_prime``, and the
-stored horizon must be the one ``oracle.horizon`` derives from the root.
+stored step to have the canonical JSON text of the step it builds
+(``lifting.same_document``), so nothing stored is trusted.  The mode
+must be known, the root acceptable to the mode's builder, each stored
+step's source and kind and the leaf what that builder makes there; the
+prime must pass ``check_prime``, and the stored horizon must be the one
+``oracle.horizon`` derives from the root.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cache
 
 from .hilbert import (
     first_mismatch,
@@ -47,9 +49,9 @@ from .lifting import (
     LiftedIdeal,
     LiftingMatrix,
     MatrixError,
-    canonical_json,
     default_matrix_for,
     lift_ideal,
+    same_document,
 )
 from .monomials import (
     Monomial,
@@ -81,16 +83,21 @@ class LinkageError(ValueError):
 
 class _FieldCodec:
     """JSON encoder driven by the dataclass fields: one key per field, plus
-    the class's ``schema`` or ``kind`` tag.  A polynomial (dict) goes
+    the class's ``schema`` or ``kind`` tag, in sorted order (``_json_keys``),
+    so a rebuilt document and one decoded from canonical text compare
+    without encoding (``same_document``).  A polynomial (dict) goes
     through ``poly_to_json``, a tuple becomes a list, and a value with its
     own ``to_json`` uses it."""
 
     def to_json(self) -> dict:
-        out = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
-        for tag in ("schema", "kind"):
-            if hasattr(self, tag):
-                out[tag] = getattr(self, tag)
-        return out
+        return {k: _encode(getattr(self, k)) for k in _json_keys(type(self))}
+
+
+@cache
+def _json_keys(cls) -> tuple[str, ...]:
+    """The keys of ``cls``'s documents, sorted: its fields and tags."""
+    tags = {tag for tag in ("schema", "kind") if hasattr(cls, tag)}
+    return tuple(sorted({f.name for f in fields(cls)} | tags))
 
 
 def _encode(value):
@@ -149,7 +156,8 @@ class PolyIdeal(_FieldCodec):
     ``factors``, each generator as the forms mod p whose product it is (a
     count per form), and the initial ideal in revlex with the variables
     ``last`` smallest, of which the generators are a Gröbner basis; and
-    the Hilbert-series ``numerator`` its checks read again.  Three
+    the Hilbert-series ``numerator`` and the ``involved`` variables its
+    checks read again.  Three
     theorems give that ideal:
 
     - ``from_monomial``: the ideal itself, in every order and over every
@@ -245,6 +253,15 @@ class PolyIdeal(_FieldCodec):
         if "_numerator" not in self.__dict__:
             self.__dict__["_numerator"] = hilbert_numerator(self.initial_ideal())
         return self.__dict__["_numerator"]
+
+    @property
+    def involved(self) -> frozenset[int]:
+        """The variables some term of a generator involves, remembered: a
+        chain's colon checks ask it of each layer lift once per form."""
+        if "_involved" not in self.__dict__:
+            self.__dict__["_involved"] = frozenset(
+                v for g in self.gens for e in g for v, a in enumerate(e) if a)
+        return self.__dict__["_involved"]
 
 
 def _field(*ideals: PolyIdeal) -> int | None:
@@ -342,9 +359,8 @@ def _colon_failure(ideal: PolyIdeal, f: dict) -> str | None:
     f = poly_normalize(f, ideal.prime)
     gens = [g for g in ideal.gens if g]
     poly_degree(f)  # (A) reads deg f off a term
-    involved = {v for g in gens for e in g for v, a in enumerate(e) if a}
     supports = [[v for v, a in enumerate(e) if a] for e in f]
-    if any(len(s) == 1 and s[0] not in involved for s in supports):  # (A)
+    if any(len(s) == 1 and s[0] not in ideal.involved for s in supports):  # (A)
         return None
     if len(supports) == 1 and len(supports[0]) == 1:  # (B)
         v = supports[0][0]
@@ -602,7 +618,7 @@ class GlicciCertificate(_FieldCodec):
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         root = MonomialIdeal.from_json(data["root"])
-        if canonical_json(root.to_json()) != canonical_json(data["root"]):
+        if not same_document(root.to_json(), data["root"]):
             raise ValueError("root is not the canonical JSON of its ideal")
         return cls(data["mode"], data["prime"], data["dmax"], root,
                    tuple(map(StoredStep.from_json, data["steps"])), data["leaf"])
@@ -946,10 +962,13 @@ def _contract(name: str, check, *args) -> tuple:
 def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     """Rerun the builder's induction from the certificate's inputs,
     report each rebuilt step's checks, and require every stored step's
-    JSON to be the canonical JSON text of its rebuild; failures become
-    report entries, never exceptions.  The replay builds its own objects,
-    so it reuses nothing the build computed: a chain step's expansion memo
-    lives only while that step is built, and no module keeps one.
+    JSON to have the canonical JSON text of its rebuild, compared by
+    ``same_document``: a step decoded from canonical text has its keys
+    sorted, like its rebuild, and is compared by marshal bytes without
+    making either text.  Failures become report entries, never
+    exceptions.  The replay builds its own objects, so it reuses nothing
+    the build computed: a chain step's expansion memo lives only while
+    that step is built, and no module keeps one.
 
     An unknown mode, an invalid prime, a stored horizon other than the one
     ``oracle.horizon`` derives from the root, or a root the mode's builder
@@ -993,8 +1012,7 @@ def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
                 (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
             )
             entries.append((idx, "stored-equals-rebuilt",
-                            canonical_json(rebuilt.to_json())
-                            == canonical_json(step.to_json()), None))
+                            same_document(rebuilt.to_json(), step.to_json()), None))
         cur, leaf = next(induction)
         entries.append((
             len(cert.steps), "leaf-validity", cert.leaf == leaf,

@@ -284,9 +284,9 @@ class MonomialIdeal:
 
     def to_json(self) -> dict:
         return {
-            "schema": "ideal/1",
-            "n": self.n,
             "gens": [list(g.exps) for g in self.gens],
+            "n": self.n,
+            "schema": "ideal/1",
         }
 
     @classmethod

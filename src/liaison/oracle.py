@@ -84,15 +84,31 @@ def horizon(J: MonomialIdeal, k: int, N: int) -> int:
     that a Hilbert function read through it has stabilized over its last
     two degrees.  A certificate passes k = J.n, a lift the number of its
     variables.  Raises ValueError when the horizon's top-degree Macaulay
-    matrix in ``N`` variables is wider than MAX_WIDTH."""
+    matrix in ``N`` variables is wider than MAX_WIDTH, naming a width that
+    ``_width_past`` computes only until it passes MAX_WIDTH."""
     dmax = J.max_gen_degree + k
     if is_artinian(J) and not J.is_unit:
         dmax = max(dmax, len(hilbert_function_artinian(J).values) + 1)
-    width = ring_dim(N, dmax)
+    width = _width_past(N, dmax, MAX_WIDTH)
     if width > MAX_WIDTH:
-        raise ValueError(f"horizon dmax {dmax} needs Macaulay matrices {width} "
+        raise ValueError(f"horizon dmax {dmax} needs Macaulay matrices at least {width} "
                          f"columns wide in {N} variables, more than {MAX_WIDTH}")
     return dmax
+
+
+def _width_past(N: int, d: int, cap: int) -> int:
+    """``ring_dim(N, d)`` if it is at most ``cap``, else a lower bound on
+    it past ``cap``.  The width is C(a + b, b) for a = max(d, N - 1) and
+    b = min(d, N - 1), and C(a + j, j) grows with j, at least as 2^j, so
+    the product stops within about log2(cap) steps: no width of thousands
+    of digits is computed or printed."""
+    a, b = max(d, N - 1), min(d, N - 1)
+    width = 1 if N else int(d == 0)
+    for j in range(1, b + 1):
+        width = width * (a + j) // j
+        if width > cap:
+            break
+    return width
 
 
 def poly_degree(f: Poly) -> int:
@@ -276,4 +292,4 @@ def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_P
 
 
 def poly_to_json(f: Poly) -> list:
-    return sorted([list(e) + [c] for e, c in f.items()], reverse=True)
+    return [[*e, c] for e, c in sorted(f.items(), reverse=True)]

@@ -619,6 +619,22 @@ class TestUnboundedInputs:
         assert run(capsys, "lift", str(path), "--matrix", "t:10000000") == (2, "", message)
         assert time.perf_counter() - start < 1
 
+    # A t-lift of (x1^2, x2) below the coefficient ceiling can have a
+    # horizon in t + 2 variables whose width has thousands of digits, more
+    # than Python prints: it is refused in one line naming a width
+    # computed only until it passes MAX_WIDTH.
+    @pytest.mark.parametrize("t,width", [(7500, 28166265), (249998, 250003)])
+    def test_verify_lift_near_the_t_lift_ceiling(self, tmp_path, capsys, t, width):
+        source, lifted = tmp_path / "p.json", tmp_path / "L.json"
+        source.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[2, 0], [0, 1]]}))
+        code, _, _ = run(capsys, "lift", str(source), "--matrix", f"t:{t}", "--seed", "7",
+                         "--out", str(lifted))
+        assert code == 0
+        code, out, err = run_bounded("verify-lift", lifted, timeout=20)
+        assert (code, out) == (2, "")
+        assert err == (f"error: horizon dmax {t + 4} needs Macaulay matrices at least "
+                       f"{width} columns wide in {t + 2} variables, more than 100000\n")
+
     # Horizons derived from ideals of high degree: 119 in 4 variables for
     # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).
     @pytest.mark.parametrize("command", ["glicci", "verify-lift"])

@@ -609,6 +609,91 @@ class TestVerifyLift:
         with pytest.raises(LiftError, match="zero or unit"):
             lift_record(ideal(2, (0, 0)), A)
 
+    def test_replay_encodes_only_the_matrix_hash(self, monkeypatch):
+        # Every key of a record decoded from canonical text marshals like
+        # its replay's, so the one canonical text made is the hash's.
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        data = json.loads(lifting.canonical_json(lift_record(WORKED_J, A)))
+        calls = count_json_texts(monkeypatch)
+        assert verify_lift(data)["ok"]
+        assert calls == [data["matrix"]]
+
+    def test_record_with_every_key_reversed_verifies(self):
+        A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
+        data = json.loads(json.dumps(lift_record(WORKED_J, A)))
+        assert verify_lift(reverse_keys(data)) == verify_lift(data)
+
+
+def count_json_texts(monkeypatch) -> list:
+    """The documents ``json.dumps`` encodes from now on, each canonical
+    text among them."""
+    calls, real = [], json.dumps
+
+    def counting(value, **kwargs):
+        calls.append(value)
+        return real(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    return calls
+
+
+def reverse_keys(doc):
+    """``doc`` with the keys of every object in reverse order."""
+    if isinstance(doc, dict):
+        return {k: reverse_keys(doc[k]) for k in reversed(doc)}
+    if isinstance(doc, list):
+        return [reverse_keys(v) for v in doc]
+    return doc
+
+
+def unsorted_objects(doc, path="$") -> list:
+    """The paths of the objects in ``doc`` whose keys are not sorted."""
+    if isinstance(doc, dict):
+        bad = [] if list(doc) == sorted(doc) else [path]
+        return bad + [p for k, v in doc.items() for p in unsorted_objects(v, f"{path}.{k}")]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in unsorted_objects(v, f"{path}[{i}]")]
+    return []
+
+
+class Count(int):
+    """An int marshal refuses, as it is not exactly an int."""
+
+
+class TestSameDocument:
+    @pytest.mark.parametrize("a,b,same,texts", [
+        ({"a": [1, True, None, "x"], "b": 2**70}, {"a": [1, True, None, "x"], "b": 2**70},
+         True, 0),
+        ({"a": 1, "b": {"c": 2, "d": 3}}, {"b": {"d": 3, "c": 2}, "a": 1}, True, 2),
+        ({"passed": True}, {"passed": 1}, False, 2),
+        ({"N": 1}, {"N": 1.0}, False, 2),
+        ([(1, 2), [3]], [[1, 2], [3]], True, 2),
+        ([Count(3)], [3], True, 2),
+        ([Count(3)], [4], False, 2),
+    ], ids=["equal", "keys-reversed", "true-is-not-1", "1-is-not-1.0",
+            "tuple-is-a-list", "refused-equal", "refused-unequal"])
+    def test_table(self, monkeypatch, a, b, same, texts):
+        # ``texts`` canonical texts are made: none when the marshal bytes
+        # agree, both sides' when they do not or marshal refuses.
+        calls = count_json_texts(monkeypatch)
+        assert lifting.same_document(a, b) is same
+        assert lifting.same_document(b, a) is same
+        assert len(calls) == 2 * texts
+        assert same == (json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True))
+
+    @pytest.mark.parametrize("kind,t", [("t-lift", 1), ("t-lift", 2), ("bf", 0)],
+                             ids=["t:1", "t:2", "bf"])
+    def test_lift_documents_have_sorted_keys(self, kind, t):
+        # The lifted ideal's document holds its source's and its matrix's,
+        # a t-lift's ``kind`` object and one object per generator.
+        A = default_matrix(3, kind, seed=7, ncols=6, t=t)
+        lifted = lift_ideal(WORKED_J, A).to_json()
+        assert unsorted_objects(lifted) == []
+        assert isinstance(lifted["matrix"]["kind"], dict) == (kind == "t-lift")
+        assert unsorted_objects(WORKED_J.to_json()) == []
+        if t == 1:
+            assert unsorted_objects(point_model(WORKED_J, A).to_json()) == []
+
 
 def hand_built_lift(J, t=1):
     """An unseeded t-lift of J whose entries have x_v coefficient 2 or 3,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buchberger_fp import GroebnerBasis
+from test_lifting import count_json_texts, reverse_keys, unsorted_objects
 from liaison import linkage, oracle
 from liaison.cli import main
 from liaison.hilbert import (
@@ -400,10 +401,11 @@ class TestOracleLeavesTheCertificates:
     def test_memo_is_not_a_field(self):
         v = PolyIdeal.from_monomial(SQUARE)
         fresh = PolyIdeal.from_monomial(SQUARE)
-        assert v.numerator is v.numerator
+        assert v.numerator is v.numerator and v.involved is v.involved
         assert v == fresh and v.to_json() == fresh.to_json()
         copy = dataclasses.replace(v)
-        assert not {"_numerator", "_initial", "_factors", "_prime"} & copy.__dict__.keys()
+        assert not ({"_numerator", "_initial", "_factors", "_prime", "_involved"}
+                    & copy.__dict__.keys())
         with pytest.raises(LinkageError, match="no theorem gives the ideal"):
             copy.numerator
 
@@ -650,6 +652,11 @@ class TestGroebnerAgreesWithTheOracle:
         assert fails == {None, 1, 2}
 
 
+WORKED_AND_SQUARE = pytest.mark.parametrize(
+    "build", [worked_certificate, lambda: glicci_certificate_borel(SQUARE)],
+    ids=["worked", "square"])
+
+
 class TestCertificateSerialization:
     def test_roundtrip_borel(self):
         cert = glicci_certificate_borel(SQUARE)
@@ -665,6 +672,31 @@ class TestCertificateSerialization:
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = GlicciCertificate.from_json(json.loads(blob))
         assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+    # Every object a builder encodes, at every level, has its keys sorted,
+    # as a document decoded from canonical text has.
+    @WORKED_AND_SQUARE
+    def test_documents_have_sorted_keys(self, build):
+        data = build().to_json()
+        assert unsorted_objects(data) == []
+
+    # So a rebuilt step and its stored text compare by marshal bytes, and
+    # the replay makes no canonical text.
+    @WORKED_AND_SQUARE
+    def test_replay_of_canonical_text_encodes_nothing(self, build, monkeypatch):
+        text = canonical_json(build().to_json())
+        calls = count_json_texts(monkeypatch)
+        back = GlicciCertificate.from_json(json.loads(text))
+        report = verify_certificate(back)
+        assert report.ok and any(e[1] == "stored-equals-rebuilt" for e in report.entries)
+        assert calls == []
+
+    def test_certificate_with_every_key_reversed_verifies(self):
+        data = json.loads(canonical_json(worked_certificate().to_json()))
+        back = GlicciCertificate.from_json(reverse_keys(data))
+        report = verify_certificate(back)
+        assert report.ok
+        assert report.to_json() == verify_certificate(GlicciCertificate.from_json(data)).to_json()
 
     def test_chain_matrix_seed_is_tied_to_its_rows(self, tmp_path, capsys):
         # Every chain step's matrix relabelled with seed 8: the replay
@@ -717,7 +749,8 @@ class TestTamperDetection:
         lambda step: step["source"]["gens"].reverse(),
         lambda step: _two_terms(step["link"]["base"]["gens"][0]).reverse(),
         lambda step: step["checks"][0].update(passed=1),
-    ], ids=["extra-key", "source-reversed", "poly-reversed", "passed-is-1"])
+        lambda step: step["link"]["base"].update(N=float(step["link"]["base"]["N"])),
+    ], ids=["extra-key", "source-reversed", "poly-reversed", "passed-is-1", "N-is-float"])
     def test_normalized_step_edit_fails_at_step(self, edit):
         data = glicci_certificate_borel(SQUARE).to_json()
         edit(data["steps"][0])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -35,6 +36,7 @@ from liaison.oracle import (
     MAX_PRIME,
     MAX_WIDTH,
     _degree_rows,
+    _width_past,
     check_prime,
     colon_stability_failure,
     containment_failure,
@@ -217,6 +219,16 @@ def test_widest_accepted_horizon():
     assert horizon(J, MAX_WIDTH - 2, 2) == MAX_WIDTH - 1
     with pytest.raises(ValueError, match=f"{MAX_WIDTH + 1} columns"):
         horizon(J, MAX_WIDTH - 1, 2)
+
+
+def test_width_is_computed_only_past_its_cap():
+    # Exact up to the cap, else a lower bound past it.  The width of degree
+    # 10^4 in 10^4 variables has about 6000 digits, more than Python
+    # prints by default: two factors of it pass MAX_WIDTH.
+    for N, d, cap in itertools.product(range(8), range(8), (0, 1, 5, 50, 10**9)):
+        width, exact = _width_past(N, d, cap), ring_dim(N, d)
+        assert width == exact if exact <= cap else cap < width <= exact
+    assert _width_past(10**4, 10**4, MAX_WIDTH) == 10001 * 10002 // 2
 
 
 def _old_floor(J, k):
