@@ -6,11 +6,11 @@ from .layers import decompose, hf_via_layers
 from .lifting import LiftingMatrix, default_matrix, lift_ideal, point_model
 from .linkage import (
     GlicciCertificate,
-    basic_double_link,
     glicci_certificate_artinian,
     glicci_certificate_borel,
     verify_certificate,
 )
+from .links import basic_double_link
 from .monomials import Monomial, MonomialIdeal
 
 __version__ = "0.1.0"

@@ -593,7 +593,9 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     the matrix are decoded: every other key, the generators and the
     matrix hash included, is compared with the replay by
     ``same_document``, so a record whose keys stand in another order
-    still verifies and a ``1`` still does not pass for ``true``.
+    still verifies and a ``1`` still does not pass for ``true``.  A
+    source whose horizon ``horizon`` refuses in the matrix's ambient_n + t
+    variables is a LiftError before the matrix is decoded or replayed.
 
     The Hilbert rows are exact over Q, in every degree, and proven by the
     lifting theorem (module docstring) once every used entry has a
@@ -624,6 +626,15 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     """
     try:
         J = MonomialIdeal.from_json(data["source"])
+        N = (json_int(data["matrix"]["ambient_n"], "ambient_n")
+             + json_int(data["matrix"]["t"], "t"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LiftError(f"malformed lifted ideal: {exc}")
+    try:  # before the matrix is decoded, which redraws its coefficients
+        dmax = horizon(J, N, N)
+    except ValueError as exc:
+        raise LiftError(str(exc))
+    try:
         A = LiftingMatrix.from_json(data["matrix"])
         at = check_prime(data["points"]["prime"]) if "points" in data else prime
         lifted, replay = _lift(J, A, at)
@@ -634,10 +645,6 @@ def verify_lift(data: dict, prime: int = DEFAULT_PRIME) -> dict:
     if differ:
         raise LiftError("lifted ideal differs from the lift of its own source "
                         f"and matrix in: {', '.join(differ)}")
-    try:
-        dmax = horizon(J, A.N, A.N)
-    except ValueError as exc:
-        raise LiftError(str(exc))
 
     report = lifted.validation if at == prime else validate_matrix(A, J, prime=prime)
     checks = [("matrix-validation", report.ok, f"prime {report.prime}")]

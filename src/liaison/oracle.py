@@ -19,7 +19,7 @@ Gaussian elimination (``rank_mod_p``).
 - colon stability (I : f = I in degree d) compares dim (I : f)_d, which
   is dim R_d minus the rank that the rows of f*R_d add to I_{d+deg f},
   with dim I_d.  It is the tier-1 reference for the exact proof of
-  I : f = I that the certificates run (``linkage.py``); no library code
+  I : f = I that the certificates run (``links.py``); no library code
   calls it.
 
 Every answer is exact over F_p, but F_p is not Q.  A single rank mod p
@@ -30,7 +30,7 @@ horizon truncates neither containment nor equality when every generator
 they compare has degree at most dmax: both then decide the ideals
 themselves, in every degree.
 
-No certificate calls the matrices of this module.  ``linkage.py`` checks
+No certificate calls the matrices of this module.  ``links.py`` checks
 its Hilbert identities as equations of Hilbert-series numerators of
 closed-form initial ideals, and decides its containments and equalities
 by terms, factor lists and leading monomials, all exact in every degree;
@@ -289,7 +289,3 @@ def colon_stability_failure(gens, f: Poly, dmax: int, N: int, p: int = DEFAULT_P
         if ring_dim(N, d) - image != graded_dim(gens, d, N, p):
             return d
     return None
-
-
-def poly_to_json(f: Poly) -> list:
-    return [[*e, c] for e, c in sorted(f.items(), reverse=True)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from liaison import cli, lifting, linkage, oracle
+from liaison import cli, lifting, links, oracle
 from liaison.cli import main
 from liaison.linkage import glicci_certificate_borel
 from liaison.monomials import MonomialIdeal
@@ -631,9 +631,17 @@ class TestUnboundedInputs:
                          "--out", str(lifted))
         assert code == 0
         code, out, err = run_bounded("verify-lift", lifted, timeout=20)
-        assert (code, out) == (2, "")
-        assert err == (f"error: horizon dmax {t + 4} needs Macaulay matrices at least "
-                       f"{width} columns wide in {t + 2} variables, more than 100000\n")
+        message = (f"horizon dmax {t + 4} needs Macaulay matrices at least "
+                   f"{width} columns wide in {t + 2} variables, more than 100000")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        # Refused before the matrix is decoded, which redraws every
+        # coefficient of its rows.
+        record = json.loads(lifted.read_text())
+        start = time.perf_counter()
+        with pytest.raises(lifting.LiftError) as refused:
+            lifting.verify_lift(record)
+        assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == message
 
     # Horizons derived from ideals of high degree: 119 in 4 variables for
     # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).
@@ -795,7 +803,7 @@ class TestWorkedExampleCommand:
         # The certificate replay proves the initial ideals of ideals of its
         # own, as many as its build, and neither builds a Macaulay matrix.
         calls = []
-        real = linkage.PolyIdeal._prove
+        real = links.PolyIdeal._prove
 
         def counting(ideal, *args):
             calls.append(ideal)
@@ -814,7 +822,7 @@ class TestWorkedExampleCommand:
                 return result
             return wrapper
 
-        monkeypatch.setattr(linkage.PolyIdeal, "_prove", counting)
+        monkeypatch.setattr(links.PolyIdeal, "_prove", counting)
         monkeypatch.setattr(oracle, "_degree_rows", refuse)
         monkeypatch.setattr(cli, "glicci_certificate_artinian",
                             counted("build", cli.glicci_certificate_artinian))

@@ -1,13 +1,15 @@
+import ast
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from buchberger_fp import GroebnerBasis
 from test_lifting import count_json_texts, reverse_keys, unsorted_objects
-from liaison import linkage, oracle
+from liaison import linkage, links, oracle
 from liaison.cli import main
 from liaison.hilbert import (
     HVector,
@@ -26,14 +28,16 @@ from liaison.linkage import (
     BilinkStep,
     ChainStep,
     GlicciCertificate,
+    glicci_certificate_artinian,
+    glicci_certificate_borel,
+    strip_x1,
+    verify_certificate,
+)
+from liaison.links import (
     LinkageError,
     PolyIdeal,
     basic_double_link,
-    glicci_certificate_artinian,
-    glicci_certificate_borel,
     hypersurface_chain,
-    strip_x1,
-    verify_certificate,
 )
 from liaison.monomials import (
     Monomial,
@@ -80,7 +84,7 @@ def sweep_ideals():
 
 def colon_failure(gens, f):
     """``_colon_failure`` on the ideal of the forms ``gens``, over Z."""
-    return linkage._colon_failure(PolyIdeal(len(next(iter(f))), tuple(gens), 0), f)
+    return links._colon_failure(PolyIdeal(len(next(iter(f))), tuple(gens), 0), f)
 
 
 @pytest.fixture
@@ -176,7 +180,7 @@ class TestBasicDoubleLink:
         A = default_matrix(2, "t-lift", seed=4, ncols=4, t=1)
         divisor = lifted_poly_ideal(ideal(2, (1, 0), (0, 1)), A, codim=2)
         curve = lifted_poly_ideal(ideal(2, (2, 0)), A, codim=1)
-        real = linkage._link_result
+        real = links._link_result
 
         def off_in_degree_12(*args):
             result = real(*args)
@@ -184,7 +188,7 @@ class TestBasicDoubleLink:
             assert wrong != result.initial_ideal()
             return result._prove(result.factors, wrong, ())
 
-        monkeypatch.setattr(linkage, "_link_result", off_in_degree_12)
+        monkeypatch.setattr(links, "_link_result", off_in_degree_12)
         with pytest.raises(LinkageError, match="hilbert-identity: first failing degree 12"):
             basic_double_link(curve, divisor, linear_form_poly((0, 0, 1), P))
 
@@ -254,7 +258,7 @@ class TestHypersurfaceChain:
         hypersurface_chain(vees, forms)
         assert {v.label for v in vees} <= set(read)
         del read[:]
-        monkeypatch.setattr(linkage, "_colon_failure", lambda *args: "refused")
+        monkeypatch.setattr(links, "_colon_failure", lambda *args: "refused")
         with pytest.raises(LinkageError, match="colon-stable"):
             hypersurface_chain(vees, forms)
         assert read == []
@@ -291,13 +295,13 @@ class TestColonProof:
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_agrees_with_the_oracle_on_every_certificate_check(self, prime, monkeypatch):
         made = []
-        real = linkage._colon_failure
+        real = links._colon_failure
 
         def recording(ideal, f):
             made.append((ideal, f))
             return real(ideal, f)
 
-        monkeypatch.setattr(linkage, "_colon_failure", recording)
+        monkeypatch.setattr(links, "_colon_failure", recording)
         checked = 0
         for build in [lambda: worked_certificate(prime)] + [
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
@@ -346,7 +350,7 @@ class TestOracleLeavesTheCertificates:
 
         for name in ("hilbert_oracle", "containment_failure", "ideals_equal_up_to",
                      "colon_stability_failure"):
-            assert not hasattr(linkage, name), name
+            assert not hasattr(linkage, name) and not hasattr(links, name), name
         for name in ("colon_stability_failure", "rank_mod_p", "_degree_rows", "graded_dim"):
             monkeypatch.setattr(oracle, name, refuse)
         assert verify_certificate(worked_certificate()).ok
@@ -402,7 +406,7 @@ class TestOracleLeavesTheCertificates:
         v = PolyIdeal.from_monomial(SQUARE)
         fresh = PolyIdeal.from_monomial(SQUARE)
         assert v.numerator is v.numerator and v.involved is v.involved
-        assert v == fresh and v.to_json() == fresh.to_json()
+        assert v == fresh and linkage._encode(v) == linkage._encode(fresh)
         copy = dataclasses.replace(v)
         assert not ({"_numerator", "_initial", "_factors", "_prime", "_involved"}
                     & copy.__dict__.keys())
@@ -557,14 +561,14 @@ class TestHorizonCoversComparedGenerators:
     @pytest.fixture
     def compared(self, monkeypatch, proven):
         seen = []
-        real = linkage._first_outside
+        real = links._first_outside
 
         def recording(part, ideal):
             top = max(map(poly_degree, (*part.gens, *ideal.gens)), default=-1)
             seen.append(top)
             return real(part, ideal)
 
-        monkeypatch.setattr(linkage, "_first_outside", recording)
+        monkeypatch.setattr(links, "_first_outside", recording)
         return seen
 
     @staticmethod
@@ -602,7 +606,7 @@ class TestGroebnerAgreesWithTheOracle:
     @pytest.mark.parametrize("prime", [P, 65537])
     def test_every_answer(self, prime, monkeypatch):
         numerators, containments = {}, []
-        real_numerator, real_outside = PolyIdeal.numerator, linkage._first_outside
+        real_numerator, real_outside = PolyIdeal.numerator, links._first_outside
 
         def numerator(ideal):
             K = real_numerator.fget(ideal)
@@ -615,7 +619,7 @@ class TestGroebnerAgreesWithTheOracle:
             return fail
 
         monkeypatch.setattr(PolyIdeal, "numerator", property(numerator))
-        monkeypatch.setattr(linkage, "_first_outside", outside)
+        monkeypatch.setattr(links, "_first_outside", outside)
         counted = [0, 0]
         for build in [lambda: worked_certificate(prime)] + [
                 functools.partial(glicci_certificate_borel, J, prime) for J in sweep_ideals()]:
@@ -646,7 +650,7 @@ class TestGroebnerAgreesWithTheOracle:
         for J in (ideal(2, (1, 0)), ideal(2, (1, 1)), ideal(2, (1, 0), (0, 2))):
             lifted = lifted_poly_ideal(J, A, codim=1)
             for target in (point, line):
-                fail = linkage._first_outside(lifted, target)
+                fail = links._first_outside(lifted, target)
                 assert fail == containment_failure(lifted.gens, target.gens, 4, 3, P)
                 fails.add(fail)
         assert fails == {None, 1, 2}
@@ -716,6 +720,37 @@ class TestCertificateSerialization:
         assert captured.out == ""
         assert captured.err == ("error: malformed certificate: row 1, column 1 "
                                 "differs from the default t-lift matrix of seed 8\n")
+
+
+class TestOneEncoder:
+    """The link layer writes no JSON: ``linkage._encode`` is the
+    certificate's one encoder."""
+
+    def test_links_imports_no_certificate_code(self):
+        # Every module named by an import, ``from . import m`` included.
+        tree = ast.parse(Path(links.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[-1])
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {alias.name.split(".")[-1] for alias in node.names}
+        assert "hilbert" in imported and not imported & {"linkage", "cli", "json"}
+
+    def test_no_link_layer_class_encodes_itself(self):
+        classes = [c for c in vars(links).values()
+                   if isinstance(c, type) and c.__module__ == links.__name__]
+        assert {c.__name__ for c in classes} >= {"PolyIdeal", "BasicDoubleLink"}
+        assert not [c.__name__ for c in classes if hasattr(c, "to_json")]
+        assert not hasattr(oracle, "poly_to_json")
+        assert not hasattr(linkage, "_FieldCodec") and not hasattr(links, "_FieldCodec")
+
+    def test_linkage_binds_only_the_link_names_it_uses(self):
+        tree = ast.parse(Path(linkage.__file__).read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bound = {name for name, value in vars(linkage).items()
+                 if getattr(value, "__module__", None) == links.__name__}
+        assert bound and bound <= used
 
 
 class TestTamperDetection:

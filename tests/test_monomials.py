@@ -13,7 +13,7 @@ from reference_borel import borel_moves, reference_borel_ideals
 from timing import budget
 
 from liaison.lifting import default_matrix, lift_ideal
-from liaison.linkage import PolyIdeal
+from liaison.links import PolyIdeal
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,

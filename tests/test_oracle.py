@@ -17,12 +17,8 @@ from liaison.hilbert import (
     numerator_degree,
 )
 from liaison.lifting import InvalidMatrix, default_matrix, lift_ideal
-from liaison.linkage import (
-    PolyIdeal,
-    _colon_failure,
-    glicci_certificate_borel,
-    verify_certificate,
-)
+from liaison.linkage import glicci_certificate_borel, verify_certificate
+from liaison.links import PolyIdeal, _colon_failure
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,

@@ -12,14 +12,11 @@ import random
 import pytest
 
 from buchberger_fp import GroebnerBasis
-from liaison import linkage
+from liaison import links
 from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.lifting import default_matrix
-from liaison.linkage import (
-    PolyIdeal,
-    glicci_certificate_artinian,
-    glicci_certificate_borel,
-)
+from liaison.linkage import glicci_certificate_artinian, glicci_certificate_borel
+from liaison.links import PolyIdeal
 from liaison.monomials import (
     Monomial,
     MonomialIdeal,
@@ -59,14 +56,14 @@ def answers(monkeypatch):
     """Every containment the certificates decide, as (forms, ideal, last,
     prime, least degree outside or None)."""
     seen = []
-    real = linkage._first_outside
+    real = links._first_outside
 
     def recording(part, ideal):
         fail = real(part, ideal)
         seen.append((part.gens, ideal, part.last, part.prime, fail))
         return fail
 
-    monkeypatch.setattr(linkage, "_first_outside", recording)
+    monkeypatch.setattr(links, "_first_outside", recording)
     return seen
 
 
