@@ -18,9 +18,11 @@ from .hilbert import (
 )
 from .layers import decompose, hf_via_layers, layer_hvectors
 from .lifting import (
+    DEFAULT_PRIME,
     InvalidMatrix,
     LiftError,
     MatrixError,
+    check_prime,
     default_matrix_for,
     lift_record,
     verify_lift,
@@ -43,7 +45,6 @@ from .monomials import (
     is_lex_segment,
     lex_segment_violation,
 )
-from .oracle import DEFAULT_PRIME, check_prime
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,7 +77,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an int past the digit limit, or nesting too deep
         raise InputError(f"cannot read {path}: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")

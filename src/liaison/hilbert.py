@@ -104,6 +104,47 @@ class HVector:
         return f"({body})" if self.horizon is None else f"({body} | d<={self.horizon})"
 
 
+MAX_WIDTH = 10**5
+"""Sanity ceiling on a horizon: the width C(N - 1 + dmax, N - 1) of its
+top-degree Macaulay matrix.  ``horizon`` derives the horizon from the
+ideal, so only an ideal of high degree in many variables reaches it; it
+stops such an input before any matrix or monomial table is built, but
+does not guarantee memory to those below."""
+
+
+def horizon(J: MonomialIdeal, k: int, N: int) -> int:
+    """The degree horizon of a check on J: max generator degree + ``k``,
+    raised to s + 2 when J is Artinian and proper of socle degree s, so
+    that a Hilbert function read through it has stabilized over its last
+    two degrees.  A certificate passes k = J.n, a lift the number of its
+    variables.  Raises ValueError when the horizon's top-degree Macaulay
+    matrix in ``N`` variables is wider than MAX_WIDTH, naming a width that
+    ``_width_past`` computes only until it passes MAX_WIDTH."""
+    dmax = J.max_gen_degree + k
+    if is_artinian(J) and not J.is_unit:
+        dmax = max(dmax, len(hilbert_function_artinian(J).values) + 1)
+    width = _width_past(N, dmax, MAX_WIDTH)
+    if width > MAX_WIDTH:
+        raise ValueError(f"horizon dmax {dmax} needs Macaulay matrices at least {width} "
+                         f"columns wide in {N} variables, more than {MAX_WIDTH}")
+    return dmax
+
+
+def _width_past(N: int, d: int, cap: int) -> int:
+    """The count C(N - 1 + d, d) of degree-d monomials in N variables if
+    at most ``cap``, else a lower bound on it past ``cap``.  It is C(a + b,
+    b) for a = max(d, N - 1) and b = min(d, N - 1), and C(a + j, j) grows
+    with j, at least as 2^j, so the product stops within about log2(cap)
+    steps: no width of thousands of digits is computed or printed."""
+    a, b = max(d, N - 1), min(d, N - 1)
+    width = 1 if N else int(d == 0)
+    for j in range(1, b + 1):
+        width = width * (a + j) // j
+        if width > cap:
+            break
+    return width
+
+
 def _add_shifted(p: list[int], q: list[int], shift: int) -> list[int]:
     """p + t^shift * q."""
     out = p + [0] * max(0, shift + len(q) - len(p))

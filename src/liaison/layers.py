@@ -175,7 +175,7 @@ def _layer_sum(D: LayerDecomposition) -> MonomialIdeal:
     gens: list[Monomial] = []
     for j, I in D.runs():
         xj = variable(n, 0, j) if j else None
-        for g in I.extend_front(1).gens:
+        for g in I.pad(1).gens:
             gens.append(g * xj if xj else g)
     return MonomialIdeal.from_gens(n, gens)
 

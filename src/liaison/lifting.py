@@ -37,11 +37,94 @@ import marshal
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 
-from .hilbert import difference, hilbert_function, hilbert_function_artinian, partial_sum
+from .hilbert import (
+    difference,
+    hilbert_function,
+    hilbert_function_artinian,
+    horizon,
+    partial_sum,
+)
 from .monomials import Monomial, MonomialIdeal, is_artinian, json_int, standard_monomials
-from .oracle import DEFAULT_PRIME, check_prime, expand, horizon
+
+DEFAULT_PRIME = 32003
+# The library computes with Python ints.  The bound lets the tests' int64
+# Macaulay-matrix reference replay at any prime the CLI accepts (p² fits
+# int64), and keeps ``check_prime``'s trial division short.
+MAX_PRIME = 3_037_000_499
+
+# A polynomial is a dict mapping exponent tuples to nonzero coefficients.
+# Coefficients are ints; reduced mod p by the routines that consume them.
+Poly = dict
+
+
+def check_prime(p) -> int:
+    """Return ``p`` if it is a prime in [2, MAX_PRIME]; raise ValueError
+    otherwise."""
+    if (not isinstance(p, int) or not 2 <= p <= MAX_PRIME
+            or any(p % q == 0 for q in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"modulus {p!r} is not a prime in [2, {MAX_PRIME}]")
+    return p
+
+
+def poly_degree(f: Poly) -> int:
+    if not f:
+        return -1
+    degrees = {sum(e) for e in f}
+    if len(degrees) != 1:
+        raise ValueError("polynomial is not homogeneous")
+    return degrees.pop()
+
+
+def poly_normalize(f: Poly, p: int | None) -> Poly:
+    if p is None:
+        return {e: c for e, c in f.items() if c != 0}
+    return {e: c % p for e, c in f.items() if c % p != 0}
+
+
+def poly_mul(f: Poly, g: Poly, p: int | None) -> Poly:
+    out: Poly = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return poly_normalize(out, p)
+
+
+def linear_form_poly(coeffs, p: int | None = None) -> Poly:
+    """Degree-1 polynomial from a coefficient vector."""
+    N = len(coeffs)
+    out: Poly = {}
+    for i, c in enumerate(coeffs):
+        if c:
+            e = [0] * N
+            e[i] = 1
+            out[tuple(e)] = c
+    return poly_normalize(out, p)
+
+
+def expand(gen, matrix, p: int | None = DEFAULT_PRIME, memo: dict | None = None) -> Poly:
+    """Expand a lifted generator (factor references into a matrix): the
+    product of its linear forms mod p, or over Z when p is None, taken
+    from the last row's forms to the first row's; the empty product is
+    the constant 1.
+
+    ``memo`` is a trie of the runs of forms already multiplied: it maps a
+    form's coefficient tuple to the product of the run ending there and
+    the trie of the runs that continue it.  A generator multiplies only
+    the forms past the longest run it shares with one expanded before, so
+    bar(x_1^k·m) reuses the product bar'(m) by the matrix with its first
+    row dropped.  One memo serves one p; without one nothing is kept."""
+    node = {} if memo is None else memo
+    acc: Poly = {(0,) * matrix.N: 1}
+    for r, c in sorted(gen.factors, key=lambda f: -f[0]):  # stable: columns ascend
+        coeffs = matrix.rows[r][c].coeffs
+        hit = node.get(coeffs)
+        if hit is None:
+            hit = node[coeffs] = (poly_mul(acc, linear_form_poly(coeffs, p), p), {})
+        acc, node = hit
+    return acc
 
 
 class MatrixError(ValueError):
@@ -227,7 +310,7 @@ BF_COLUMN_LIMIT = 10**5
 """Ceiling on the columns of a ``bf`` matrix, checked before any row is
 built.  A ``bf`` lift adds no variable, so in two or more variables its
 horizon's Macaulay width exceeds its column count, and ``verify_lift``
-refuses one of more than ``oracle.MAX_WIDTH`` = 10^5 columns anyway."""
+refuses one of more than ``hilbert.MAX_WIDTH`` = 10^5 columns anyway."""
 
 T_LIFT_COEFFICIENT_LIMIT = 10**6
 """Ceiling on the coefficients the rows of a t-lifting matrix hold, n rows

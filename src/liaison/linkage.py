@@ -15,19 +15,24 @@ stored step to have the canonical JSON text of the step it builds
 must be known, the root acceptable to the mode's builder, each stored
 step's source and kind and the leaf what that builder makes there; the
 prime must pass ``check_prime``, and the stored horizon must be the one
-``oracle.horizon`` derives from the root.
+``hilbert.horizon`` derives from the root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
 
+from .hilbert import horizon
 from .layers import decompose
 from .lifting import (
+    DEFAULT_PRIME,
     LiftingMatrix,
     MatrixError,
+    check_prime,
     default_matrix_for,
+    expand,
     lift_ideal,
+    linear_form_poly,
     same_document,
 )
 from .links import (
@@ -48,13 +53,6 @@ from .monomials import (
     is_artinian,
     is_cm_borel,
     variable,
-)
-from .oracle import (
-    DEFAULT_PRIME,
-    check_prime,
-    expand,
-    horizon,
-    linear_form_poly,
 )
 
 
@@ -285,7 +283,7 @@ def _build_bilink_step(J: MonomialIdeal, prime: int) -> BilinkStep:
     c = cone.c
     D = decompose(J)
     i0 = D.layers[0]
-    i0_ext = i0.extend_front(1)
+    i0_ext = i0.pad(1)
     iprime = strip_x1(J)
     x1 = variable(n, 0)
 
@@ -363,7 +361,7 @@ def _build_hyperplane_step(J: MonomialIdeal) -> DescentStep:
     x_1 = 0 continues with I_0, still in n variables."""
     n = J.n
     D = decompose(J)
-    i0_ext = D.layers[0].extend_front(1)
+    i0_ext = D.layers[0].pad(1)
     expected = i0_ext.plus(MonomialIdeal.from_gens(n, [variable(n, 0)]))
     checks = [Check(
         "hyperplane-section-identity",
@@ -538,7 +536,7 @@ def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
     that step is built, and no module keeps one.
 
     An unknown mode, an invalid prime, a stored horizon other than the one
-    ``oracle.horizon`` derives from the root, or a root the mode's builder
+    ``hilbert.horizon`` derives from the root, or a root the mode's builder
     refuses fails the report before any step is replayed.  Each stored
     step's source and kind, and the leaf, must be where the builder stands
     and what it makes next.  The replay follows the builder, not the

@@ -35,9 +35,8 @@ from .hilbert import (
     numerator_difference,
     numerator_sum,
 )
-from .lifting import LiftedIdeal
+from .lifting import LiftedIdeal, linear_form_poly, poly_degree, poly_mul, poly_normalize
 from .monomials import Monomial, MonomialIdeal, height
-from .oracle import linear_form_poly, poly_degree, poly_mul, poly_normalize
 
 
 class LinkageError(ValueError):

@@ -167,8 +167,8 @@ class MonomialIdeal:
 
     - ``restrict``: a subset of minimal generators stays minimal, and
       dropping coordinates that are 0 on all of them keeps the order;
-    - ``pad`` and ``extend_front``: zero coordinates added before or after
-      keep divisibility and the lex order;
+    - ``pad``: zero coordinates added before or after keep divisibility
+      and the lex order;
     - ``times_monomial``: g -> g*m keeps both;
     - ``enumerate_borel_ideals``: no generator it picks lies in the shadow
       of a lower degree, and it lists degrees from high to low.
@@ -277,10 +277,6 @@ class MonomialIdeal:
         head, tail = (0,) * before, (0,) * after
         return MonomialIdeal(before + self.n + after,
                              tuple(Monomial(head + g.exps + tail) for g in self.gens))
-
-    def extend_front(self, extra: int) -> "MonomialIdeal":
-        """View this ideal inside extra + n variables, as x_{extra+1},...."""
-        return self.pad(extra)
 
     def to_json(self) -> dict:
         return {

@@ -6,7 +6,7 @@ import heapq
 from operator import add, le, sub
 
 from liaison.monomials import Monomial, MonomialIdeal
-from liaison.oracle import poly_degree
+from liaison.lifting import poly_degree
 
 
 def _revlex_order(N: int, last) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from liaison.hilbert import (
     partial_sum,
 )
 from liaison.layers import decompose, hf_via_layers, layer_hvectors
-from liaison.lifting import default_matrix, lift_ideal, point_model
+from liaison.lifting import DEFAULT_PRIME, default_matrix, lift_ideal, point_model
 from liaison.linkage import (
     BilinkStep,
     GlicciCertificate,
@@ -43,12 +43,7 @@ from liaison.monomials import (
     lex_segment_violation,
     monomials_of_degree,
 )
-from liaison.oracle import (
-    DEFAULT_PRIME,
-    graded_dim,
-    hilbert_oracle,
-    ideals_equal_up_to,
-)
+from liaison.oracle import graded_dim, hilbert_oracle, ideals_equal_up_to
 
 P = DEFAULT_PRIME
 WORKED_H = (1, 3, 6, 10, 4, 2)

@@ -128,6 +128,21 @@ def test_non_object_json_is_input_error(tmp_path, capsys, command):
     assert err == f"error: {path}: expected a JSON object, got list\n"
 
 
+# Bytes that are not UTF-8, an integer past Python's 4300-digit limit and
+# nesting past the recursion limit: each is one line and exit 2.
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"9" * 5000, b"[" * 10**5],
+                         ids=["not-utf8", "long-int", "deep"])
+@pytest.mark.parametrize("command", ["analyze", "lift", "verify-lift",
+                                     "glicci", "verify"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    extra = ["--mode", "borel"] if command == "glicci" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def square_documents(tmp_path_factory):
     """SQUARE, its default lift record and its Artinian certificate, as

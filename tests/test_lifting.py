@@ -17,15 +17,19 @@ from liaison.hilbert import (
 )
 from liaison.layers import decompose
 from liaison.lifting import (
+    DEFAULT_PRIME,
     LiftError,
     LiftingMatrix,
     LinearForm,
     MatrixError,
     bar,
     default_matrix,
+    expand,
     lift_ideal,
     lift_record,
+    linear_form_poly,
     point_model,
+    poly_mul,
     validate_matrix,
     verify_lift,
 )
@@ -37,15 +41,7 @@ from liaison.monomials import (
     is_cm_borel,
     monomials_of_degree,
 )
-from liaison.oracle import (
-    DEFAULT_PRIME,
-    expand,
-    hilbert_oracle,
-    ideals_equal_up_to,
-    linear_form_poly,
-    poly_mul,
-    rank_mod_p,
-)
+from liaison.oracle import hilbert_oracle, ideals_equal_up_to, rank_mod_p
 
 P = DEFAULT_PRIME
 

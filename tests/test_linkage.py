@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from buchberger_fp import GroebnerBasis
 from test_lifting import count_json_texts, reverse_keys, unsorted_objects
-from liaison import linkage, links, oracle
+from liaison import lifting, linkage, links, oracle
 from liaison.cli import main
 from liaison.hilbert import (
     HVector,
@@ -19,10 +19,14 @@ from liaison.hilbert import (
 )
 from liaison.layers import decompose
 from liaison.lifting import (
+    DEFAULT_PRIME,
     MatrixError,
     canonical_json,
     default_matrix,
     lift_ideal,
+    linear_form_poly,
+    poly_degree,
+    poly_normalize,
 )
 from liaison.linkage import (
     BilinkStep,
@@ -46,14 +50,7 @@ from liaison.monomials import (
     is_cm_borel,
     monomials_of_degree,
 )
-from liaison.oracle import (
-    DEFAULT_PRIME,
-    containment_failure,
-    hilbert_oracle,
-    linear_form_poly,
-    poly_degree,
-    poly_normalize,
-)
+from liaison.oracle import containment_failure, hilbert_oracle
 
 P = DEFAULT_PRIME
 
@@ -377,8 +374,8 @@ class TestOracleLeavesTheCertificates:
         # A chain step's expansion memo lives only while the step runs: the
         # replay multiplies as many forms as the build did, none fewer.
         products = []
-        real = oracle.poly_mul
-        monkeypatch.setattr(oracle, "poly_mul",
+        real = lifting.poly_mul
+        monkeypatch.setattr(lifting, "poly_mul",
                             lambda *args: products.append(args) or real(*args))
         for J, A in [(WORKED_J, default_matrix(3, "t-lift", seed=7, ncols=6, t=1)),
                      (MonomialIdeal.from_gens(4, monomials_of_degree(4, 2)),
@@ -396,8 +393,8 @@ class TestOracleLeavesTheCertificates:
         # step is not the stored one.  A replay that reused the build's
         # products would miss it.
         cert = worked_certificate()
-        real = oracle.poly_mul
-        monkeypatch.setattr(oracle, "poly_mul",
+        real = lifting.poly_mul
+        monkeypatch.setattr(lifting, "poly_mul",
                             lambda f, g, p: {e: 2 * c % p for e, c in real(f, g, p).items()})
         failing = [e[:2] for e in verify_certificate(cert).entries if not e[2]]
         assert failing == [(0, "stored-equals-rebuilt")]

@@ -188,7 +188,7 @@ class TestMonomialIdeal:
         J = ideal(3, (0, 2, 0), (0, 1, 1))
         R = J.restrict((1, 2))
         assert R == ideal(2, (2, 0), (1, 1))
-        assert R.extend_front(1) == J
+        assert R.pad(1) == J
 
     @pytest.mark.parametrize("variables, message", [
         ([0, 0], "index 0 repeated"),
@@ -238,7 +238,7 @@ class TestMonomialIdeal:
     @given(small_ideals(n=4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_trusted_constructors_equal_from_gens(self, J, data):
-        # restrict, pad, extend_front and times_monomial skip from_gens;
+        # restrict, pad and times_monomial skip from_gens;
         # each must give what from_gens gives on the same generators.
         n = J.n
         variables = data.draw(st.permutations(range(n)).flatmap(
@@ -252,7 +252,6 @@ class TestMonomialIdeal:
         padded = MonomialIdeal.from_gens(
             before + n + after, (Monomial((0,) * before + g.exps + (0,) * after) for g in J.gens))
         assert J.pad(before, after) == padded
-        assert J.extend_front(before) == J.pad(before, 0)
         m = Monomial(tuple(data.draw(st.integers(0, 2)) for _ in range(n)))
         assert J.times_monomial(m) == MonomialIdeal.from_gens(n, (g * m for g in J.gens))
 
@@ -279,7 +278,7 @@ class TestMonomialIdeal:
         J = ideal(3, (2, 0, 0), (1, 1, 0), (0, 1, 1))
         monkeypatch.setattr(MonomialIdeal, "from_gens", refuse)
         assert J.restrict([1, 2]).gens == (mono(1, 1),)
-        assert J.extend_front(1).gens == (mono(0, 2, 0, 0), mono(0, 1, 1, 0), mono(0, 0, 1, 1))
+        assert J.pad(1).gens == (mono(0, 2, 0, 0), mono(0, 1, 1, 0), mono(0, 0, 1, 1))
         assert J.times_monomial(mono(0, 0, 1)).gens == (
             mono(2, 0, 1), mono(1, 1, 1), mono(0, 1, 2))
 

@@ -7,16 +7,29 @@ import pytest
 from buchberger_fp import GroebnerBasis
 from liaison import oracle
 from liaison.hilbert import (
+    MAX_WIDTH,
     HVector,
+    _width_past,
     difference,
     hilbert_function,
     hilbert_function_artinian,
     hilbert_numerator,
+    horizon,
     lex_ideal_from_hvector,
     macaulay_bound,
     numerator_degree,
 )
-from liaison.lifting import InvalidMatrix, default_matrix, lift_ideal
+from liaison.lifting import (
+    DEFAULT_PRIME,
+    MAX_PRIME,
+    InvalidMatrix,
+    check_prime,
+    default_matrix,
+    lift_ideal,
+    linear_form_poly,
+    poly_degree,
+    poly_mul,
+)
 from liaison.linkage import glicci_certificate_borel, verify_certificate
 from liaison.links import PolyIdeal, _colon_failure
 from liaison.monomials import (
@@ -28,21 +41,12 @@ from liaison.monomials import (
     monomials_of_degree,
 )
 from liaison.oracle import (
-    DEFAULT_PRIME,
-    MAX_PRIME,
-    MAX_WIDTH,
     _degree_rows,
-    _width_past,
-    check_prime,
     colon_stability_failure,
     containment_failure,
     graded_dim,
     hilbert_oracle,
-    horizon,
     ideals_equal_up_to,
-    linear_form_poly,
-    poly_degree,
-    poly_mul,
     rank_mod_p,
     ring_dim,
 )
