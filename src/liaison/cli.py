@@ -115,6 +115,8 @@ def _fmt_h(h: HVector) -> str:
 
 
 def cmd_lex_build(args) -> int:
+    if args.n < 0:
+        raise InputError(f"--n must be at least 0, got {args.n}")
     h = _parse_hvector(args.h)
     try:
         J = lex_ideal_from_hvector(h, args.n)
@@ -238,14 +240,14 @@ def cmd_lift(args) -> int:
 
 
 def _check_lines(report: dict) -> list[str]:
-    """One line per check of a ``lift-report/1``."""
+    """One line per check of a ``lift-report/2``."""
     return [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}"
             + (f"  [{c['detail']}]" if c["detail"] else "") for c in report["checks"]]
 
 
 def cmd_verify_lift(args) -> int:
     try:
-        report = verify_lift(_load_json(args.lifted), prime=args.prime)
+        report = verify_lift(_load_json(args.lifted))
     except LiftError as exc:
         raise InputError(str(exc))
     _emit(args, _check_lines(report), report)
@@ -334,10 +336,9 @@ def cmd_worked_example(args) -> int:
     A = default_matrix_for(J, "t-lift", seed)
     try:
         record = lift_record(J, A, prime=prime)
-        lift_report = verify_lift(record, prime=prime)
+        lift_report = verify_lift(record)
     except (LiftError, MatrixError) as exc:
         raise VerifyError(str(exc))
-    # The point-model row compares the point count with the sum of h.
     points = len(record["points"]["points"])
     lines.append(f"lift: {points} points mod {prime}")
     lines.extend(f"  {line}" for line in _check_lines(lift_report))
@@ -354,7 +355,7 @@ def cmd_worked_example(args) -> int:
         diffs.append(f"certificate replay: {report.first_failure()}")
 
     payload = {
-        "schema": "worked-example/2",
+        "schema": "worked-example/3",
         "prime": prime,
         "seed": seed,
         "ok": not diffs,
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lift", help="replay a lift, prove its Hilbert function")
     p.add_argument("lifted")
-    common(p, prime=True)
+    common(p)
     p.set_defaults(func=cmd_verify_lift)
 
     p = sub.add_parser("glicci", help="build a linkage certificate")

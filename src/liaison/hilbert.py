@@ -113,13 +113,14 @@ does not guarantee memory to those below."""
 
 
 def horizon(J: MonomialIdeal, k: int, N: int) -> int:
-    """The degree horizon of a check on J: max generator degree + ``k``,
-    raised to s + 2 when J is Artinian and proper of socle degree s, so
-    that a Hilbert function read through it has stabilized over its last
-    two degrees.  A certificate passes k = J.n, a lift the number of its
-    variables.  Raises ValueError when the horizon's top-degree Macaulay
-    matrix in ``N`` variables is wider than MAX_WIDTH, naming a width that
-    ``_width_past`` computes only until it passes MAX_WIDTH."""
+    """The degree horizon of a certificate on J, with k = J.n (``linkage``
+    is the one caller): max generator degree + ``k``, raised to s + 2 when
+    J is Artinian and proper of socle degree s, so that a Hilbert function
+    read through it has stabilized over its last two degrees.  No lift
+    report reads a horizon.  Raises ValueError when the horizon's
+    top-degree Macaulay matrix in ``N`` variables is wider than MAX_WIDTH,
+    naming a width that ``_width_past`` computes only until it passes
+    MAX_WIDTH."""
     dmax = J.max_gen_degree + k
     if is_artinian(J) and not J.is_unit:
         dmax = max(dmax, len(hilbert_function_artinian(J).values) + 1)
@@ -173,13 +174,14 @@ def first_mismatch(p, q) -> int | None:
     return next((k for k, c in enumerate(diff) if c), None)
 
 
-def numerator_degree(num) -> int:
-    """The degree Q(1) of S/J, for N(t) = (1 - t)^c·Q(t) with Q(1) nonzero:
-    each division by 1 - t is a running sum whose last entry, N(1) = 0, drops."""
-    num = list(num)
+def numerator_degree(num) -> tuple[int, int]:
+    """The codimension c and the degree Q(1) of S/J, for N(t) =
+    (1 - t)^c·Q(t) with Q(1) nonzero: each division by 1 - t is a running
+    sum whose last entry, N(1) = 0, drops."""
+    num, c = list(num), 0
     while num and not sum(num):
-        num = list(accumulate(num))[:-1]
-    return sum(num)
+        num, c = list(accumulate(num))[:-1], c + 1
+    return c, sum(num)
 
 
 def _pivot_numerator(gens: list[tuple[int, ...]]) -> list[int]:

@@ -381,7 +381,7 @@ def basic_double_link(base: PolyIdeal, divisor: PolyIdeal,
         ))
 
         if result.dim == 0:
-            deg_base, deg_div, deg_res = map(numerator_degree, (k_base, k_div, k_res))
+            deg_base, deg_div, deg_res = (numerator_degree(k)[1] for k in (k_base, k_div, k_res))
             checks.append(Check("degree-identity", deg_res == d * deg_base + deg_div,
                                 f"{deg_res} vs {d}*{deg_base}+{deg_div}"))
 

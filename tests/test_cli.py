@@ -11,6 +11,7 @@ import pytest
 
 from liaison import cli, lifting, links, oracle
 from liaison.cli import main
+from liaison.hilbert import HVector, lex_ideal_from_hvector
 from liaison.linkage import glicci_certificate_borel
 from liaison.monomials import MonomialIdeal
 
@@ -78,6 +79,10 @@ class TestLexBuild:
         code, out, err = run(capsys, "lex-build", "--h", "1,-2", "--n", "3")
         assert (code, out) == (2, "")
         assert err == "error: bad h-vector '1,-2': negative entry in (1, -2)\n"
+
+    def test_negative_variable_count(self, capsys):
+        code, out, err = run(capsys, "lex-build", "--h", "1", "--n", "-1")
+        assert (code, out, err) == (2, "", "error: --n must be at least 0, got -1\n")
 
 
 class TestAnalyze:
@@ -245,14 +250,15 @@ class TestLiftAndVerify:
         assert code == 0
         assert [(c["name"], c["passed"], c["detail"])
                 for c in json.loads(out)["checks"]] == [
-            ("matrix-validation", True, "prime 32003"),
-            ("hilbert-difference-t0", True, "difference (1, 3, 6, 10, 4, 2, 0, 0, 0, 0)"),
-            ("saturation-spot-check", True, "tail values (0, 0, 0)")]
+            ("matrix-validation", True, "over Z"),
+            ("hilbert-difference-t0", True, "difference (1, 3, 6, 10, 4, 2)"),
+            ("dimension-degree", True, "dimension 0, degree 26")]
 
     def test_non_groebner_generators_fail_the_hilbert_rows(self, tmp_path, capsys):
         # The entry 32003*x1 + x2 + 3u vanishes off x2 mod 32003 only: the
         # record is what `lift` makes, but no lifting over Z, and the
-        # generator x1*x2 leads with x1^2 over Q.
+        # generator x1*x2 leads with x1^2 over Q.  Every row fails, and the
+        # exit code is a verification failure's.
         rows = [[[1, 0, 1], [1, 0, 2]], [[32003, 1, 3], [0, 1, 5]]]
         A = lifting.LiftingMatrix.from_json(
             {"schema": "matrix/1", "kind": {"t": 1, "seed": None}, "ambient_n": 2,
@@ -264,11 +270,11 @@ class TestLiftAndVerify:
         code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
         assert code == 3
         checks = json.loads(out)["checks"]
-        assert [c["name"] for c in checks if c["passed"]] == ["matrix-validation",
-                                                              "point-model"]
-        failed = {c["name"]: c["detail"] for c in checks if not c["passed"]}
+        assert [c["name"] for c in checks if c["passed"]] == []
+        failed = {c["name"]: c["detail"] for c in checks}
         assert failed == dict.fromkeys(
-            ["hilbert-difference-t1", "saturation-spot-check", "non-degeneracy-dim-I1"],
+            ["matrix-validation", "hilbert-difference-t1", "non-degeneracy-dim-I1",
+             "dimension-degree"],
             "row 2, column 1 has no lifting's shape over Z")
 
     def test_lift_of_an_ideal_with_a_linear_generator(self, tmp_path, capsys):
@@ -285,8 +291,9 @@ class TestLiftAndVerify:
             "name": "non-degeneracy-dim-I1", "passed": True, "detail": ""}
 
     def test_lift_past_its_socle_degree(self, tmp_path, capsys):
-        # (x1^5, x2^5) has socle degree 8: its lift's Hilbert function
-        # settles at 25 in degree 8, past max generator degree 5 + 2.
+        # (x1^5, x2^5) has socle degree 8, past max generator degree 5: the
+        # difference reaches it, and the lift's Hilbert function settles at
+        # the 25 points.
         path, lifted = tmp_path / "J.json", tmp_path / "L.json"
         path.write_text(json.dumps({"schema": "ideal/1", "n": 2,
                                     "gens": [[5, 0], [0, 5]]}))
@@ -294,10 +301,9 @@ class TestLiftAndVerify:
         assert code == 0
         code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
         assert code == 0
-        checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert checks["saturation-spot-check"] == {
-            "name": "saturation-spot-check", "passed": True,
-            "detail": "tail values (25, 25, 25)"}
+        checks = {c["name"]: (c["passed"], c["detail"]) for c in json.loads(out)["checks"]}
+        assert checks["hilbert-difference-t1"] == (True, "difference (1, 2, 3, 4, 5, 4, 3, 2, 1)")
+        assert checks["dimension-degree"] == (True, "dimension 1, degree 25")
 
     def test_bf_lift_fails_validation_at_the_working_prime(self, tmp_path, capsys):
         # The bf row-1 entry 3*x1 is zero mod 3.
@@ -317,16 +323,24 @@ class TestLiftAndVerify:
                          "--prime", "32003")
         assert code == 0
 
-    def test_too_many_selections_is_a_verification_failure(self, tmp_path, capsys):
-        path = tmp_path / "powers.json"
-        path.write_text(json.dumps(
-            {"schema": "ideal/1", "n": 4,
-             "gens": [[32 if i == j else 0 for j in range(4)] for i in range(4)]}
-        ))
-        code, out, err = run(capsys, "lift", str(path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: 1048576 points") and err.count("\n") == 1
+    # A point model of more than POINT_LIMIT points: the 3-variable
+    # 60-cube, the 4-variable 31-cube and 32-cube.  `lift` refuses the
+    # ideal, and `verify-lift` a lifted ideal made without its points,
+    # each before building any point.
+    def test_too_many_points_is_input_error(self, tmp_path, capsys):
+        for n, e, points in [(3, 60, 216000), (4, 31, 923521), (4, 32, 1048576)]:
+            gens = [[e if i == j else 0 for j in range(n)] for i in range(n)]
+            path, lifted = tmp_path / "powers.json", tmp_path / "L.json"
+            path.write_text(json.dumps({"schema": "ideal/1", "n": n, "gens": gens}))
+            J = MonomialIdeal.from_json(json.loads(path.read_text()))
+            lifted.write_text(json.dumps(lifting.lift_ideal(
+                J, lifting.default_matrix_for(J, "t-lift")).to_json()))
+            message = (f"error: {points} points in the point model, more than "
+                       "POINT_LIMIT = 80000\n")
+            for argv in (["lift", str(path)], ["verify-lift", str(lifted)]):
+                start = time.perf_counter()
+                assert run(capsys, *argv) == (2, "", message)
+                assert time.perf_counter() - start < 1, argv
 
     @pytest.mark.parametrize("matrix", ["t:1", "t:2", "bf"])
     def test_lift_takes_no_rank(self, worked_ideal, capsys, monkeypatch, matrix):
@@ -445,10 +459,10 @@ class TestVerifyLiftReplay:
         code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["ok"] and report["prime"] == 32003
+        assert report["ok"] and json.loads(lifted.read_text())["points"]["prime"] == 65537
         assert report["checks"][-1] == {
-            "name": "point-model", "passed": True,
-            "detail": "26 points, expected 26"}
+            "name": "dimension-degree", "passed": True,
+            "detail": "dimension 1, degree 26"}
 
     def test_coincident_points_are_a_verification_failure(
             self, worked_ideal, capsys):
@@ -469,6 +483,8 @@ class TestVerifyLiftReplay:
     ["analyze", "J.json", "--prime", "65537"],
     ["analyze", "J.json", "--seed", "1"],
     ["verify-lift", "L.json", "--seed", "1"],
+    # A lift is verified exactly: its points at the prime it records.
+    ["verify-lift", "L.json", "--prime", "65537"],
     ["verify", "cert.json", "--prime", "65537"],
     ["verify", "cert.json", "--seed", "1"],
     # The horizon is derived from the ideal, never chosen.
@@ -634,45 +650,14 @@ class TestUnboundedInputs:
         assert run(capsys, "lift", str(path), "--matrix", "t:10000000") == (2, "", message)
         assert time.perf_counter() - start < 1
 
-    # A t-lift of (x1^2, x2) below the coefficient ceiling can have a
-    # horizon in t + 2 variables whose width has thousands of digits, more
-    # than Python prints: it is refused in one line naming a width
-    # computed only until it passes MAX_WIDTH.
-    @pytest.mark.parametrize("t,width", [(7500, 28166265), (249998, 250003)])
-    def test_verify_lift_near_the_t_lift_ceiling(self, tmp_path, capsys, t, width):
-        source, lifted = tmp_path / "p.json", tmp_path / "L.json"
-        source.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[2, 0], [0, 1]]}))
-        code, _, _ = run(capsys, "lift", str(source), "--matrix", f"t:{t}", "--seed", "7",
-                         "--out", str(lifted))
-        assert code == 0
-        code, out, err = run_bounded("verify-lift", lifted, timeout=20)
-        message = (f"horizon dmax {t + 4} needs Macaulay matrices at least "
-                   f"{width} columns wide in {t + 2} variables, more than 100000")
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-        # Refused before the matrix is decoded, which redraws every
-        # coefficient of its rows.
-        record = json.loads(lifted.read_text())
-        start = time.perf_counter()
-        with pytest.raises(lifting.LiftError) as refused:
-            lifting.verify_lift(record)
-        assert time.perf_counter() - start < 0.1
-        assert str(refused.value) == message
-
-    # Horizons derived from ideals of high degree: 119 in 4 variables for
-    # the lift of (x1^40, x2^40, x3^40), 204 for the bf lift of (x1^200).
-    @pytest.mark.parametrize("command", ["glicci", "verify-lift"])
-    def test_absurd_horizon_is_input_error(self, tmp_path, capsys, command):
-        cube, line = str(tmp_path / "cube.json"), str(tmp_path / "line.json")
-        lifted = str(tmp_path / "L.json")
-        Path(cube).write_text(json.dumps(
+    # A horizon derived from an ideal of high degree: 119 in 4 variables
+    # for the certificate of (x1^40, x2^40, x3^40).
+    @pytest.mark.parametrize("command", ["glicci"])
+    def test_absurd_horizon_is_input_error(self, tmp_path, command):
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps(
             {"schema": "ideal/1", "n": 3, "gens": [[40, 0, 0], [0, 40, 0], [0, 0, 40]]}))
-        Path(line).write_text(json.dumps(
-            {"schema": "ideal/1", "n": 4, "gens": [[200, 0, 0, 0]]}))
-        argv = {"glicci": [cube, "--mode", "artinian"], "verify-lift": [lifted]}[command]
-        if command == "verify-lift":
-            code, _, _ = run(capsys, "lift", line, "--matrix", "bf", "--out", lifted)
-            assert code == 0
-        code, out, err = run_bounded(command, *argv)
+        code, out, err = run_bounded(command, cube, "--mode", "artinian")
         assert (code, out) == (2, "")
         assert err.startswith("error: horizon dmax ") and err.count("\n") == 1
         assert "columns wide" in err
@@ -773,6 +758,57 @@ class TestUnboundedInputs:
         assert "step-continuity" not in out
 
 
+def _powers(n, e):
+    return [[e if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+_WORKED = [list(g.exps)
+           for g in lex_ideal_from_hvector(HVector.artinian((1, 3, 6, 10, 4, 2)), 3).gens]
+_CUBIC = [[3 - a - b, a, b] for a in range(4) for b in range(4 - a)]
+_M8 = [[a, b, 8 - a - b] for a in range(9) for b in range(9 - a)]
+
+# Every ideal that tier-1 and CI lift, with the options, and the exit code
+# of `lift`: 0 (its record must verify), 2 (an input over a limit) or 3
+# (a matrix that fails validation at the prime).
+LIFT_INPUTS = {
+    "worked-t1": (_WORKED, ["--matrix", "t:1", "--seed", "7"], 0),
+    "worked-t1-65537": (_WORKED, ["--seed", "7", "--prime", "65537"], 0),
+    "worked-t1-prime-3": (_WORKED, ["--prime", "3"], 3),
+    "worked-t2": (_WORKED, ["--matrix", "t:2", "--seed", "7"], 0),
+    "worked-bf": (_WORKED, ["--matrix", "bf"], 0),
+    "worked-t10000000": (_WORKED, ["--matrix", "t:10000000"], 2),
+    "square": (SQUARE["gens"], [], 0),
+    "maximal-bf": ([[1, 0], [0, 1]], ["--matrix", "bf"], 0),
+    "linear-generator": ([[1, 0], [0, 2]], ["--matrix", "t:1", "--seed", "7"], 0),
+    "past-the-socle": ([[5, 0], [0, 5]], [], 0),
+    "cubic-bf": (_CUBIC, ["--matrix", "bf"], 0),
+    "cubic-bf-prime-3": (_CUBIC, ["--matrix", "bf", "--prime", "3"], 3),
+    "m8-t2": (_M8, ["--matrix", "t:2"], 0),
+    "x1-x2^2-t7500": ([[2, 0], [0, 1]], ["--matrix", "t:7500", "--seed", "7"], 0),
+    "x1-x2^2-t249998": ([[2, 0], [0, 1]], ["--matrix", "t:249998", "--seed", "7"], 0),
+    "wide-bf": ([[200, 0, 0, 0]], ["--matrix", "bf"], 0),
+    "bf-over-its-columns": ([[1, 0], [0, 2**40]], ["--matrix", "bf"], 2),
+    "x1^3000": ([[3000]], [], 2),
+    "cube-31": (_powers(3, 31), [], 0),
+    "cube-60": (_powers(3, 60), [], 2),
+    "4-cube-31": (_powers(4, 31), [], 2),
+}
+
+
+@pytest.mark.parametrize("case", LIFT_INPUTS)
+def test_every_lift_verifies(tmp_path, capsys, case):
+    gens, options, want = LIFT_INPUTS[case]
+    path, lifted = tmp_path / "J.json", tmp_path / "L.json"
+    path.write_text(json.dumps({"schema": "ideal/1", "n": len(gens[0]), "gens": gens}))
+    code, out, err = run(capsys, "lift", str(path), *options, "--out", str(lifted))
+    assert code == want, err
+    if want == 2:
+        assert (out, err.count("\n")) == ("", 1) and err.startswith("error: ")
+    if want == 0:
+        code, out, err = run(capsys, "verify-lift", str(lifted))
+        assert (code, err) == (0, "") and "FAIL" not in out
+
+
 class TestWorkedExampleCommand:
     def test_default_run(self, capsys):
         code, out, _ = run(capsys, "worked-example")
@@ -787,17 +823,17 @@ class TestWorkedExampleCommand:
         code, _, _ = run(capsys, "lift", worked_ideal, "--seed", "0",
                          "--prime", prime, "--out", str(lifted))
         assert code == 0
-        code, out, _ = run(capsys, "verify-lift", str(lifted), "--prime", prime, "--json")
+        code, out, _ = run(capsys, "verify-lift", str(lifted), "--json")
         assert code == 0
         checks = json.loads(out)["checks"]
         code, out, _ = run(capsys, "worked-example", "--prime", prime, "--json")
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == "worked-example/2" and data["ok"]
+        assert data["schema"] == "worked-example/3" and data["ok"]
         assert data["lift_checks"] == checks
         assert [c["name"] for c in checks] == [
-            "matrix-validation", "hilbert-difference-t1", "saturation-spot-check",
-            "non-degeneracy-dim-I1", "point-model"]
+            "matrix-validation", "hilbert-difference-t1", "non-degeneracy-dim-I1",
+            "dimension-degree"]
 
     def test_prime_override_same_combinatorics(self, capsys):
         code, out, _ = run(capsys, "worked-example", "--prime", "65537", "--json")

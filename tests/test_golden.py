@@ -21,9 +21,9 @@ PINNED = {
     "lift --seed 7 file, worked ideal": (
         "3faf9c3dcd0736c0996f80a7ac17ac6467f92e74effa02770b95448418564876", 6702),
     "verify-lift --json, worked lift file": (
-        "c6d39f95e589033339520c11fe5e7ad52e4a21e030151e982a7f09b071946ea6", 578),
+        "a1d8eabcbb6464906f07faa32fe5451f4e965583ead650c9363e463910725d16", 429),
     "worked-example --json": (
-        "7e3b898b783101f33111902efb1aba48c44fa65117b945afabbbc5d8160031bb", 764),
+        "8fd9b5c201cd7c0d95d76e589f985d386643f1ca05d1c8521e89405ece73de31", 645),
 }
 
 # The seed-7 Artinian certificate of (x1, x2, x3)^8, as canonical JSON

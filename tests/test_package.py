@@ -1,14 +1,17 @@
 """What the package is made of: the library imports neither numpy nor the
-reference oracle, runs with numpy absent, and has no function or class
-that nothing calls."""
+reference oracle, runs with numpy absent, has no function or class that
+nothing calls, and keeps out the code its proofs replaced."""
 import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import liaison
+from liaison import lifting, links
 
 SRC = Path(liaison.__file__).parent
 README = SRC.parents[1] / "README.md"
@@ -45,7 +48,8 @@ from liaison.cli import main
 readme = open(sys.argv[1]).read()
 session = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
 commands = [shlex.split(line.split("#")[0])[1:] for line in session.splitlines()]
-commands.append(["verify-lift", "L.json", "--prime", "65537"])
+commands += [["lift", "J.json", "--matrix", "t:1", "--seed", "7", "--prime", "65537",
+              "--out", "L65537.json"], ["verify-lift", "L65537.json"]]
 codes = []
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -63,7 +67,7 @@ def test_cli_and_library_run_without_numpy(tmp_path):
     result = json.loads(proc.stdout)
     commands = [argv[0] for argv, _ in result["codes"]]
     assert commands == ["lex-build", "analyze", "lift", "verify-lift", "glicci", "verify",
-                        "worked-example", "verify-lift"]
+                        "worked-example", "lift", "verify-lift"]
     assert all(code == 0 for _, code in result["codes"]), result["codes"]
     assert result["oracle"] is False
 
@@ -72,6 +76,10 @@ def test_cli_and_library_run_without_numpy(tmp_path):
 NO_CALLER = {
     "monomials.enumerate_borel_ideals":
         "the census of the tests and of the benchmark; a census command will call it",
+    "hilbert.hilbert_function": "the benchmark's borel-census gate calls it",
+    "hilbert.difference": "the benchmark's artinian-worked gate calls it",
+    "hilbert.partial_sum":
+        "the acceptance suite's t-lift criterion predicts a lift's Hilbert function with it",
 }
 
 
@@ -101,3 +109,54 @@ def test_every_function_and_class_has_a_caller():
                   if not [s for s in used.get(stmt.name, ()) if s is not stmt]}
     assert set(NO_CALLER) <= set(defined), "a listed name no longer exists"
     assert callerless - allowed == set(NO_CALLER)
+
+
+def _lines_matching(pattern):
+    """The lines of the package's files that match ``pattern``."""
+    return [f"{p.name}:{k}: {line}" for p in sorted(SRC.glob("*.py"))
+            for k, line in enumerate(p.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_no_buchberger_run_in_the_library():
+    # Buchberger's algorithm is a test reference (tests/buchberger_fp.py):
+    # the library proves its initial ideals by theorems instead.
+    assert _lines_matching(r"GroebnerBasis|BUCHBERGER_BUDGET|_top_reduce|_s_polynomial") == []
+
+
+def test_no_truncated_hilbert_check_in_the_library():
+    # Certificate checks are exact identities of Hilbert-series numerators:
+    # no Hilbert function truncated at a horizon comes back.
+    assert _lines_matching(r"stable_value|_section_hilbert|horizon too small|\.hilbert\(") == []
+
+
+def test_no_prime_or_order_parameter_in_the_link_layer():
+    # The link layer reads its field and term order off its ideals
+    # (PolyIdeal.prime and PolyIdeal.last): no caller passes either.
+    fs = (links.basic_double_link, links.hypersurface_chain, links.PolyIdeal.from_lifted,
+          links._first_outside, links._link_result, links._colon_failure, links.proven_equal)
+    assert [f.__qualname__ for f in fs
+            if {"prime", "last"} & set(inspect.signature(f).parameters)] == []
+
+
+def test_no_canonical_text_comparison_outside_same_document():
+    # Replays compare a stored document with its rebuild through
+    # lifting.same_document, which makes canonical text only when the
+    # marshal bytes differ: no other comparison of two canonical texts.
+    found = _lines_matching(r"canonical_json\(.*[!=]=|[!=]=\s*canonical_json\(")
+    assert [line for line in found
+            if not line.endswith("return canonical_json(a) == canonical_json(b)")] == []
+
+
+def test_lift_report_reads_no_horizon():
+    # verify_lift reads every row off the source's numerator over Z: it
+    # takes no prime, and lifting.py names a horizon or dmax only in a
+    # docstring that cites lift-report/1, the report that read them.
+    assert "prime" not in inspect.signature(lifting.verify_lift).parameters
+    path = SRC / "lifting.py"
+    lines = path.read_text().splitlines()
+    for node in ast.walk(ast.parse("\n".join(lines))):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str) and "lift-report/1" in node.value.value):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    assert [line for line in lines if re.search(r"horizon|dmax", line)] == []
