@@ -271,7 +271,7 @@ def cmd_glicci(args) -> int:
         raise InputError(str(exc))
     lines = [
         f"certificate: mode {cert.mode}, {len(cert.steps)} steps, "
-        f"leaf {cert.leaf}, prime {cert.prime}, dmax {cert.dmax}",
+        f"leaf {cert.leaf}, prime {cert.prime}",
     ]
     for i, step in enumerate(cert.steps):
         lines.append(f"  step {i}: {step.kind}  source {step.source}")

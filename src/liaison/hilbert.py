@@ -113,14 +113,12 @@ does not guarantee memory to those below."""
 
 
 def horizon(J: MonomialIdeal, k: int, N: int) -> int:
-    """The degree horizon of a certificate on J, with k = J.n (``linkage``
-    is the one caller): max generator degree + ``k``, raised to s + 2 when
-    J is Artinian and proper of socle degree s, so that a Hilbert function
-    read through it has stabilized over its last two degrees.  No lift
-    report reads a horizon.  Raises ValueError when the horizon's
+    """The degree horizon of a certificate on J, with k = J.n, which no
+    check reads: ``linkage`` runs it as the size refusal of a root.  It is
+    max generator degree + ``k``, raised to s + 2 when J is Artinian and
+    proper of socle degree s.  Raises ValueError when the horizon's
     top-degree Macaulay matrix in ``N`` variables is wider than MAX_WIDTH,
-    naming a width that ``_width_past`` computes only until it passes
-    MAX_WIDTH."""
+    naming a width that ``_width_past`` computes only until it passes it."""
     dmax = J.max_gen_degree + k
     if is_artinian(J) and not J.is_unit:
         dmax = max(dmax, len(hilbert_function_artinian(J).values) + 1)

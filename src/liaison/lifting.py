@@ -145,7 +145,7 @@ class LiftError(ValueError):
     """A lift that is refused: a zero or unit source, a lifted-ideal record
     that is malformed or not what ``lift_record`` makes from its own source
     and matrix, or a lift past a size limit (``BF_COLUMN_LIMIT``,
-    ``T_LIFT_COEFFICIENT_LIMIT``, ``POINT_LIMIT``)."""
+    ``COEFFICIENT_LIMIT``, ``POINT_LIMIT``)."""
 
 
 @dataclass(frozen=True)
@@ -310,16 +310,15 @@ def _check_default(A: LiftingMatrix) -> None:
 
 BF_COLUMN_LIMIT = 10**5
 """Ceiling on the columns of a ``bf`` matrix, checked before any row is
-built: a lift builds n rows of that many forms in n variables, its
-record stores each coefficient, and ``verify_lift`` redraws each.  At the
-limit, the ``bf`` lift of (x1, x2^100000) is a 9.6 MB record, which
-``lift`` writes in 2.5 s and ``verify-lift`` checks in 2.0 s (2-core
-x86-64 host, Python 3.11)."""
+built.  A ``bf`` matrix has one column per degree of J's largest
+generator, so in one variable it bounds the numerator ``verify_lift``
+reads, which ``COEFFICIENT_LIMIT`` alone would let reach 10^6 terms."""
 
-T_LIFT_COEFFICIENT_LIMIT = 10**6
-"""Ceiling on the coefficients the rows of a t-lifting matrix hold, n rows
-of ``ncols`` forms in n + t variables, checked before any is drawn: a lift
-draws each and its record stores each."""
+COEFFICIENT_LIMIT = 10**6
+"""Ceiling on the coefficients the rows of a default matrix hold, n rows
+of ``ncols`` forms in N = n + t variables, checked for both kinds before
+any row is built: a lift builds or draws each, and its record stores
+each."""
 
 
 def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
@@ -333,10 +332,10 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
     style "t-lift": ambient n plus t new variables u; row j has entries
     x_j + sum_k c_{j,i,k} u_k with coefficient vectors drawn
     deterministically from the seed in [1, 2999]^t, distinct within each
-    row; more than 2999^t columns is a LiftError, and so are rows of more
-    than T_LIFT_COEFFICIENT_LIMIT coefficients, checked first.
+    row; more than 2999^t columns is a LiftError.
 
-    A ``bf`` matrix of more than BF_COLUMN_LIMIT columns is a LiftError.
+    Rows of more than COEFFICIENT_LIMIT coefficients, and a ``bf`` matrix
+    of more than BF_COLUMN_LIMIT columns, checked first, are LiftErrors.
     """
     if style == "bf":
         if ncols > BF_COLUMN_LIMIT:
@@ -345,10 +344,10 @@ def default_matrix(n: int, style: str, seed: int = 0, ncols: int = 8,
         t, seed = 0, None
     elif style != "t-lift":
         raise ValueError(f"unknown style {style!r}")
-    elif n * ncols * (n + t) > T_LIFT_COEFFICIENT_LIMIT:
-        raise LiftError(f"{n * ncols * (n + t)} coefficients in a t-lift matrix, more than "
-                        f"T_LIFT_COEFFICIENT_LIMIT = {T_LIFT_COEFFICIENT_LIMIT}")
-    elif ncols > 2999 ** min(t, ncols):  # 2999^ncols >= ncols
+    if n * ncols * (n + t) > COEFFICIENT_LIMIT:
+        raise LiftError(f"{n * ncols * (n + t)} coefficients in a {style} matrix, more than "
+                        f"COEFFICIENT_LIMIT = {COEFFICIENT_LIMIT}")
+    if style == "t-lift" and ncols > 2999 ** min(t, ncols):  # 2999^ncols >= ncols
         raise LiftError(f"{ncols} columns of distinct coefficient vectors "
                         f"in [1, 2999]^{t}: at most {2999 ** t} exist")
     rows = tuple(tuple(map(LinearForm, row))
@@ -676,6 +675,16 @@ def same_document(a, b) -> bool:
     return canonical_json(a) == canonical_json(b)
 
 
+def _numerator_text(num) -> str:
+    """The nonzero terms of a polynomial in t, lowest degree first, as
+    ``1 - 3t^2 + 2t^3``."""
+    terms = [(c, "" if k == 0 else "t" if k == 1 else f"t^{k}")
+             for k, c in enumerate(num) if c]
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c) if abs(c) != 1 or not t else ''}{t}"
+                    for c, t in terms)
+    return ("-" + text[2:] if text.startswith("-") else text[2:]) or "0"
+
+
 def verify_lift(data: dict) -> dict:
     """The ``lift-report/2`` of a stored lift record.
 
@@ -699,7 +708,7 @@ def verify_lift(data: dict) -> dict:
     saturated.  No generator is expanded.  The rows:
     ``hilbert-difference-t{t}`` the difference of h_{R/I} once per new
     variable (t, plus the x's of dropped rows), which is h_J: all of it
-    for an Artinian J, else through the degree of K_J; for a t-lift,
+    for an Artinian J, else given by K_J, whose terms it prints; for a t-lift,
     ``non-degeneracy-dim-I1`` that h_{R/I}(1) is N minus the number of
     J's linear generators, each of which lifts to one linear form; and
     ``dimension-degree`` the Krull dimension N - c of R/I and its degree
@@ -727,12 +736,14 @@ def verify_lift(data: dict) -> dict:
                         f"and matrix in: {', '.join(differ)}")
 
     num = hilbert_numerator(J)
-    h = hilbert_values(num, J.n, len(num))
-    while not h[-1]:  # only an Artinian J's h_J reaches 0, and then stays 0
-        h.pop()
-    rows = [(f"hilbert-difference-t{A.t}", True,
-             f"difference {tuple(h)}" + ("" if is_artinian(J) else
-                                         f" through degree {len(num) - 1}"))]
+    if is_artinian(J):
+        h = hilbert_values(num, J.n, len(num))
+        while not h[-1]:  # h_J reaches 0 and stays 0
+            h.pop()
+        detail = f"difference {tuple(h)}"
+    else:
+        detail = f"numerator {_numerator_text(num)}"
+    rows = [(f"hilbert-difference-t{A.t}", True, detail)]
     if A.kind == "t-lift":
         # I_1 is spanned by the lifts of J's linear generators x_v, one
         # linear form each, independent as each leads with its own x_v: the

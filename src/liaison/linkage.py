@@ -7,15 +7,14 @@ attached to each step has been verified over F_p in every degree, by the
 links and chains of ``links``.  This module alone knows the certificate's
 JSON: ``_encode`` encodes every step, link, ideal and check in it.
 
-The builders and ``verify_certificate`` run one induction, ``_induction``.
-The verifier reruns it from the certificate's inputs (mode, root, prime
-and, for the Artinian builder, the matrix of step 0) and requires each
-stored step to have the canonical JSON text of the step it builds
-(``lifting.same_document``), so nothing stored is trusted.  The mode
-must be known, the root acceptable to the mode's builder, each stored
-step's source and kind and the leaf what that builder makes there; the
-prime must pass ``check_prime``, and the stored horizon must be the one
-``hilbert.horizon`` derives from the root.
+A ``glicci-cert/2`` document stores the inputs of the induction (mode,
+prime, root and the matrix of a chain step 0), the leaf, and one digest
+per step, ``lifting._digest`` of its ``_encode``.  The builders and
+``verify_certificate`` run one induction, ``_induction``; the verifier
+reruns it from the inputs and requires each rebuilt step to have its
+stored digest, so nothing stored is trusted, and the builder decides
+where the replay stops.  A ``glicci-cert/1`` document, which stored each
+step in full, enters the same replay with each step's digest.
 """
 from __future__ import annotations
 
@@ -30,6 +29,7 @@ from .lifting import (
     MatrixError,
     check_prime,
     default_matrix_for,
+    _digest,
     expand,
     lift_ideal,
     linear_form_poly,
@@ -70,13 +70,11 @@ _SCALARS = frozenset({bool, int, str, type(None)})
 
 
 def _encode(value):
-    """The JSON of a certificate value, every object's keys sorted, so a
-    rebuilt document and one decoded from canonical text compare without
-    encoding (``same_document``).  A scalar is itself; a polynomial
-    (dict) gives its terms, largest first; a tuple a list; an ideal, a
-    matrix or a ``StoredStep`` its own ``to_json``; any other dataclass
-    one key per field, plus its ``schema`` or ``kind`` tag
-    (``_json_keys``)."""
+    """The JSON of a certificate value, every object's keys sorted, as in
+    its canonical text.  A scalar is itself; a polynomial (dict) gives its
+    terms, largest first; a tuple a list; an ideal or a matrix its own
+    ``to_json``; any other dataclass one key per field, plus its
+    ``schema`` or ``kind`` tag (``_json_keys``)."""
     if type(value) in _SCALARS:
         return value
     if isinstance(value, dict):
@@ -139,56 +137,72 @@ class DescentStep:
 _STEP_KINDS = frozenset({"chain", "bilink", "hyperplane-descent", "cone-descent"})
 
 
-@dataclass(frozen=True)
-class StoredStep:
-    """A step as a certificate document stores it: its JSON ``data``, and
-    decoded from it what the replay reads."""
+def _step_digest(step) -> str:
+    """What a ``glicci-cert/2`` document stores for a step: the digest of
+    its canonical JSON, or the step itself if it is one already."""
+    return step if type(step) is str else _digest(_encode(step))
 
-    kind: str
-    source: MonomialIdeal
-    matrix: LiftingMatrix | None
-    data: dict
 
-    @classmethod
-    def from_json(cls, data: dict) -> "StoredStep":
-        kind = data["kind"]
-        if kind not in _STEP_KINDS:
-            raise ValueError(f"unknown step kind {kind!r}")
-        matrix = LiftingMatrix.from_json(data["matrix"]) if kind == "chain" else None
-        return cls(kind, MonomialIdeal.from_json(data["source"]), matrix, data)
-
-    def to_json(self) -> dict:
-        return self.data
+def _decode_canonical(cls, doc, name: str):
+    """The ideal or matrix ``doc`` stores, if ``doc`` is its canonical
+    JSON; raises ValueError otherwise."""
+    value = cls.from_json(doc)
+    if not same_document(value.to_json(), doc):
+        raise ValueError(f"{name} is not the canonical JSON of its {cls.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
 class GlicciCertificate:
+    """A certificate as built, with its steps, or as decoded, with each
+    step's digest (``_step_digest``)."""
+
     mode: str  # "artinian" | "borel"
     prime: int
-    dmax: int
     root: MonomialIdeal
-    steps: tuple[ChainStep | BilinkStep | DescentStep | StoredStep, ...]
+    matrix: LiftingMatrix | None  # step 0's, if step 0 is a chain
+    steps: tuple[ChainStep | BilinkStep | DescentStep | str, ...]
     leaf: str  # "codim<=2-licci" | "principal"
 
-    schema = "glicci-cert/1"
+    schema = "glicci-cert/2"
 
     def to_json(self) -> dict:
-        return {k: _encode(getattr(self, k)) for k in _json_keys(GlicciCertificate)}
+        """The ``glicci-cert/2`` document, each step as its digest."""
+        return {k: [_step_digest(s) for s in self.steps] if k == "steps"
+                else _encode(getattr(self, k)) for k in _json_keys(GlicciCertificate)}
 
     @classmethod
     def from_json(cls, data: dict) -> "GlicciCertificate":
-        """The certificate a ``glicci-cert/1`` document stores; a root that
-        is not canonical JSON or a key outside the schema is a ValueError."""
-        if data.get("schema") != cls.schema:
-            raise ValueError(f"expected schema {cls.schema}")
-        unknown = data.keys() - {f.name for f in fields(cls)} - {"schema"}
+        """The certificate a ``glicci-cert/2`` or ``glicci-cert/1`` document
+        stores.  A cert/1 document gives its step 0's matrix, for a chain,
+        and each stored step's digest, and its ``dmax`` must be the horizon
+        derived from the root.  A root or matrix that is not canonical
+        JSON, a key outside the schema, steps that are not a list or, in
+        cert/2, a step that is not a digest string is a ValueError."""
+        legacy = data.get("schema") == "glicci-cert/1"
+        if data.get("schema") != cls.schema and not legacy:
+            raise ValueError(f"expected schema {cls.schema} or glicci-cert/1")
+        keys = set(_json_keys(cls))
+        unknown = data.keys() - (keys - {"matrix"} | {"dmax"} if legacy else keys)
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        root = MonomialIdeal.from_json(data["root"])
-        if not same_document(root.to_json(), data["root"]):
-            raise ValueError("root is not the canonical JSON of its ideal")
-        return cls(data["mode"], data["prime"], data["dmax"], root,
-                   tuple(map(StoredStep.from_json, data["steps"])), data["leaf"])
+        root = _decode_canonical(MonomialIdeal, data["root"], "root")
+        steps = data["steps"]
+        if type(steps) is not list:
+            raise ValueError("steps must be a list")
+        if legacy:
+            first = steps[0] if steps and type(steps[0]) is dict else {}
+            matrix = first["matrix"] if first.get("kind") == "chain" else None
+            steps = map(_digest, steps)
+        else:
+            matrix = data["matrix"]
+            if any(type(step) is not str for step in steps):
+                raise ValueError("a glicci-cert/2 step is stored as its digest string")
+        A = None if matrix is None else _decode_canonical(LiftingMatrix, matrix, "matrix")
+        if legacy and not same_document(data["dmax"], dmax := _horizon(root, A)):
+            raise ValueError(f"horizon dmax {data['dmax']!r} is not {dmax}, "
+                             "the horizon derived from the root")
+        return cls(data["mode"], data["prime"], root, A, tuple(steps), data["leaf"])
 
 
 def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
@@ -206,18 +220,9 @@ def _check_root(mode: str, J: MonomialIdeal) -> MonomialIdeal:
 
 def _horizon(J: MonomialIdeal, A: LiftingMatrix | None) -> int:
     """The degree horizon of a certificate for J: ``horizon`` with k = J.n,
-    its width measured in the variables of the matrix ``A``, or J's."""
+    its width measured in the variables of the matrix ``A``, or J's: the
+    size refusal builders and verifier run on the root before any step."""
     return horizon(J, J.n, J.n if A is None else A.N)
-
-
-def _check_stored_horizon(dmax, J: MonomialIdeal, A: LiftingMatrix | None) -> int:
-    """The stored horizon ``dmax`` if it is the one derived from J; raises
-    ValueError otherwise."""
-    derived = _horizon(J, A)
-    if type(dmax) is not int or dmax != derived:
-        raise ValueError(f"horizon dmax {dmax!r} is not {derived}, "
-                         "the horizon derived from the root")
-    return dmax
 
 
 # --- Artinian certificate ---------------------------------------------------
@@ -426,9 +431,6 @@ def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None, prime
     """The builder of a step of ``kind`` run on ``source``; ``A`` is the
     lifting matrix of a chain step."""
     if kind == "chain":
-        if A is None:
-            raise LinkageError("chain step needs a lifting matrix; "
-                               "the certificate stores none")
         return _build_chain_step(source, A, prime)
     if kind == "bilink":
         return _build_bilink_step(source, prime)
@@ -438,14 +440,12 @@ def _build_step(kind: str, source: MonomialIdeal, A: LiftingMatrix | None, prime
 
 
 def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None, prime: int):
-    """The induction of the ``mode`` builder from J.  Before each step it
-    yields the ideal the step starts at and the step's kind; asked once
-    more, it builds that step and yields it.  Last it yields the ideal it
-    stops at and the leaf.  Each chain step uses the previous one's matrix
-    minus its first row; a builder's error propagates."""
+    """The induction of the ``mode`` builder from J: it yields each step it
+    builds, then the ideal it stops at and the leaf.  Each chain step uses
+    the previous one's matrix minus its first row; a builder's error
+    propagates."""
     cur, prev = J, None
     while (move := _next_move(mode, cur, prev)) in _STEP_KINDS:
-        yield cur, move
         step = _build_step(move, cur, A, prime)
         yield step
         if move == "chain":
@@ -454,21 +454,27 @@ def _induction(mode: str, J: MonomialIdeal, A: LiftingMatrix | None, prime: int)
     yield cur, move
 
 
+def _check_matrix(mode: str, J: MonomialIdeal, A: LiftingMatrix | None) -> bool:
+    """Whether a certificate on J stores a matrix, as it must exactly when
+    the ``mode`` builder starts there with a chain step; raises ValueError
+    otherwise."""
+    if (A is not None) != (_next_move(mode, J, None) == "chain"):
+        raise ValueError("a certificate stores a matrix exactly when step 0 is a chain")
+    return A is not None
+
+
 def _build_certificate(mode: str, J: MonomialIdeal, A: LiftingMatrix | None,
                        prime: int) -> GlicciCertificate:
-    """Collect the steps of the induction from J and its leaf, and store
-    the horizon derived from J.  A root the mode refuses is a
-    LinkageError; a root whose horizon ``horizon`` refuses as too wide,
-    checked after it, is ``horizon``'s ValueError."""
+    """Collect the steps of the induction from J and its leaf, and store A
+    if step 0 is a chain.  A root the mode refuses is a LinkageError; a
+    root whose horizon ``horizon`` refuses as too wide, checked after it,
+    is ``horizon``'s ValueError."""
     _check_root(mode, J)
     check_prime(prime)
-    dmax = _horizon(J, A)
-    steps: list = []
-    induction = _induction(mode, J, A, prime)
-    for _, move in induction:
-        if move in _STEP_KINDS:
-            steps.append(next(induction))
-    return GlicciCertificate(mode, prime, dmax, J, tuple(steps), move)
+    _horizon(J, A)
+    *steps, (_, leaf) = _induction(mode, J, A, prime)
+    chain = steps and steps[0].kind == "chain"
+    return GlicciCertificate(mode, prime, J, A if chain else None, tuple(steps), leaf)
 
 
 # --- verification -----------------------------------------------------------
@@ -483,10 +489,7 @@ class VerificationReport:
         return all(e[2] for e in self.entries)
 
     def first_failure(self):
-        for e in self.entries:
-            if not e[2]:
-                return e
-        return None
+        return next((e for e in self.entries if not e[2]), None)
 
     def to_json(self) -> dict:
         return {
@@ -525,63 +528,49 @@ def _contract(name: str, check, *args) -> tuple:
 
 
 def verify_certificate(cert: GlicciCertificate) -> VerificationReport:
-    """Rerun the builder's induction from the certificate's inputs,
-    report each rebuilt step's checks, and require every stored step's
-    JSON to have the canonical JSON text of its rebuild, compared by
-    ``same_document``: a step decoded from canonical text has its keys
-    sorted, like its rebuild, and is compared by marshal bytes without
-    making either text.  Failures become report entries, never
-    exceptions.  The replay builds its own objects, so it reuses nothing
-    the build computed: a chain step's expansion memo lives only while
-    that step is built, and no module keeps one.
+    """Rerun the builder's induction from the certificate's inputs, report
+    each rebuilt step's checks, and require each stored step to be the
+    digest of its rebuild (``_step_digest``).  Failures become report
+    entries, never exceptions.  The replay builds its own objects, so it
+    reuses nothing the build computed: a chain step's expansion memo lives
+    only while that step is built, and no module keeps one.
 
-    An unknown mode, an invalid prime, a stored horizon other than the one
-    ``hilbert.horizon`` derives from the root, or a root the mode's builder
-    refuses fails the report before any step is replayed.  Each stored
-    step's source and kind, and the leaf, must be where the builder stands
-    and what it makes next.  The replay follows the builder, not the
-    stored steps, and ends where the builder stops or raises.
+    An unknown mode, an invalid prime, a root past the size refusal of
+    ``hilbert.horizon`` or one the mode's builder refuses, or a matrix
+    stored other than for a chain step 0 fails the report before any step
+    is replayed.  The builder decides where the replay stops, and
+    ``leaf-validity`` requires as many stored steps and the same leaf.
     """
-    prime = cert.prime
-    # The induction reruns from the certificate's inputs: the root and,
-    # for the Artinian builder, the matrix stored step 0 lifts by.
-    steps = cert.steps
-    A = steps[0].matrix if steps and steps[0].kind == "chain" else None
+    A = cert.matrix
     entries: list = [
         _contract("mode", _check_mode, cert.mode),
-        _contract("prime", check_prime, prime),
-        _contract("horizon", _check_stored_horizon, cert.dmax, cert.root, A),
+        _contract("prime", check_prime, cert.prime),
+        _contract("horizon", _horizon, cert.root, A),
     ]
     if entries[0][2]:  # the root's precondition depends on the mode
         entries.append(_contract("root", _check_root, cert.mode, cert.root))
+    if all(e[2] for e in entries):  # and so does the builder's first move
+        entries.append(_contract("matrix", _check_matrix, cert.mode, cert.root, A))
     if not all(e[2] for e in entries):
         return VerificationReport(entries)
 
-    induction = _induction(cert.mode, cert.root, A, prime)
+    induction = _induction(cert.mode, cert.root, A, cert.prime)
     idx = 0
     try:
-        for idx, step in enumerate(cert.steps):
-            cur, move = next(induction)
-            entries.append((
-                idx, "step-continuity", step.source == cur,
-                f"expected {cur}, step stores {step.source}",
-            ))
-            entries.append((
-                idx, "step-kind", step.kind == move,
-                f"at {cur}: expected {move}, certificate stores {step.kind}",
-            ))
-            if move not in _STEP_KINDS:  # the builder stops here
-                return VerificationReport(entries)
-            rebuilt = next(induction)
+        while not isinstance(rebuilt := next(induction), tuple):
             entries.extend(
                 (idx, c.name, c.passed, c.witness) for c in _all_checks(rebuilt)
             )
-            entries.append((idx, "stored-equals-rebuilt",
-                            same_document(_encode(rebuilt), _encode(step)), None))
-        cur, leaf = next(induction)
+            stored = _step_digest(cert.steps[idx]) if idx < len(cert.steps) else None
+            digest = _step_digest(rebuilt)
+            entries.append((idx, "stored-equals-rebuilt", stored == digest,
+                            None if stored == digest else f"stored {stored!r}, rebuilt {digest}"))
+            idx += 1
+        cur, leaf = rebuilt
         entries.append((
-            len(cert.steps), "leaf-validity", cert.leaf == leaf,
-            f"at {cur}: expected {leaf}, certificate stores {cert.leaf}",
+            idx, "leaf-validity", cert.leaf == leaf and len(cert.steps) == idx,
+            f"at {cur} after {idx} steps: expected {leaf}, "
+            f"certificate stores {cert.leaf} after {len(cert.steps)}",
         ))
     except (LinkageError, MatrixError) as exc:
         entries.append((idx, "rebuild", False, str(exc)))

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from glicci_cert1 import cert1_document
 from timing import budget
 
 from liaison.hilbert import (
@@ -209,7 +210,7 @@ def test_criterion_6_link_identities(generated_certificates):
 
 
 # sha256 of the canonical JSON of the sweep's certificates and reports at P.
-SWEEP_SHA256 = "18bb4feb1403c89abcdafa6de8a26665117546fbb086ffed3ca28a8f9b822e99"
+SWEEP_SHA256 = "a8d2b6ee04fd324104acd75cc5d0a316b537e111d8db2b3be2852826c68d0efe"
 
 
 def test_criterion_7_borel_bilink_loop():
@@ -286,31 +287,34 @@ def test_criterion_8_differentiable_o_sequence_pipeline():
 
 
 # Forged certificates that a verifier trusting any stored object would
-# accept.  Each returns the forgery and the (step, check) of its first
-# failing report entry.
+# accept, as glicci-cert/2 or, where they edit a stored step, the matrix
+# or the horizon, as glicci-cert/1 documents.  Each returns the forgery
+# and the (step, check) of its first failing report entry, or the message
+# with which decoding refuses it before any step (exit 2).
 
 
 def _link_swapped(certs):
-    data = certs[2].to_json()
-    data["steps"][0]["link"] = certs[1].to_json()["steps"][0]["link"]
-    return GlicciCertificate.from_json(data), (0, "stored-equals-rebuilt")
+    data = cert1_document(certs[2])
+    data["steps"][0]["link"] = cert1_document(certs[1])["steps"][0]["link"]
+    return data, (0, "stored-equals-rebuilt")
 
 
 def _extra_check(certs):
-    data = certs[2].to_json()
+    data = cert1_document(certs[2])
     data["steps"][1]["checks"].append(
         {"name": "forged", "passed": True, "witness": None})
-    return GlicciCertificate.from_json(data), (1, "stored-equals-rebuilt")
+    return data, (1, "stored-equals-rebuilt")
 
 
 def _zero_horizon(certs):
-    return dataclasses.replace(certs[2], dmax=0), (0, "horizon")
+    return dict(cert1_document(certs[2]), dmax=0), "horizon dmax 0 is not 6"
 
 
 def _horizon_past_derived(certs):
-    # One degree more than the worked root's derived horizon replays
+    # One degree more than the worked root's derived horizon replayed
     # cleanly, but a certificate's horizon is a function of its root.
-    return dataclasses.replace(certs[0], dmax=certs[0].dmax + 1), (0, "horizon")
+    data = cert1_document(certs[0])
+    return dict(data, dmax=data["dmax"] + 1), "horizon dmax 10 is not 9"
 
 
 def _foreign_matrix(certs):
@@ -322,21 +326,34 @@ def _foreign_matrix(certs):
     B = default_matrix(4, "t-lift", seed=4, ncols=J.max_gen_degree, t=1)
     step = _build_chain_step(cert.steps[1].source, B.drop_first_row(), P)
     forged = dataclasses.replace(cert, steps=(cert.steps[0], step))
-    return forged, (1, "stored-equals-rebuilt")
+    return forged.to_json(), (1, "stored-equals-rebuilt")
+
+
+def _digests_swapped(certs):
+    data = certs[2].to_json()
+    data["steps"][:2] = data["steps"][1::-1]
+    return data, (0, "stored-equals-rebuilt")
+
+
+def _digest_appended(certs):
+    # One step more than the builder makes: it stops, and decides the leaf.
+    data = certs[1].to_json()
+    data["steps"].append(data["steps"][-1])
+    return data, (3, "leaf-validity")
 
 
 def _prime_four(certs):
-    return dataclasses.replace(certs[1], prime=4), (0, "prime")
+    return dict(certs[1].to_json(), prime=4), (0, "prime")
 
 
 def _mode_unknown(certs):
-    return dataclasses.replace(certs[1], mode="nonsense"), (0, "mode")
+    return dict(certs[1].to_json(), mode="nonsense"), (0, "mode")
 
 
 def _mode_relabelled(certs):
     # The square Borel certificate's bilink is not a step of the
-    # Artinian induction, whose every step is a chain.
-    return dataclasses.replace(certs[1], mode="artinian"), (0, "step-kind")
+    # Artinian induction, whose step 0 is a chain lifting by a matrix.
+    return dict(cert1_document(certs[1]), mode="artinian"), (0, "matrix")
 
 
 def _descent_relabelled(certs):
@@ -345,28 +362,33 @@ def _descent_relabelled(certs):
     # builder makes there.
     cert = glicci_certificate_borel(ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 2)),
                                     prime=P)
-    return dataclasses.replace(cert, mode="artinian"), (0, "step-kind")
+    return dict(cert1_document(cert), mode="artinian"), (0, "matrix")
 
 
 def _non_cm_root(certs):
     # (x1^2, x1*x2) is Borel-fixed of height 1 but not Cohen-Macaulay, so
     # the Borel builder refuses it; this certificate claims it is a leaf.
     root = ideal(3, (2, 0, 0), (1, 1, 0))
-    forged = GlicciCertificate("borel", P, root.max_gen_degree + root.n,
-                               root, (), "codim<=2-licci")
-    return forged, (0, "root")
+    forged = GlicciCertificate("borel", P, root, None, (), "codim<=2-licci")
+    return forged.to_json(), (0, "root")
 
 
 class TestCriterion9NegativeControls:
     @pytest.mark.parametrize("forge", [
         _link_swapped, _extra_check, _zero_horizon, _horizon_past_derived,
-        _foreign_matrix, _prime_four, _mode_unknown, _mode_relabelled, _descent_relabelled, _non_cm_root,
+        _foreign_matrix, _digests_swapped, _digest_appended, _prime_four, _mode_unknown,
+        _mode_relabelled, _descent_relabelled, _non_cm_root,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_forged_certificate_rejected_at_step(self, generated_certificates,
                                                  forge):
         forged, failing = forge(generated_certificates)
-        stored = GlicciCertificate.from_json(json.loads(json.dumps(forged.to_json())))
-        rep = verify_certificate(stored)
+        text = json.dumps(forged)
+        if isinstance(failing, str):
+            with pytest.raises(ValueError, match=failing):
+                GlicciCertificate.from_json(json.loads(text))
+            print(f"PASS criterion 9d: {forge.__name__} refused as it is read")
+            return
+        rep = verify_certificate(GlicciCertificate.from_json(json.loads(text)))
         assert not rep.ok
         assert rep.first_failure()[:2] == failing, rep.first_failure()
         # The replay fails on the forgery, never on its own code.
@@ -375,7 +397,7 @@ class TestCriterion9NegativeControls:
 
     def test_tampered_certificate_fails_at_step(self, generated_certificates):
         cert = generated_certificates[2]  # borel cert with several steps
-        data = json.loads(json.dumps(cert.to_json()))
+        data = json.loads(json.dumps(cert1_document(cert)))
         victim = next(
             i for i, s in enumerate(data["steps"]) if s["kind"] == "bilink"
         )

@@ -12,6 +12,7 @@ import pytest
 from liaison import cli, lifting, links, oracle
 from liaison.cli import main
 from liaison.hilbert import HVector, lex_ideal_from_hvector
+from liaison.lifting import default_matrix_for
 from liaison.linkage import glicci_certificate_borel
 from liaison.monomials import MonomialIdeal
 
@@ -165,7 +166,7 @@ def square_documents(tmp_path_factory):
 # takes, and the path inside it to each (None: it reads no matrix).
 _READS = {"analyze": ("ideal", (), None), "lift": ("ideal", (), None),
           "glicci": ("ideal", (), None),
-          "verify": ("cert", ("root",), ("steps", 0, "matrix")),
+          "verify": ("cert", ("root",), ("matrix",)),
           "verify-lift": ("lift", ("source",), ("matrix",))}
 
 # JSON numbers that are not integers, or are out of range, where integers
@@ -544,7 +545,7 @@ class TestGlicciAndVerify:
         code, out, err = run(capsys, "glicci", str(path), "--mode", "borel")
         assert (code, out, err) == (3, "", "error: root ideal must be proper and nonzero\n")
         data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
-        data.update(root=root, dmax=0, steps=[], leaf="principal")
+        data.update(root=root, steps=[], leaf="principal")
         cert.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 3
@@ -593,15 +594,16 @@ class TestGlicciAndVerify:
         cert = tmp_path / "cert.json"
         run(capsys, "glicci", str(path), "--mode", "borel", "--out", str(cert))
         data = json.loads(cert.read_text())
-        data["steps"][0]["link"]["divisor"]["gens"][0] = [[2, 0, 0, 1]]
+        data["steps"][0] = data["steps"][1]
         cert.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 3
+        assert "FAIL  step 0  stored-equals-rebuilt  [stored '" in out
         assert "REJECTED" in out
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["root"]["gens"].append([3, 0, 0]),
-        lambda doc: doc["steps"][0].update(kind="nonsense"),
+        lambda doc: doc["steps"].__setitem__(0, {"kind": "nonsense"}),
     ], ids=["redundant-root-generator", "unknown-step-kind"])
     def test_malformed_certificate_is_input_error(self, tmp_path, capsys, edit):
         data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
@@ -645,9 +647,22 @@ class TestUnboundedInputs:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"schema": "ideal/1", "n": 2, "gens": [[2, 0], [0, 1]]}))
         message = ("error: 40000008 coefficients in a t-lift matrix, more than "
-                   "T_LIFT_COEFFICIENT_LIMIT = 1000000\n")
+                   "COEFFICIENT_LIMIT = 1000000\n")
         start = time.perf_counter()
         assert run(capsys, "lift", str(path), "--matrix", "t:10000000") == (2, "", message)
+        assert time.perf_counter() - start < 1
+
+    # The bf matrix of (x1, x2, x3, x4^100000) has BF_COLUMN_LIMIT columns,
+    # but its 4 rows of forms in 4 variables would hold 1.6·10^6
+    # coefficients: refused before any row is built.
+    def test_bf_matrix_over_its_coefficient_limit(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"schema": "ideal/1", "n": 4, "gens": _powers(4, 1)[:3]
+                                    + [[0, 0, 0, 100000]]}))
+        message = ("error: 1600000 coefficients in a bf matrix, more than "
+                   "COEFFICIENT_LIMIT = 1000000\n")
+        start = time.perf_counter()
+        assert run(capsys, "lift", str(path), "--matrix", "bf") == (2, "", message)
         assert time.perf_counter() - start < 1
 
     # A horizon derived from an ideal of high degree: 119 in 4 variables
@@ -718,7 +733,8 @@ class TestUnboundedInputs:
 
     # The Macaulay matrices of the horizon of (x1^25, x2^25, x3^25), 74, did
     # not fit in memory; its checks read closed forms and factor lists, and
-    # `glicci` and `verify` take about 3 s and 2.5 s (2-core x86-64 host).
+    # `glicci` and `verify` take about 1.2 s each (2-core x86-64 host).  Its
+    # certificate stores the root, the matrix and one digest: under 4 KB.
     @pytest.mark.parametrize("e", [8, 25])
     def test_cube_certifies_and_verifies(self, tmp_path, e):
         cube, cert = tmp_path / "cube.json", tmp_path / "cert.json"
@@ -726,7 +742,7 @@ class TestUnboundedInputs:
             {"schema": "ideal/1", "n": 3, "gens": [[e, 0, 0], [0, e, 0], [0, 0, e]]}))
         code, _, err = run_bounded("glicci", cube, "--mode", "artinian", "--out", cert,
                                    timeout=60, limit=1 << 30)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, "") and cert.stat().st_size < 4096
         code, out, err = run_bounded("verify", cert, timeout=60, limit=1 << 30)
         assert (code, err) == (0, "") and "FAIL" not in out
 
@@ -745,17 +761,21 @@ class TestUnboundedInputs:
         assert code == 0 and "FAIL" not in out
         assert elapsed < 1, f"verify-lift took {elapsed:.2f} s"
 
+    # A certificate of (x1^40, x2^40, x3^40), which `glicci` refuses at its
+    # horizon, stores no step: `verify` refuses the root before any.
     def test_absurd_horizon_is_refused_before_replay(self, tmp_path):
-        data = glicci_certificate_borel(MonomialIdeal.from_json(SQUARE)).to_json()
-        data["dmax"] = 10**6
+        cube = MonomialIdeal.from_json({"schema": "ideal/1", "n": 3, "gens": _powers(3, 40)})
+        data = {"leaf": "codim<=2-licci", "matrix": default_matrix_for(cube, "t-lift").to_json(),
+                "mode": "artinian", "prime": 32003, "root": cube.to_json(),
+                "schema": "glicci-cert/2", "steps": []}
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(data))
         code, out, _ = run_bounded("verify", cert)
         assert code == 3
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failing) == 1
-        assert failing[0].startswith("FAIL  step 0  horizon  [horizon dmax 1000000")
-        assert "step-continuity" not in out
+        assert failing[0].startswith("FAIL  step 0  horizon  [horizon dmax 119 ")
+        assert "leaf-validity" not in out
 
 
 def _powers(n, e):
@@ -788,6 +808,8 @@ LIFT_INPUTS = {
     "x1-x2^2-t249998": ([[2, 0], [0, 1]], ["--matrix", "t:249998", "--seed", "7"], 0),
     "wide-bf": ([[200, 0, 0, 0]], ["--matrix", "bf"], 0),
     "bf-over-its-columns": ([[1, 0], [0, 2**40]], ["--matrix", "bf"], 2),
+    "bf-at-its-columns": ([[1, 0], [0, 100000]], ["--matrix", "bf"], 0),
+    "4-bf-over-its-coefficients": (_powers(4, 1)[:3] + [[0, 0, 0, 100000]], ["--matrix", "bf"], 2),
     "x1^3000": ([[3000]], [], 2),
     "cube-31": (_powers(3, 31), [], 0),
     "cube-60": (_powers(3, 60), [], 2),

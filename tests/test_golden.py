@@ -6,18 +6,21 @@ these pins on purpose.
 import hashlib
 import json
 
+from glicci_cert1 import cert1_document
 from liaison.cli import main
-from liaison.lifting import canonical_json
+from liaison.lifting import canonical_json, default_matrix_for
+from liaison.linkage import glicci_certificate_artinian
+from liaison.monomials import MonomialIdeal
 
 PINNED = {
     "glicci --json, worked ideal, artinian, seed 7": (
-        "1f2615485efd867f2dece9f400362023e5d449493856574f457ffb7ea47165ff", 73529),
+        "38578c230843ac5337560758180de02f82c39765dbc6f2f4af61a16168cf82f1", 1653),
     "verify --json, worked artinian certificate": (
-        "3a780098eca04fd73058e8c9402dbd59bca8a6bc487cf6baefc10ed086737410", 4810),
+        "3df47bae10bdd5ea9cf907846180e9e293ce0e08c80bf917964dc58faeada4b8", 4246),
     "glicci --json, square Borel ideal, borel": (
-        "4b4df06250460befff0fb34a5d36e9fa4cbff0d1390066e286226983b9874b38", 5624),
+        "6756702d00603c966a7d081fdff0ab01928f45b426d380739136421f19e06bc0", 440),
     "verify --json, square Borel certificate": (
-        "bc1f94b59a4310f03433e901ae4c599f89489ea1a51efb9207222d4957dd03d7", 3430),
+        "73dc4e0f1dc2148970baafbb422e61b65893c0ee4dc912b6d9873cd544e8646c", 2593),
     "lift --seed 7 file, worked ideal": (
         "3faf9c3dcd0736c0996f80a7ac17ac6467f92e74effa02770b95448418564876", 6702),
     "verify-lift --json, worked lift file": (
@@ -28,8 +31,12 @@ PINNED = {
 
 # The seed-7 Artinian certificate of (x1, x2, x3)^8, as canonical JSON
 # text: 45 lifted generators, where a chain step shares the most products.
+# POWER_8_CERTIFICATE is its glicci-cert/1 text, which stored each step in
+# full, as the builder wrote it before glicci-cert/2.
 POWER_8_CERTIFICATE = (
     "6c6fd742793b9c62057ca628a7969ea209c584505f7d58b342e9ff2754ef71f8", 181685)
+POWER_8_CERTIFICATE_2 = (
+    "f90f89c8b04d277066a032c1e806a8e7cf45856cf41458ef4cc58091f083606b", 1163)
 
 SQUARE = {"schema": "ideal/1", "n": 3,
           "gens": [[2, 0, 0], [1, 1, 0], [1, 0, 1],
@@ -67,11 +74,20 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
 
 
 def test_power_of_the_maximal_ideal_certificate_is_byte_identical(tmp_path, capsys):
-    power, cert = tmp_path / "m8.json", tmp_path / "cert.json"
-    power.write_text(json.dumps({"schema": "ideal/1", "n": 3, "gens": [
-        [a, b, 8 - a - b] for a in range(9) for b in range(9 - a)]}))
+    power, cert, legacy = (tmp_path / f for f in ("m8.json", "cert.json", "cert1.json"))
+    gens = [[a, b, 8 - a - b] for a in range(9) for b in range(9 - a)]
+    power.write_text(json.dumps({"schema": "ideal/1", "n": 3, "gens": gens}))
     assert main(["glicci", str(power), "--mode", "artinian", "--seed", "7",
                  "--out", str(cert)]) == 0
     capsys.readouterr()
     text = canonical_json(json.loads(cert.read_text())).encode()
+    assert _digest(text) == POWER_8_CERTIFICATE_2
+    # The test helper writes the glicci-cert/1 text byte for byte, and
+    # `verify` still reads it, through the replay of glicci-cert/2.
+    J = MonomialIdeal.from_json(json.loads(power.read_text()))
+    built = glicci_certificate_artinian(J, default_matrix_for(J, "t-lift", 7))
+    text = canonical_json(cert1_document(built)).encode()
     assert _digest(text) == POWER_8_CERTIFICATE
+    legacy.write_bytes(text)
+    assert main(["verify", str(legacy)]) == 0
+    assert capsys.readouterr().out.endswith("certificate VERIFIED\n")

@@ -5,9 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from buchberger_fp import GroebnerBasis
+from glicci_cert1 import cert1_document
 from test_lifting import count_json_texts, reverse_keys, unsorted_objects
 from liaison import lifting, linkage, links, oracle
 from liaison.cli import main
@@ -20,6 +20,7 @@ from liaison.hilbert import (
 from liaison.layers import decompose
 from liaison.lifting import (
     DEFAULT_PRIME,
+    _digest,
     MatrixError,
     canonical_json,
     default_matrix,
@@ -279,6 +280,12 @@ def worked_certificate(prime=P):
     return glicci_certificate_artinian(WORKED_J, A, prime=prime)
 
 
+def dmax(cert):
+    """The horizon a certificate derives from its root: the degree
+    through which the oracle's Macaulay matrices answer its questions."""
+    return linkage._horizon(cert.root, cert.matrix)
+
+
 # Leading monomials x1^2 and x1 x2 in revlex with x3 last, but the S-pair
 # leaves x3 (x2^2 - x1 x3): no Gröbner basis, and x2^2 - x1 x3 lies in
 # I : x3 and not in I.
@@ -307,7 +314,7 @@ class TestColonProof:
             for ideal, f in made:
                 assert ideal.prime == prime
                 assert ((real(ideal, f) is None) == (oracle.colon_stability_failure(
-                    ideal.gens, f, cert.dmax, ideal.N, prime) is None))
+                    ideal.gens, f, dmax(cert), ideal.N, prime) is None))
             checked += len(made)
         assert checked == 13 + 45  # the worked chain's checks, then one per bilink
 
@@ -570,7 +577,7 @@ class TestHorizonCoversComparedGenerators:
 
     @staticmethod
     def assert_within_horizon(cert, seen):
-        assert seen and max(seen) <= cert.dmax
+        assert seen and max(seen) <= dmax(cert)
 
     def test_worked_certificate(self, compared):
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
@@ -624,12 +631,12 @@ class TestGroebnerAgreesWithTheOracle:
             del containments[:]
             cert = build()
             for ideal, K in numerators.values():
-                oracle_h = hilbert_oracle(ideal.gens, cert.dmax, ideal.N, prime)
-                assert hilbert_values(K, ideal.N, cert.dmax + 1) == list(oracle_h.values), \
+                oracle_h = hilbert_oracle(ideal.gens, dmax(cert), ideal.N, prime)
+                assert hilbert_values(K, ideal.N, dmax(cert) + 1) == list(oracle_h.values), \
                     ideal.label
             for gens, ideal, p, fail in containments:
                 assert p == prime
-                assert fail == containment_failure(gens, ideal.gens, cert.dmax, ideal.N, p)
+                assert fail == containment_failure(gens, ideal.gens, dmax(cert), ideal.N, p)
             counted[0] += len(numerators)
             counted[1] += len(containments)
         # The worked chain: V_1..V_4, W_1 and Z_2..Z_4; 7 containments.
@@ -681,16 +688,21 @@ class TestCertificateSerialization:
         data = build().to_json()
         assert unsorted_objects(data) == []
 
-    # So a rebuilt step and its stored text compare by marshal bytes, and
-    # the replay makes no canonical text.
+    # The replay makes one canonical text per step, the text its digest
+    # is taken of, and decoding makes none: the root and the matrix are
+    # compared with their canonical JSON by marshal bytes.
     @WORKED_AND_SQUARE
-    def test_replay_of_canonical_text_encodes_nothing(self, build, monkeypatch):
-        text = canonical_json(build().to_json())
+    def test_replay_encodes_one_text_per_step(self, build, monkeypatch):
+        cert = build()
+        text = canonical_json(cert.to_json())
         calls = count_json_texts(monkeypatch)
         back = GlicciCertificate.from_json(json.loads(text))
-        report = verify_certificate(back)
-        assert report.ok and any(e[1] == "stored-equals-rebuilt" for e in report.entries)
         assert calls == []
+        report = verify_certificate(back)
+        assert report.ok
+        assert ([e[0] for e in report.entries if e[1] == "stored-equals-rebuilt"]
+                == list(range(len(cert.steps))))
+        assert calls == [linkage._encode(step) for step in cert.steps]
 
     def test_certificate_with_every_key_reversed_verifies(self):
         data = json.loads(canonical_json(worked_certificate().to_json()))
@@ -700,16 +712,16 @@ class TestCertificateSerialization:
         assert report.to_json() == verify_certificate(GlicciCertificate.from_json(data)).to_json()
 
     def test_chain_matrix_seed_is_tied_to_its_rows(self, tmp_path, capsys):
-        # Every chain step's matrix relabelled with seed 8: the replay
-        # would rebuild the same steps, so decoding must refuse the label.
+        # The stored matrix relabelled with seed 8, at the top of a cert/2
+        # and in a cert/1's chain step 0: the replay would rebuild the same
+        # steps, so decoding must refuse the label.
         A = default_matrix(3, "t-lift", seed=7, ncols=6, t=1)
-        data = glicci_certificate_artinian(WORKED_J, A).to_json()
-        chains = [step for step in data["steps"] if step["kind"] == "chain"]
-        assert chains
-        for step in chains:
-            step["matrix"]["kind"]["seed"] = 8
-        with pytest.raises(MatrixError, match="default t-lift matrix of seed 8"):
-            GlicciCertificate.from_json(data)
+        cert = glicci_certificate_artinian(WORKED_J, A)
+        data, legacy = cert.to_json(), cert1_document(cert)
+        data["matrix"]["kind"]["seed"] = legacy["steps"][0]["matrix"]["kind"]["seed"] = 8
+        for doc in (data, legacy):
+            with pytest.raises(MatrixError, match="default t-lift matrix of seed 8"):
+                GlicciCertificate.from_json(doc)
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
@@ -751,28 +763,30 @@ class TestOneEncoder:
 
 
 class TestTamperDetection:
+    """Edits of the steps a ``glicci-cert/1`` document stores in full: the
+    replay compares each with its rebuild through the digest of its
+    canonical JSON, so each fails at its own step."""
+
     def test_tampered_divisor_fails_at_step(self):
-        cert = glicci_certificate_borel(SQUARE)
-        data = cert.to_json()
+        data = cert1_document(glicci_certificate_borel(SQUARE))
         # swap a generator of I' inside the recorded link divisor
         data["steps"][0]["link"]["divisor"]["gens"][0] = [[2, 0, 0, 1]]
         bad = GlicciCertificate.from_json(data)
         rep = verify_certificate(bad)
         assert not rep.ok
         first = rep.first_failure()
-        assert first[0] == 0  # fails at the tampered step
+        assert first[:2] == (0, "stored-equals-rebuilt")  # fails at the tampered step
 
     def test_tampered_continuation_breaks_continuity(self):
         cert = glicci_certificate_borel(
             MonomialIdeal.from_gens(3, monomials_of_degree(3, 3))
         )
-        data = cert.to_json()
+        data = cert1_document(cert)
         data["steps"][1]["source"]["gens"][0] = [3, 0, 0]
         bad = GlicciCertificate.from_json(data)
         rep = verify_certificate(bad)
         failing = [e for e in rep.entries if not e[2]]
-        assert failing
-        assert min(e[0] for e in failing) == 1
+        assert [e[:2] for e in failing] == [(1, "stored-equals-rebuilt")]
 
     # Edits of step 0 of the square Borel certificate that decoding used
     # to normalize away: the replay then compared equal objects.
@@ -784,7 +798,7 @@ class TestTamperDetection:
         lambda step: step["link"]["base"].update(N=float(step["link"]["base"]["N"])),
     ], ids=["extra-key", "source-reversed", "poly-reversed", "passed-is-1", "N-is-float"])
     def test_normalized_step_edit_fails_at_step(self, edit):
-        data = glicci_certificate_borel(SQUARE).to_json()
+        data = cert1_document(glicci_certificate_borel(SQUARE))
         edit(data["steps"][0])
         rep = verify_certificate(GlicciCertificate.from_json(data))
         assert rep.first_failure()[:2] == (0, "stored-equals-rebuilt")
@@ -793,12 +807,27 @@ class TestTamperDetection:
         (lambda doc: doc["root"]["gens"].append([3, 0, 0]), "root"),
         (lambda doc: doc.update(note="unchecked"), "unknown keys"),
         (lambda doc: doc.update(schema="glicci-cert/0"), "schema"),
-        (lambda doc: doc["steps"][0].update(kind="nonsense"), "step kind"),
-    ], ids=["redundant-root-generator", "extra-key", "schema", "step-kind"])
+        (lambda doc: doc["steps"].__setitem__(0, {"kind": "nonsense"}), "digest string"),
+        (lambda doc: doc.update(steps="80c2d2d5a3e92e54"), "steps must be a list"),
+        (lambda doc: doc.update(dmax=5), "unknown keys"),
+    ], ids=["redundant-root-generator", "extra-key", "schema", "step-kind", "steps-string",
+            "cert1-key"])
     def test_noncanonical_document_is_malformed(self, edit, message):
         data = glicci_certificate_borel(SQUARE).to_json()
         edit(data)
         with pytest.raises(ValueError, match=message):
+            GlicciCertificate.from_json(data)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["matrix"].update(note="unchecked"), "matrix is not the canonical"),
+        (lambda doc: doc["matrix"].update(schema="matrix/2"), "matrix is not the canonical"),
+        (lambda doc: doc["matrix"]["rows"][0][0].__setitem__(3, 5), "differs from the default"),
+        (lambda doc: doc.update(matrix={}), "kind"),
+    ], ids=["extra-key", "schema", "coefficient", "empty"])
+    def test_noncanonical_matrix_is_malformed(self, edit, message):
+        data = worked_certificate().to_json()
+        edit(data)
+        with pytest.raises((KeyError, ValueError), match=message):
             GlicciCertificate.from_json(data)
 
 
@@ -807,8 +836,39 @@ def _two_terms(poly):
     return poly
 
 
-# One random leaf mutation of a certificate's JSON must never give a
-# VERIFIED certificate that differs from what the builder makes from the
+class TestCert1Reader:
+    """A ``glicci-cert/1`` document enters the replay of ``glicci-cert/2``:
+    its step 0's matrix and each stored step's digest."""
+
+    @WORKED_AND_SQUARE
+    def test_reads_as_its_cert2(self, build):
+        cert = build()
+        legacy = json.loads(canonical_json(cert1_document(cert)))
+        back = GlicciCertificate.from_json(legacy)
+        assert back.to_json() == cert.to_json()
+        assert verify_certificate(back).to_json() == verify_certificate(cert).to_json()
+
+    def test_horizon_must_be_derived(self):
+        data = cert1_document(worked_certificate())
+        for dmax in (8, 10, 9.0, True, "9"):
+            with pytest.raises(ValueError, match=f"^horizon dmax {dmax!r} is not 9, "):
+                GlicciCertificate.from_json(dict(data, dmax=dmax))
+        assert GlicciCertificate.from_json(dict(data, dmax=9)).matrix == worked_certificate().matrix
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["steps"][0].update(kind="nonsense"),
+        lambda doc: doc["steps"].__setitem__(0, "80c2d2d5a3e92e54"),
+        lambda doc: doc["steps"].__setitem__(0, []),
+    ], ids=["unknown-kind", "digest", "list"])
+    def test_unreadable_step_fails_at_step(self, edit):
+        data = cert1_document(glicci_certificate_borel(SQUARE))
+        edit(data)
+        rep = verify_certificate(GlicciCertificate.from_json(data))
+        assert rep.first_failure()[:2] == (0, "stored-equals-rebuilt")
+
+
+# Every single-leaf mutation of a certificate's JSON must give a document
+# that is refused, or that verifies and is what the builder makes from the
 # certificate's own inputs.
 
 
@@ -831,20 +891,13 @@ def _mutations(node, path=()):
         yield path, ("edit",)
 
 
-@functools.cache
 def _fuzz_case(name):
-    """The certificate's JSON and its mutations, split into those of the
-    certificate-wide fields and those of everything nested below them."""
+    """The ``glicci-cert/2`` document of a certificate."""
     if name == "borel-square":
-        cert = glicci_certificate_borel(SQUARE)
-    else:
-        J = lex_ideal_from_hvector(HVector.artinian((1, 2, 1)), 3)
-        A = default_matrix(3, "t-lift", seed=7, ncols=J.max_gen_degree, t=1)
-        cert = glicci_certificate_artinian(J, A)
-    doc = cert.to_json()
-    muts = list(_mutations(doc))
-    return (doc, [m for m in muts if len(m[0]) == 1],
-            [m for m in muts if len(m[0]) > 1])
+        return glicci_certificate_borel(SQUARE).to_json()
+    J = lex_ideal_from_hvector(HVector.artinian((1, 2, 1)), 3)
+    A = default_matrix(3, "t-lift", seed=7, ncols=J.max_gen_degree, t=1)
+    return glicci_certificate_artinian(J, A).to_json()
 
 
 def _mutate(doc, path, op, text):
@@ -869,27 +922,38 @@ def _mutate(doc, path, op, text):
 
 class TestSoundnessFuzz:
     @pytest.mark.parametrize("name", ["borel-square", "artinian-121"])
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_mutation_is_rejected_or_harmless(self, name, data):
-        doc, top, nested = _fuzz_case(name)
-        # The few certificate-wide fields get half the examples.
-        path, op = data.draw(st.one_of(st.sampled_from(top),
-                                       st.sampled_from(nested)))
-        text = None
-        if op == ("edit",):
+    def test_mutation_is_rejected_or_harmless(self, name):
+        doc = _fuzz_case(name)
+        # Each string becomes empty, or another value one of the strings
+        # of a certificate takes: the other mode, leaf or schema, or
+        # another step's digest.
+        texts = {"", "artinian", "borel", "principal", "codim<=2-licci",
+                 "glicci-cert/1", "matrix/1", "ideal/1", *doc["steps"],
+                 _digest({"kind": "chain"})}
+        mutations = list(_mutations(doc))
+        # Every input, digest and tag is mutated: the root, the prime, the
+        # matrix's every coefficient and its seed, each digest, the mode and
+        # the leaf.
+        paths = {path for path, _ in mutations}
+        assert {path[0] for path in paths} == {k for k, v in doc.items() if v is not None}
+        assert {("steps", k) for k in range(len(doc["steps"]))} <= paths
+        if doc["matrix"]:
+            assert ("matrix", "kind", "seed") in paths
+            coefficients = [p for p in paths if p[:2] == ("matrix", "rows") and len(p) == 5]
+            assert len(coefficients) == sum(map(len, sum(doc["matrix"]["rows"], []))) == 36
+        for path, op in mutations:
             old = functools.reduce(lambda node, key: node[key], path, doc)
-            text = data.draw(st.text(max_size=4).filter(lambda t: t != old))
-        try:
-            back = GlicciCertificate.from_json(_mutate(doc, path, op, text))
-        except (KeyError, TypeError, ValueError, MatrixError):
-            return  # ``liaison verify`` rejects it as bad input, exit 2
-        if not verify_certificate(back).ok:
-            return
-        if name == "borel-square":
-            rebuilt = glicci_certificate_borel(back.root, prime=back.prime)
-        else:
-            rebuilt = glicci_certificate_artinian(
-                back.root, back.steps[0].matrix, prime=back.prime)
-        assert (canonical_json(back.to_json())
-                == canonical_json(rebuilt.to_json())), (path, op, text)
+            for text in sorted(texts - {old}) if op == ("edit",) else [None]:
+                try:
+                    back = GlicciCertificate.from_json(_mutate(doc, path, op, text))
+                except (KeyError, TypeError, ValueError, MatrixError):
+                    continue  # ``liaison verify`` rejects it as bad input, exit 2
+                if not verify_certificate(back).ok:
+                    continue
+                if name == "borel-square":
+                    rebuilt = glicci_certificate_borel(back.root, prime=back.prime)
+                else:
+                    rebuilt = glicci_certificate_artinian(back.root, back.matrix,
+                                                          prime=back.prime)
+                assert (canonical_json(back.to_json())
+                        == canonical_json(rebuilt.to_json())), (path, op, text)

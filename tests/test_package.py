@@ -148,6 +148,13 @@ def test_no_canonical_text_comparison_outside_same_document():
             if not line.endswith("return canonical_json(a) == canonical_json(b)")] == []
 
 
+def test_certificate_steps_have_one_replay_path():
+    # verify compares each stored step with its rebuild by digest alone:
+    # no stored step is decoded, and the replay makes no entry of its own
+    # for a step's source or kind.
+    assert _lines_matching(r"\bStoredStep\b|step-continuity|step-kind") == []
+
+
 def test_lift_report_reads_no_horizon():
     # verify_lift reads every row off the source's numerator over Z: it
     # takes no prime, and lifting.py names a horizon or dmax only in a
